@@ -70,7 +70,7 @@ type way struct {
 // Cache is a single set-associative cache with LRU replacement.
 type Cache struct {
 	name     string
-	sets     [][]way
+	lines    []way // set-major: set s holds lines[s*ways : (s+1)*ways]
 	ways     int
 	lineBits uint
 	setMask  uint64
@@ -100,33 +100,49 @@ func NewCache(name string, size, ways, lineSize int) *Cache {
 	for 1<<lineBits < lineSize {
 		lineBits++
 	}
-	c := &Cache{
+	return &Cache{
 		name:        name,
-		sets:        make([][]way, nsets),
+		lines:       make([]way, nsets*ways),
 		ways:        ways,
 		lineBits:    lineBits,
 		setMask:     uint64(nsets - 1),
 		invalidated: make(map[uint64]struct{}),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
-	}
-	return c
 }
 
 // Line returns the line address containing addr.
 func (c *Cache) Line(addr Addr) uint64 { return uint64(addr) >> c.lineBits }
 
-func (c *Cache) setOf(line uint64) []way { return c.sets[line&c.setMask] }
+// find scans line's set once. It returns the index in c.lines of the way
+// holding line, or -1, and the way a fill of line would replace: the
+// first invalid way, else the least recently used. Every access advances
+// the tick before it stamps a way, so a valid way's touch is at least 1
+// and ranking invalid ways at 0 puts the first of them first.
+func (c *Cache) find(line uint64) (at, victim int) {
+	base := int(line&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	oldest := ^uint64(0)
+	for i := range set {
+		w := &set[i]
+		if w.tag == line && w.state != Invalid {
+			return base + i, 0
+		}
+		t := w.touch
+		if w.state == Invalid {
+			t = 0
+		}
+		if t < oldest {
+			victim, oldest = i, t
+		}
+	}
+	return -1, base + victim
+}
 
 // Probe reports whether line is present and in what state, without
 // touching LRU or statistics.
 func (c *Cache) Probe(line uint64) (State, bool) {
-	for i := range c.setOf(line) {
-		w := &c.setOf(line)[i]
-		if w.state != Invalid && w.tag == line {
-			return w.state, true
-		}
+	if at, _ := c.find(line); at >= 0 {
+		return c.lines[at].state, true
 	}
 	return Invalid, false
 }
@@ -144,21 +160,34 @@ type Evicted struct {
 // coherMiss reports that the miss hit a line previously invalidated by a
 // remote writer.
 func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, victim Evicted, coherMiss bool) {
-	c.stats.Accesses++
-	c.tick++
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			c.stats.Hits++
-			w.touch = c.tick
-			if write {
-				w.state = Modified
-			}
-			return true, Evicted{}, false
-		}
+	at, v := c.find(line)
+	if at >= 0 {
+		c.hit(at, write)
+		return true, Evicted{}, false
 	}
+	victim, coherMiss = c.fill(v, line, write, fillState)
+	return false, victim, coherMiss
+}
+
+// hit counts an access that found its line in way at and makes the way
+// most recently used; write upgrades it to Modified.
+func (c *Cache) hit(at int, write bool) {
+	c.stats.Accesses++
+	c.stats.Hits++
+	c.tick++
+	w := &c.lines[at]
+	w.touch = c.tick
+	if write {
+		w.state = Modified
+	}
+}
+
+// fill counts an access that missed and installs line in way at, which
+// find chose as the victim, in fillState (Modified for a write).
+func (c *Cache) fill(at int, line uint64, write bool, fillState State) (victim Evicted, coherMiss bool) {
+	c.stats.Accesses++
 	c.stats.Misses++
+	c.tick++
 	// The empty-map guard keeps the single-processor (and low-sharing)
 	// fast path free of a per-miss map probe.
 	if len(c.invalidated) != 0 {
@@ -168,75 +197,68 @@ func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, vict
 			coherMiss = true
 		}
 	}
-	// Choose a victim: an invalid way if available, else LRU.
-	victimIdx := 0
-	for i := range set {
-		if set[i].state == Invalid {
-			victimIdx = i
-			goto fill
-		}
-		if set[i].touch < set[victimIdx].touch {
-			victimIdx = i
+	w := &c.lines[at]
+	if w.state != Invalid {
+		victim = Evicted{Line: w.tag, Dirty: w.state == Modified, Valid: true}
+		c.stats.Evictions++
+		if victim.Dirty {
+			c.stats.Writebacks++
 		}
 	}
-	victim = Evicted{Line: set[victimIdx].tag, Dirty: set[victimIdx].state == Modified, Valid: true}
-	c.stats.Evictions++
-	if victim.Dirty {
-		c.stats.Writebacks++
-	}
-fill:
-	st := fillState
 	if write {
-		st = Modified
+		fillState = Modified
 	}
-	set[victimIdx] = way{tag: line, state: st, touch: c.tick}
-	return false, victim, coherMiss
+	*w = way{tag: line, state: fillState, touch: c.tick}
+	return victim, coherMiss
 }
 
 // Invalidate removes line if present, recording it for coherence-miss
 // classification. It reports whether the line was present and dirty.
 func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			dirty = w.state == Modified
-			w.state = Invalid
-			c.stats.Invalidates++
-			c.invalidated[line] = struct{}{}
-			return true, dirty
-		}
+	present, dirty = c.drop(line)
+	if present {
+		c.invalidated[line] = struct{}{}
 	}
-	return false, false
+	return present, dirty
+}
+
+// drop removes line if present, as Invalidate does, without recording it
+// for coherence-miss classification. The coherence domain classifies
+// misses at L3 only, so it drops the L2 and trace-cache copies.
+func (c *Cache) drop(line uint64) (present, dirty bool) {
+	at, _ := c.find(line)
+	if at < 0 {
+		return false, false
+	}
+	w := &c.lines[at]
+	dirty = w.state == Modified
+	w.state = Invalid
+	c.stats.Invalidates++
+	return true, dirty
 }
 
 // Downgrade moves line to Shared if present (a remote reader snooped it),
 // reporting presence and whether it was dirty (requiring a writeback).
 func (c *Cache) Downgrade(line uint64) (present, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			dirty = w.state == Modified
-			w.state = Shared
-			return true, dirty
-		}
+	at, _ := c.find(line)
+	if at < 0 {
+		return false, false
 	}
-	return false, false
+	w := &c.lines[at]
+	dirty = w.state == Modified
+	w.state = Shared
+	return true, dirty
 }
 
 // SetState forces the state of line if present, reporting whether it was.
 // The coherence domain uses it for upgrades and L2→L3 writebacks.
 func (c *Cache) SetState(line uint64, st State) bool {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			w.state = st
-			return true
-		}
+	at, _ := c.find(line)
+	if at < 0 {
+		return false
 	}
-	return false
+	c.lines[at].state = st
+	return true
 }
 
 // Stats returns a copy of the counters.

@@ -135,12 +135,10 @@ func TestNoDuplicatesQuick(t *testing.T) {
 		}
 		seen := map[uint64]int{}
 		total := 0
-		for _, set := range c.sets {
-			for _, w := range set {
-				if w.state != Invalid {
-					seen[w.tag]++
-					total++
-				}
+		for _, w := range c.lines {
+			if w.state != Invalid {
+				seen[w.tag]++
+				total++
 			}
 		}
 		for _, n := range seen {

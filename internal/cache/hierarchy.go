@@ -128,7 +128,10 @@ func (d *Domain) sampled(line uint64) bool {
 }
 
 // Access sends one reference through cpu's hierarchy. Addresses are byte
-// addresses; the hierarchy handles line extraction and sampling.
+// addresses; the hierarchy handles line extraction and sampling. Each
+// level's set is scanned once: the scan finds the line or the way its
+// fill will replace, and nothing between the scan and the fill touches
+// this CPU's set at that level.
 func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	h := d.CPUs[cpu]
 	line := h.l3.Line(addr)
@@ -148,8 +151,10 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 
 	// L2: a hit is local unless it is a store to a Shared line, which
 	// must broadcast an upgrade to invalidate remote copies.
-	if st, ok := h.l2.Probe(line); ok {
-		h.l2.Access(line, write, st)
+	at2, victim2 := h.l2.find(line)
+	if at2 >= 0 {
+		st := h.l2.lines[at2].state
+		h.l2.hit(at2, write)
 		if write && st == Shared && d.Coherent {
 			d.invalidateOthers(cpu, line)
 			h.l3.SetState(line, Modified)
@@ -159,17 +164,14 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	res.L2Miss = true
 
 	// L3: hit fills L2 with the (possibly upgraded) coherence state.
-	if st, ok := h.l3.Probe(line); ok {
-		h.l3.Access(line, write, st)
-		newState := st
-		if write {
-			if st == Shared && d.Coherent {
-				d.invalidateOthers(cpu, line)
-			}
-			newState = Modified
+	at3, victim3 := h.l3.find(line)
+	if at3 >= 0 {
+		st := h.l3.lines[at3].state
+		h.l3.hit(at3, write)
+		if write && st == Shared && d.Coherent {
+			d.invalidateOthers(cpu, line)
 		}
-		_, l2victim, _ := h.l2.Access(line, write, newState)
-		h.l2WritebackToL3(l2victim)
+		h.fillL2(victim2, line, write, st)
 		return res
 	}
 
@@ -178,23 +180,19 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	if d.Coherent {
 		fill = d.snoop(cpu, line, write)
 	}
-	_, victim, coher := h.l3.Access(line, write, fill)
-	st := fill
-	if write {
-		st = Modified
-	}
-	_, l2victim, _ := h.l2.Access(line, write, st)
-	h.l2WritebackToL3(l2victim)
+	victim, coher := h.l3.fill(victim3, line, write, fill)
+	h.fillL2(victim2, line, write, fill)
 	res.L3Miss = true
 	res.Coherence = coher
 	res.Writeback = victim.Valid && victim.Dirty
 	return res
 }
 
-// l2WritebackToL3 propagates a dirty L2 eviction into the L3 copy so the
-// eventual L3 eviction produces the bus writeback.
-func (h *Hierarchy) l2WritebackToL3(victim Evicted) {
-	if victim.Valid && victim.Dirty {
+// fillL2 installs line in the L2 way find chose (Modified for a write)
+// and propagates a dirty L2 eviction into the L3 copy, so the eventual L3
+// eviction produces the bus writeback.
+func (h *Hierarchy) fillL2(at int, line uint64, write bool, st State) {
+	if victim, _ := h.l2.fill(at, line, write, st); victim.Valid && victim.Dirty {
 		h.l3.SetState(victim.Line, Modified)
 	}
 }
@@ -221,8 +219,8 @@ func (d *Domain) snoop(cpu int, line uint64, write bool) State {
 		if write {
 			if present, _ := other.l3.Invalidate(line); present {
 				anyOther = true
-				other.l2.Invalidate(line)
-				other.tc.Invalidate(line)
+				other.l2.drop(line)
+				other.tc.drop(line)
 			}
 		} else {
 			if present, _ := other.l3.Downgrade(line); present {
@@ -250,8 +248,8 @@ func (d *Domain) invalidateOthers(cpu int, line uint64) {
 			continue
 		}
 		if present, _ := other.l3.Invalidate(line); present {
-			other.l2.Invalidate(line)
-			other.tc.Invalidate(line)
+			other.l2.drop(line)
+			other.tc.drop(line)
 		}
 	}
 }

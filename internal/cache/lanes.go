@@ -98,8 +98,8 @@ func (l *lanes) run(worker int) {
 			h := d.CPUs[cpu]
 			if l.write {
 				if present, _ := h.l3.Invalidate(l.line); present {
-					h.l2.Invalidate(l.line)
-					h.tc.Invalidate(l.line)
+					h.l2.drop(l.line)
+					h.tc.drop(l.line)
 					l.found[cpu] = true
 				}
 			} else {

@@ -12,13 +12,18 @@ package cpu
 // unrelated branches.
 type BranchPredictor struct {
 	history  uint64
-	bits     uint
 	histBits uint
+	histMask uint64 // low histBits bits
+	idxMask  uint64 // table length minus one, 2^bits - 1
 	table    []uint8
 
 	predictions uint64
 	mispredicts uint64
 }
+
+// nextCounter is the 2-bit saturating counter's transition table, indexed
+// by ctr<<1 | taken.
+var nextCounter = [8]uint8{0, 1, 0, 2, 1, 3, 2, 3}
 
 // NewBranchPredictor builds a gshare predictor with 2^bits counters and
 // histBits bits of global history folded into the index.
@@ -33,30 +38,31 @@ func NewBranchPredictor(bits, histBits uint) *BranchPredictor {
 	for i := range t {
 		t[i] = 1 // weakly not-taken
 	}
-	return &BranchPredictor{bits: bits, histBits: histBits, table: t}
+	return &BranchPredictor{
+		histBits: histBits,
+		histMask: 1<<histBits - 1,
+		idxMask:  1<<bits - 1,
+		table:    t,
+	}
 }
 
 // Record feeds one resolved branch (identified by its PC) with its actual
 // outcome and reports whether the predictor had predicted it correctly.
+// The counter update and the miss count are table reads and arithmetic,
+// with no branch on the outcome.
 func (b *BranchPredictor) Record(pc uint64, taken bool) bool {
-	idx := ((pc << b.histBits) | (b.history & ((1 << b.histBits) - 1))) & ((1 << b.bits) - 1)
-	ctr := b.table[idx]
-	predictTaken := ctr >= 2
-	correct := predictTaken == taken
-	if taken && ctr < 3 {
-		b.table[idx] = ctr + 1
-	} else if !taken && ctr > 0 {
-		b.table[idx] = ctr - 1
-	}
-	b.history <<= 1
+	var t uint8
 	if taken {
-		b.history |= 1
+		t = 1
 	}
+	idx := (pc<<b.histBits | b.history&b.histMask) & b.idxMask
+	ctr := b.table[idx]
+	b.table[idx] = nextCounter[(ctr<<1|t)&7]
+	b.history = b.history<<1 | uint64(t)
+	miss := ctr>>1 ^ t // the prediction is the counter's high bit
 	b.predictions++
-	if !correct {
-		b.mispredicts++
-	}
-	return correct
+	b.mispredicts += uint64(miss)
+	return miss == 0
 }
 
 // MispredictRate returns mispredictions per prediction.

@@ -3,19 +3,21 @@ package cpu
 // TLB is a small set-associative translation lookaside buffer over 4 KB
 // pages with LRU replacement. The Xeon MP's DTLB holds 64 entries.
 type TLB struct {
-	sets  [][]tlbEntry
-	ways  int
-	mask  uint64
-	tick  uint64
-	shift uint
+	entries []tlbEntry // set-major: set s holds entries[s*ways : (s+1)*ways]
+	ways    int
+	mask    uint64
+	tick    uint64
+	shift   uint
 
 	accesses uint64
 	misses   uint64
 }
 
+// tlbEntry is one translation. touch is the tick of its last use and 0
+// for an empty entry: every access advances the tick before it stamps an
+// entry, so a valid entry's touch is at least 1.
 type tlbEntry struct {
 	page  uint64
-	valid bool
 	touch uint64
 }
 
@@ -33,47 +35,39 @@ func NewTLB(entries, ways, pageSize int) *TLB {
 	for 1<<shift < pageSize {
 		shift++
 	}
-	t := &TLB{sets: make([][]tlbEntry, nsets), ways: ways, mask: uint64(nsets - 1), shift: shift}
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, ways)
-	}
-	return t
+	return &TLB{entries: make([]tlbEntry, entries), ways: ways, mask: uint64(nsets - 1), shift: shift}
 }
 
-// Access translates the byte address addr, returning whether it hit.
+// Access translates the byte address addr, returning whether it hit. One
+// scan of the set finds the page or, failing that, the victim: the first
+// empty entry (touch 0), else the least recently used.
 func (t *TLB) Access(addr uint64) bool {
 	t.accesses++
 	t.tick++
 	page := addr >> t.shift
-	set := t.sets[page&t.mask]
+	base := int(page&t.mask) * t.ways
+	set := t.entries[base : base+t.ways]
+	victim, oldest := 0, ^uint64(0)
 	for i := range set {
-		if set[i].valid && set[i].page == page {
-			set[i].touch = t.tick
+		e := &set[i]
+		if e.page == page && e.touch != 0 {
+			e.touch = t.tick
 			return true
+		}
+		if e.touch < oldest {
+			victim, oldest = i, e.touch
 		}
 	}
 	t.misses++
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].touch < set[victim].touch {
-			victim = i
-		}
-	}
-	set[victim] = tlbEntry{page: page, valid: true, touch: t.tick}
+	set[victim] = tlbEntry{page: page, touch: t.tick}
 	return false
 }
 
 // Flush empties the TLB, as a context switch to a different address space
 // does on a processor without tagged TLBs.
 func (t *TLB) Flush() {
-	for i := range t.sets {
-		for j := range t.sets[i] {
-			t.sets[i][j].valid = false
-		}
+	for i := range t.entries {
+		t.entries[i].touch = 0
 	}
 }
 

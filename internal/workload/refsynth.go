@@ -281,7 +281,7 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 		if s.tap != nil {
 			s.tap(phys, addr, cache.Fetch)
 		}
-		s.record(&ev, spec, s.domain.Access(phys, addr, cache.Fetch), false)
+		s.record(&ev, spec.Now, s.domain.Access(phys, addr, cache.Fetch))
 	}
 
 	// Data references. User-mode chunks split them across the block,
@@ -301,7 +301,7 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 		if s.tap != nil {
 			s.tap(phys, addr, kind)
 		}
-		s.record(&ev, spec, s.domain.Access(phys, addr, kind), true)
+		s.record(&ev, spec.Now, s.domain.Access(phys, addr, kind))
 	}
 	if spec.OS || len(spec.Blocks) == 0 {
 		for i := uint64(0); i < ev.DataRefs; i++ {
@@ -401,8 +401,8 @@ func (s *Synth) pgaRef(proc int) cache.Addr {
 }
 
 // record folds one access result into the chunk's events and drives the
-// bus for L3 misses and writebacks.
-func (s *Synth) record(ev *Events, spec ChunkSpec, res cache.AccessResult, data bool) {
+// bus, at simulated time now, for L3 misses and writebacks.
+func (s *Synth) record(ev *Events, now sim.Time, res cache.AccessResult) {
 	if res.TCMiss {
 		ev.TCMiss++
 	}
@@ -414,11 +414,11 @@ func (s *Synth) record(ev *Events, spec ChunkSpec, res cache.AccessResult, data 
 		if res.Coherence {
 			ev.CoherMiss++
 		}
-		ev.BusLatency += s.fsb.Transaction(spec.Now)
+		ev.BusLatency += s.fsb.Transaction(now)
 	}
 	if res.Writeback {
 		ev.Writebacks++
-		s.fsb.Posted(spec.Now, float64(s.cfg.Scale))
+		s.fsb.Posted(now, float64(s.cfg.Scale))
 	}
 }
 

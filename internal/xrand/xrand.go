@@ -107,11 +107,27 @@ func (r *Rand) NURand(a, x, y, c int) int {
 // synthesizer draws from these tables for every memory reference, so this
 // is the single hottest function in a simulation.
 type Zipf struct {
-	r      *Rand
-	prob   []float64 // scaled acceptance probability per slot
-	alias  []uint32  // fallback item per slot
+	r *Rand
+	// thresh is each slot's acceptance probability p as the integer
+	// ceil(p·2^53): a 53-bit uniform x satisfies x·2^-53 < p exactly when
+	// x < thresh, so the accept test is an integer compare.
+	thresh []uint64
+	alias  []uint32 // fallback item per slot
 	n      uint64
 	single bool // n == 1: every draw is 0, no stream consumption skew
+}
+
+// acceptAll is the threshold of a slot that always keeps itself (p = 1).
+const acceptAll = 1 << 53
+
+// threshold converts an acceptance probability into its integer
+// threshold ceil(p·2^53). The product is exact (a power-of-two scale), so
+// the conversion loses nothing; p <= 0 never accepts.
+func threshold(p float64) uint64 {
+	if p <= 0 {
+		return 0
+	}
+	return uint64(math.Ceil(p * acceptAll))
 }
 
 // NewZipf builds a Zipf source over n items with skew theta in (0, ~4).
@@ -145,7 +161,7 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		total += w[k]
 	}
 	scale := float64(n) / total
-	z.prob = make([]float64, n)
+	z.thresh = make([]uint64, n)
 	z.alias = make([]uint32, n)
 	// Partition slots into under- and over-full; process deterministically
 	// in index order so the table (and thus the stream mapping) is stable.
@@ -163,7 +179,7 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		s0 := small[len(small)-1]
 		small = small[:len(small)-1]
 		l0 := large[len(large)-1]
-		z.prob[s0] = w[s0]
+		z.thresh[s0] = threshold(w[s0])
 		z.alias[s0] = l0
 		w[l0] -= 1 - w[s0]
 		if w[l0] < 1 {
@@ -172,29 +188,29 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		}
 	}
 	for _, k := range large {
-		z.prob[k] = 1
+		z.thresh[k] = acceptAll
 	}
 	for _, k := range small {
 		// Numerical leftovers: slot keeps itself.
-		z.prob[k] = 1
+		z.thresh[k] = acceptAll
 	}
 	return z
 }
 
 // Next returns the next draw. One 64-bit draw provides both the slot index
 // (via the high half of the 128-bit product u*n) and an independent
-// uniform fraction (the low half) for the accept/alias test.
+// 53-bit uniform (the top of the low half) for the accept/alias test,
+// which selects between slot and alias without a branch.
 func (z *Zipf) Next() uint64 {
 	if z.single {
 		return 0
 	}
-	u := z.r.Uint64()
-	hi, lo := bits.Mul64(u, z.n)
-	frac := float64(lo>>11) * (1.0 / (1 << 53))
-	if frac < z.prob[hi] {
-		return hi
+	hi, lo := bits.Mul64(z.r.Uint64(), z.n)
+	k := uint64(z.alias[hi])
+	if lo>>11 < z.thresh[hi] {
+		k = hi
 	}
-	return uint64(z.alias[hi])
+	return k
 }
 
 // Bernoulli returns true with probability p.
