@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"odbscale/internal/buffercache"
@@ -133,8 +134,9 @@ type ioWaiter struct {
 // Sentinel errors for configuration validation. They are wrapped with
 // the offending values, so match them with errors.Is.
 var (
-	// ErrBadConfig reports a configuration whose warehouse, client or
-	// processor count is not positive.
+	// ErrBadConfig reports a configuration Run cannot execute: a
+	// non-positive warehouse, client or processor count, or a machine or
+	// tuning field (named by its path) that would panic or never finish.
 	ErrBadConfig = errors.New("bad configuration")
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
 	ErrNoTxns = errors.New("MeasureTxns must be positive")
@@ -152,10 +154,33 @@ func validate(cfg Config) error {
 	if cfg.MeasureTxns < 1 {
 		return fmt.Errorf("system: %w", ErrNoTxns)
 	}
+	// Fields that would otherwise panic (a zero buffer cache, disk set or
+	// scale) or never finish (a zero clock leaves no simulated-time cap;
+	// a negative warm-up never ends).
+	m := cfg.Machine
+	switch {
+	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
+		return badField("Machine.FreqHz", m.FreqHz)
+	case m.BufferCacheMB < 1:
+		return badField("Machine.BufferCacheMB", m.BufferCacheMB)
+	case m.Disks.DataDisks < 1:
+		return badField("Machine.Disks.DataDisks", m.Disks.DataDisks)
+	case m.Disks.LogDisks < 1:
+		return badField("Machine.Disks.LogDisks", m.Disks.LogDisks)
+	case cfg.Tuning.Scale == 0:
+		return badField("Tuning.Scale", cfg.Tuning.Scale)
+	case cfg.WarmupTxns < 0:
+		return badField("WarmupTxns", cfg.WarmupTxns)
+	}
 	if _, ok := engine.Lookup(cfg.Engine); !ok {
 		return fmt.Errorf("system: %w: %q (have %v)", ErrBadEngine, cfg.Engine, engine.Names())
 	}
 	return nil
+}
+
+// badField reports the configuration field at path as ErrBadConfig.
+func badField(path string, v any) error {
+	return fmt.Errorf("system: %w: %s = %v", ErrBadConfig, path, v)
 }
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound

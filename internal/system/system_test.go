@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,6 +40,40 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if errors.Is(ErrBadConfig, ErrNoTxns) {
 		t.Fatal("sentinels must be distinct")
+	}
+}
+
+// TestDegenerateConfigsRejected runs configs that used to panic
+// (buffer cache, disks, scale) or run until the context deadline (clock,
+// warm-up) through Run with a background context: each must return
+// ErrBadConfig naming the field, promptly.
+func TestDegenerateConfigsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 0 }},
+		{"Machine.Disks.DataDisks", func(c *Config) { c.Machine.Disks.DataDisks = 0 }},
+		{"Machine.Disks.LogDisks", func(c *Config) { c.Machine.Disks.LogDisks = 0 }},
+		{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 0 }},
+		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 0 }},
+		{"WarmupTxns", func(c *Config) { c.WarmupTxns = -1 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := fastConfig(10, 8, 1)
+			tc.set(&cfg)
+			start := time.Now()
+			_, err := Run(context.Background(), cfg)
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("err = %v, want ErrBadConfig", err)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want it to name %s", err, tc.field)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("Run took %v to reject the config", d)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,8 @@
 package workload
 
 import (
+	"math/bits"
+
 	"odbscale/internal/bus"
 	"odbscale/internal/cache"
 	"odbscale/internal/cpu"
@@ -188,6 +190,11 @@ type Synth struct {
 	kernelStride uint64
 	kernelShared uint64
 	pgaRegion    uint64
+
+	// Draw buffers for one batch of Run: Zipf lines or branch sites, and
+	// s.rng draws (up to three per reference).
+	lines [drawBlock]uint64
+	uni   [3 * drawBlock]uint64
 }
 
 // branchBiasTab caches branchBias over the 512 branch sites the branch
@@ -261,10 +268,31 @@ func (s *Synth) SetCPUMap(f func(logical int) int) { s.cpuMap = f }
 // the physical CPU and the scaled address of every simulated reference.
 func (s *Synth) SetTap(f func(cpu int, addr cache.Addr, kind cache.Kind)) { s.tap = f }
 
+// drawBlock is the number of references Run synthesizes per batch.
+const drawBlock = 256
+
+// chunk is the state of one Run that the reference loops share.
+type chunk struct {
+	ev   Events
+	now  sim.Time
+	phys int // physical CPU (cache hierarchy)
+	tlb  *cpu.TLB
+}
+
 // Run synthesizes the activity of one chunk and returns its scaled event
 // counts.
+//
+// Each reference class is issued in batches of up to drawBlock
+// references: first every random number the batch needs is drawn, one
+// tight loop per stream, into the buffers on s; then the cache, TLB,
+// predictor and bus models run over the buffers. Each stream is read by
+// Run alone and keeps its own draw order, so the result is the same as
+// drawing per reference. A batch draws exactly what its references
+// consume and no draw is buffered across calls, so the streams stand
+// where per-reference drawing would leave them when Run returns.
 func (s *Synth) Run(spec ChunkSpec) Events {
-	var ev Events
+	c := chunk{now: spec.Now, phys: s.cpuMap(spec.CPU), tlb: s.tlbs[spec.CPU]}
+	ev := &c.ev
 	ev.FetchRefs = s.count(spec.Instr, s.cfg.FetchLinesPerInstr)
 	ev.DataRefs = s.count(spec.Instr, s.cfg.DataRefsPerInstr)
 	ev.Branches = s.count(spec.Instr, s.cfg.BranchesPerInstr)
@@ -274,14 +302,17 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 	if spec.OS {
 		codeBase, codeZ = baseOSCode, s.osCodeZ
 	}
-	phys := s.cpuMap(spec.CPU)
-	tlb := s.tlbs[spec.CPU]
-	for i := uint64(0); i < ev.FetchRefs; i++ {
-		addr := cache.Addr(codeBase + codeZ.Next()*64)
-		if s.tap != nil {
-			s.tap(phys, addr, cache.Fetch)
+	for n := ev.FetchRefs; n > 0; {
+		lines := s.lines[:min(n, drawBlock)]
+		n -= uint64(len(lines))
+		codeZ.Fill(lines)
+		for _, l := range lines {
+			addr := cache.Addr(codeBase + l*64)
+			if s.tap != nil {
+				s.tap(c.phys, addr, cache.Fetch)
+			}
+			s.record(ev, c.now, s.domain.Access(c.phys, addr, cache.Fetch))
 		}
-		s.record(&ev, spec.Now, s.domain.Access(phys, addr, cache.Fetch))
 	}
 
 	// Data references. User-mode chunks split them across the block,
@@ -290,55 +321,113 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 	// its head-line touches — the chunk's cold blocks then miss according
 	// to their true inter-chunk reuse distance, which is the mechanism
 	// that couples MPI to the workload's block footprint.
-	dataAccess := func(addr cache.Addr, store bool) {
-		kind := cache.Load
-		if store {
-			kind = cache.Store
-		}
-		if !tlb.Access(uint64(addr)) {
-			ev.TLBMiss++
-		}
-		if s.tap != nil {
-			s.tap(phys, addr, kind)
-		}
-		s.record(&ev, spec.Now, s.domain.Access(phys, addr, kind))
-	}
 	if spec.OS || len(spec.Blocks) == 0 {
 		for i := uint64(0); i < ev.DataRefs; i++ {
-			dataAccess(s.dataRef(spec))
+			addr, store := s.dataRef(spec)
+			s.dataAccess(&c, addr, store)
 		}
 	} else {
 		nStruct := uint64(float64(ev.DataRefs) * s.cfg.PBlock)
 		nTail := uint64(float64(ev.DataRefs) * s.cfg.TailFrac)
 		nMeta := uint64(float64(ev.DataRefs) * s.cfg.PMeta)
-		for i := uint64(0); i < nStruct; i++ {
-			dataAccess(s.structRef(), s.rng.Bernoulli(s.cfg.StructStoreFrac))
-		}
-		for i := uint64(0); i < nTail; i++ {
-			b := uint64(spec.Blocks[s.rng.Intn(len(spec.Blocks))])
-			line := uint64(s.rng.Intn(int(s.blockLines)))
-			addr := cache.Addr(baseBlockTail + (b*s.blockLines+line)*64)
-			dataAccess(addr, s.rng.Bernoulli(s.cfg.BlockStoreFrac))
-		}
-		for i := uint64(0); i < nMeta; i++ {
-			dataAccess(cache.Addr(baseMeta+s.metaZ.Next()*64), s.rng.Bernoulli(s.cfg.MetaStoreFrac))
-		}
-		for i := nStruct + nTail + nMeta; i < ev.DataRefs; i++ {
-			dataAccess(s.pgaRef(spec.ProcID), s.rng.Bernoulli(s.cfg.PGAStoreFrac))
-		}
+		// The structural hot set: index roots and branch levels, district
+		// rows, append-region insert points and the buffer headers every
+		// transaction walks. It occupies HotSetBytes (growing with the
+		// warehouse count); roots are hotter than branch lines or headers.
+		s.zipfRefs(&c, nStruct, s.structZ, baseBlocks, s.cfg.StructStoreFrac)
+		s.tailRefs(&c, nTail, spec.Blocks)
+		s.zipfRefs(&c, nMeta, s.metaZ, baseMeta, s.cfg.MetaStoreFrac)
+		// The rest go to the PGA (none if the fractions sum past one).
+		nPGA := ev.DataRefs - min(ev.DataRefs, nStruct+nTail+nMeta)
+		s.zipfRefs(&c, nPGA, s.pgaZ, s.pgaBase(spec.ProcID), s.cfg.PGAStoreFrac)
 	}
 
 	// Branches. The bias table is in (0, 1) for every site, so the direct
-	// Float64 compare consumes the stream exactly as Bernoulli would.
+	// compare consumes the stream exactly as Bernoulli would.
 	bp := s.bps[spec.CPU]
-	for i := uint64(0); i < ev.Branches; i++ {
-		site := s.branchZ.Next()
-		taken := s.rng.Float64() < branchBiasTab[site]
-		if !bp.Record(site, taken) {
-			ev.Mispred++
+	for n := ev.Branches; n > 0; {
+		sites := s.lines[:min(n, drawBlock)]
+		n -= uint64(len(sites))
+		s.branchZ.Fill(sites)
+		u := s.uni[:len(sites)]
+		s.rng.Fill(u)
+		for i, site := range sites {
+			if !bp.Record(site, xrand.Unit(u[i]) < branchBiasTab[site]) {
+				ev.Mispred++
+			}
 		}
 	}
-	return ev
+	return *ev
+}
+
+// zipfRefs issues n data references to the lines z draws above base,
+// each a store with probability p.
+func (s *Synth) zipfRefs(c *chunk, n uint64, z *xrand.Zipf, base uint64, p float64) {
+	for n > 0 {
+		lines := s.lines[:min(n, drawBlock)]
+		n -= uint64(len(lines))
+		z.Fill(lines)
+		u := s.uni[:len(lines)]
+		if bernoulliDraws(p) == 1 {
+			s.rng.Fill(u)
+		}
+		for i, l := range lines {
+			s.dataAccess(c, cache.Addr(base+l*64), bernoulli(u[i], p))
+		}
+	}
+}
+
+// tailRefs issues n references to uniformly drawn payload lines of the
+// chunk's blocks, each a store with probability BlockStoreFrac. A
+// reference consumes the draws of Intn(len(blocks)), Intn(blockLines)
+// and Bernoulli(BlockStoreFrac), in that order.
+func (s *Synth) tailRefs(c *chunk, n uint64, blocks []odb.BlockID) {
+	p := s.cfg.BlockStoreFrac
+	stride := 2 + bernoulliDraws(p)
+	for n > 0 {
+		k := min(n, drawBlock)
+		n -= k
+		u := s.uni[:int(k)*stride]
+		s.rng.Fill(u)
+		for i := 0; i < len(u); i += stride {
+			b, _ := bits.Mul64(u[i], uint64(len(blocks)))
+			line, _ := bits.Mul64(u[i+1], s.blockLines)
+			addr := cache.Addr(baseBlockTail + (uint64(blocks[b])*s.blockLines+line)*64)
+			// With stride 2 Bernoulli draws nothing, and bernoulli ignores
+			// the line draw it is handed.
+			s.dataAccess(c, addr, bernoulli(u[i+stride-1], p))
+		}
+	}
+}
+
+// bernoulliDraws is the number of draws Rand.Bernoulli(p) consumes.
+func bernoulliDraws(p float64) int {
+	if p <= 0 || p >= 1 {
+		return 0
+	}
+	return 1
+}
+
+// bernoulli is the outcome Rand.Bernoulli(p) reaches from its draw u.
+// When Bernoulli draws nothing (p <= 0 or p >= 1), u is ignored.
+func bernoulli(u uint64, p float64) bool {
+	return p >= 1 || p > 0 && xrand.Unit(u) < p
+}
+
+// dataAccess issues one data reference through the chunk's TLB and cache
+// hierarchy.
+func (s *Synth) dataAccess(c *chunk, addr cache.Addr, store bool) {
+	kind := cache.Load
+	if store {
+		kind = cache.Store
+	}
+	if !c.tlb.Access(uint64(addr)) {
+		c.ev.TLBMiss++
+	}
+	if s.tap != nil {
+		s.tap(c.phys, addr, kind)
+	}
+	s.record(&c.ev, c.now, s.domain.Access(c.phys, addr, kind))
 }
 
 // branchBias gives each branch site a stable taken-probability: most
@@ -359,7 +448,9 @@ func branchBias(site uint64) float64 {
 	}
 }
 
-// dataRef picks a data address for the chunk.
+// dataRef picks a data address for a reference of an OS or blockless
+// chunk, and whether it is a store. The Zipf it draws from depends on
+// its first draw, so these references draw one at a time.
 func (s *Synth) dataRef(spec ChunkSpec) (cache.Addr, bool) {
 	r := s.rng.Float64()
 	if spec.OS {
@@ -374,30 +465,17 @@ func (s *Synth) dataRef(spec ChunkSpec) (cache.Addr, bool) {
 			return cache.Addr(baseKernel + (s.kernelShared+s.kernelZ.Next())*64), s.rng.Bernoulli(0.04)
 		case r < 0.94:
 			return cache.Addr(baseMeta + s.metaZ.Next()*64), s.rng.Bernoulli(s.cfg.MetaStoreFrac)
-		default:
-			return s.pgaRef(spec.ProcID), s.rng.Bernoulli(s.cfg.PGAStoreFrac)
 		}
-	}
-	switch {
-	case r < s.cfg.PMeta:
+	} else if r < s.cfg.PMeta {
 		// Blockless user chunks still touch SGA metadata.
 		return cache.Addr(baseMeta + s.metaZ.Next()*64), s.rng.Bernoulli(s.cfg.MetaStoreFrac)
-	default:
-		return s.pgaRef(spec.ProcID), s.rng.Bernoulli(s.cfg.PGAStoreFrac)
 	}
+	return cache.Addr(s.pgaBase(spec.ProcID) + s.pgaZ.Next()*64), s.rng.Bernoulli(s.cfg.PGAStoreFrac)
 }
 
-// structRef draws a reference from the structural hot set: the index
-// roots and branch levels, district rows, append-region insert points and
-// buffer headers every transaction walks. The set occupies HotSetBytes
-// (growing with the warehouse count); popularity within it is mildly
-// skewed — roots are hotter than individual branch lines or headers.
-func (s *Synth) structRef() cache.Addr {
-	return cache.Addr(baseBlocks + s.structZ.Next()*64)
-}
-
-func (s *Synth) pgaRef(proc int) cache.Addr {
-	return cache.Addr(basePGA + (uint64(proc)*s.pgaRegion+s.pgaZ.Next())*64)
+// pgaBase is the base address of process proc's private PGA region.
+func (s *Synth) pgaBase(proc int) uint64 {
+	return basePGA + uint64(proc)*s.pgaRegion*64
 }
 
 // record folds one access result into the chunk's events and drives the

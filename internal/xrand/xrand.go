@@ -25,6 +25,10 @@ type Rand struct {
 	state uint64 // splitmix64 counter for the fast paths
 }
 
+// gamma is splitmix64's Weyl-sequence increment (2^64 over the golden
+// ratio).
+const gamma = 0x9e3779b97f4a7c15
+
 // splitmix64 is the output stage of the splitmix64 generator.
 func splitmix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -36,23 +40,37 @@ func splitmix64(z uint64) uint64 {
 func New(seed int64) *Rand {
 	return &Rand{
 		Rand:  rand.New(rand.NewSource(seed)),
-		state: splitmix64(uint64(seed) + 0x9e3779b97f4a7c15),
+		state: splitmix64(uint64(seed) + gamma),
 	}
 }
 
 // Uint64 returns a uniform 64-bit draw (fast path).
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return splitmix64(r.state)
+}
+
+// Fill stores the next len(dst) Uint64 draws in dst, in order. The
+// counter stays in a register for the whole loop, so consecutive rounds
+// overlap instead of each loading and storing it through r.
+func (r *Rand) Fill(dst []uint64) {
+	state := r.state
+	for i := range dst {
+		state += gamma
+		dst[i] = splitmix64(state)
+	}
+	r.state = state
 }
 
 // Int63 returns a uniform draw in [0, 2^63) (fast path).
 func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform draw in [0, 1) (fast path).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *Rand) Float64() float64 { return Unit(r.Uint64()) }
+
+// Unit maps a 64-bit draw to the [0, 1) uniform Float64 derives from it:
+// its top 53 bits scaled by 2^-53.
+func Unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
 
 // Intn returns a uniform draw in [0, n); it panics if n <= 0. The bound
 // is applied with the fixed-point multiply method; its bias (< n/2^64) is
@@ -71,7 +89,7 @@ func (r *Rand) Intn(n int) int {
 func (r *Rand) Split(id uint64) *Rand {
 	// Mix the id through splitmix64 so that small consecutive ids land far
 	// apart in seed space.
-	z := splitmix64(id + 0x9e3779b97f4a7c15)
+	z := splitmix64(id + gamma)
 	return New(r.Int63() ^ int64(z))
 }
 
@@ -211,6 +229,28 @@ func (z *Zipf) Next() uint64 {
 		k = hi
 	}
 	return k
+}
+
+// Fill stores the next len(dst) draws in dst: exactly what len(dst)
+// calls to Next would return, consuming the same stream. A single-item
+// Zipf fills zeros and consumes nothing.
+func (z *Zipf) Fill(dst []uint64) {
+	if z.single {
+		clear(dst)
+		return
+	}
+	state := z.r.state
+	thresh, alias, n := z.thresh, z.alias, z.n
+	for i := range dst {
+		state += gamma
+		hi, lo := bits.Mul64(splitmix64(state), n)
+		k := uint64(alias[hi])
+		if lo>>11 < thresh[hi] {
+			k = hi
+		}
+		dst[i] = k
+	}
+	z.r.state = state
 }
 
 // Bernoulli returns true with probability p.

@@ -142,8 +142,9 @@ func NewSpanTracer(cfg SpanConfig) *SpanTracer { return txtrace.NewTracer(cfg) }
 
 // Sentinel configuration errors, matched with errors.Is.
 var (
-	// ErrBadConfig reports a non-positive warehouse, client or processor
-	// count.
+	// ErrBadConfig reports a configuration Run cannot execute: a
+	// non-positive warehouse, client or processor count, or a degenerate
+	// machine or tuning field, named by its path.
 	ErrBadConfig = system.ErrBadConfig
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
 	ErrNoTxns = system.ErrNoTxns
