@@ -495,32 +495,6 @@ func BenchmarkFullRunAllocations(b *testing.B) {
 	}
 }
 
-// BenchmarkSnoopLanes measures the coherence domain's deterministic
-// parallel snoop lanes against the sequential loop on the same
-// configuration. At P=4 the fork/join barrier costs more than it saves
-// — which is exactly why the MinParallelCPUs gate keeps small domains
-// sequential; the benchmark documents that crossover. Metrics are
-// bit-identical either way (see TestParallelSnoopBitIdentical).
-func BenchmarkSnoopLanes(b *testing.B) {
-	base := system.DefaultConfig(200, system.HeuristicClients(200, 4), 4)
-	base.MeasureTxns = 1200
-	base.WarmupTxns = 300
-	for _, mode := range []struct {
-		name  string
-		lanes int
-	}{{"sequential", -1}, {"parallel-4", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := base
-			cfg.Tuning.SnoopLanes = mode.lanes
-			for i := 0; i < b.N; i++ {
-				if _, err := system.Run(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRunObservers measures the full observer stack — flight
 // recorder plus cycle profiler through the one Run entry point —
 // against the bare run, pinning the claim that observers are cheap

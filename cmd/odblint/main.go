@@ -1,10 +1,9 @@
-// Command odblint runs the repository's static-analysis suite: nine
+// Command odblint runs the repository's static-analysis suite: eight
 // stdlib-only analyzers enforcing the determinism, cancellation,
 // numeric-safety and allocation-discipline invariants the paper
-// reproduction rests on. Six rules are intra-procedural; three —
-// taintdet (transitive determinism taint), hotalloc (per-event
-// allocation discipline) and laneshare (lane-worker ownership) — run
-// over a module-wide call graph. See internal/lint for the rules and
+// reproduction rests on. Six rules are intra-procedural; two —
+// taintdet (transitive determinism taint) and hotalloc (per-event
+// allocation discipline) — run over a module-wide call graph. See internal/lint for the rules and
 // the suppression policy.
 //
 // Usage:

@@ -94,7 +94,6 @@ type Domain struct {
 	Coherent  bool
 	CPUs      []*Hierarchy
 	sampleMod uint64
-	par       *lanes // non-nil when parallel snoop lanes are enabled
 }
 
 // NewDomain builds hierarchies for n CPUs sharing one coherence domain.
@@ -201,17 +200,6 @@ func (h *Hierarchy) fillL2(at int, line uint64, write bool, st State) {
 // returns the state the line should be installed in.
 func (d *Domain) snoop(cpu int, line uint64, write bool) State {
 	anyOther := false
-	if d.par != nil {
-		anyOther = d.par.broadcast(cpu, line, write)
-		switch {
-		case write:
-			return Modified
-		case anyOther:
-			return Shared
-		default:
-			return Exclusive
-		}
-	}
 	for i, other := range d.CPUs {
 		if i == cpu {
 			continue
@@ -239,10 +227,6 @@ func (d *Domain) snoop(cpu int, line uint64, write bool) State {
 }
 
 func (d *Domain) invalidateOthers(cpu int, line uint64) {
-	if d.par != nil {
-		d.par.broadcast(cpu, line, true)
-		return
-	}
 	for i, other := range d.CPUs {
 		if i == cpu {
 			continue

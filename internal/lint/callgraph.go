@@ -12,7 +12,7 @@ import (
 // a module-wide call graph built from the import-facing type-check of
 // every package in the module. Nodes are keyed by the stable
 // types.Func full name ("odbscale/internal/sim.New",
-// "(*odbscale/internal/cache.Domain).Close"), so a function resolved
+// "(*odbscale/internal/cache.Domain).Access"), so a function resolved
 // through an import and the same function type-checked as part of its
 // own analysis unit land on the same node even though they are
 // distinct types.Func objects.
@@ -79,7 +79,7 @@ func funcKey(fn *types.Func) string {
 
 // shortName compresses a node key for finding messages: package paths
 // are cut down to the last element, so
-// "(*odbscale/internal/cache.Domain).Close" reads "(*cache.Domain).Close".
+// "(*odbscale/internal/cache.Domain).Access" reads "(*cache.Domain).Access".
 func shortName(key string) string {
 	var b strings.Builder
 	start := -1 // start of the current path-ish token
@@ -289,7 +289,6 @@ const hotRootKey = "odbscale/internal/system.Run"
 func coldFunc(name string) bool {
 	switch {
 	case strings.HasPrefix(name, "New"),
-		strings.HasPrefix(name, "Enable"),
 		strings.HasPrefix(name, "Marshal"),
 		strings.HasPrefix(name, "Unmarshal"):
 		return true
@@ -340,7 +339,7 @@ func (p *Program) expandHot(key string) {
 }
 
 // baseFuncName extracts the bare function or method name from a node
-// key: "(*odbscale/internal/cache.Domain).Close" -> "Close".
+// key: "(*odbscale/internal/cache.Domain).Access" -> "Access".
 func baseFuncName(key string) string {
 	if i := strings.LastIndexByte(key, '.'); i >= 0 {
 		return key[i+1:]

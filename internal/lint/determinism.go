@@ -22,7 +22,7 @@ var determinismScope = map[string]bool{
 	"odbscale/internal/campaign":     true,
 	"odbscale/internal/telemetry":    true,
 	"odbscale/internal/profile":      true,
-	"odbscale/internal/cache":        true, // incl. the parallel snoop lanes
+	"odbscale/internal/cache":        true,
 	"odbscale/internal/buffercache":  true, // entry arena + free-list pooling
 	"odbscale/internal/xrand":        true, // the seeded entropy source itself
 	"odbscale/internal/bus":          true,

@@ -8,22 +8,9 @@ import (
 
 // This file holds the SSA-lite value-flow helpers shared by the
 // interprocedural analyzers: no real SSA form is built — the helpers
-// answer targeted questions (does this expression reference a tracked
-// variable, does this function return a map-ordered slice, what does
-// this closure capture) over the type-checked AST, with small
-// fixpoints where assignment chains matter.
-
-// refsAny reports whether expr references any object in tracked.
-func refsAny(info *types.Info, expr ast.Expr, tracked map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && tracked[info.ObjectOf(id)] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
+// answer targeted questions (does this function return a map-ordered
+// slice, what does this closure capture) over the type-checked AST,
+// with small fixpoints where assignment chains matter.
 
 // mapOrderedResult reports whether fd builds a returned slice by
 // appending inside a `for range` over a map with no sort after the
@@ -146,9 +133,8 @@ func declaredWithin(obj types.Object, from, to token.Pos) bool {
 }
 
 // chainBase walks an lvalue chain (selectors, indexes, derefs,
-// parens) down to its base expression and reports every index
-// expression seen along the way.
-func chainBase(expr ast.Expr) (base ast.Expr, indexes []ast.Expr) {
+// parens) down to its base expression.
+func chainBase(expr ast.Expr) ast.Expr {
 	for {
 		switch e := expr.(type) {
 		case *ast.ParenExpr:
@@ -156,12 +142,11 @@ func chainBase(expr ast.Expr) (base ast.Expr, indexes []ast.Expr) {
 		case *ast.SelectorExpr:
 			expr = e.X
 		case *ast.IndexExpr:
-			indexes = append(indexes, e.Index)
 			expr = e.X
 		case *ast.StarExpr:
 			expr = e.X
 		default:
-			return expr, indexes
+			return expr
 		}
 	}
 }

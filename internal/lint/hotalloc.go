@@ -7,11 +7,10 @@ import (
 )
 
 // hotAllocScope is the set of packages PR 5 made allocation-free in
-// steady state: the event engine, the cache hierarchy and its snoop
-// lanes, the buffer-cache arena, the RNG fast paths, and the odb chunk
-// path. The committed bench trajectory pins a −97.8% allocation win
-// across them; HotAlloc protects it statically instead of only through
-// the 25%-regression bench gate.
+// steady state: the event engine, the cache hierarchy, the buffer-cache
+// arena, the RNG fast paths, and the odb chunk path. The committed bench
+// trajectory pins a −97.8% allocation win across them; HotAlloc protects
+// it statically instead of only through the 25%-regression bench gate.
 var hotAllocScope = map[string]bool{
 	"odbscale/internal/sim":          true,
 	"odbscale/internal/cache":        true,
@@ -27,9 +26,9 @@ var hotAllocScope = map[string]bool{
 
 // HotAlloc flags allocation patterns inside functions on the per-event
 // path: the call-graph closure of system.Run (over call and
-// callback-reference edges) minus construction-time code — New*,
-// Enable*, Close and friends legitimately carve arenas and pools. Four
-// allocation classes are findings:
+// callback-reference edges) minus construction-time code — New*, Close
+// and friends legitimately carve arenas and pools. Four allocation
+// classes are findings:
 //
 //   - a composite literal taken by address that escapes (returned,
 //     stored to a field or package variable, passed to a call, sent on
@@ -112,7 +111,7 @@ func checkEscapingComposites(pass *Pass, fd *ast.FuncDecl) {
 				if i >= len(st.Lhs) {
 					break
 				}
-				base, _ := chainBase(st.Lhs[i])
+				base := chainBase(st.Lhs[i])
 				if id, ok := base.(*ast.Ident); ok && ast.Unparen(st.Lhs[i]) == base {
 					obj := pass.Info.ObjectOf(id)
 					if declaredWithin(obj, body.Pos(), body.End()) {
@@ -167,7 +166,7 @@ func checkEscapingComposites(pass *Pass, fd *ast.FuncDecl) {
 				if i >= len(st.Lhs) {
 					break
 				}
-				base, _ := chainBase(st.Lhs[i])
+				base := chainBase(st.Lhs[i])
 				if id, ok := base.(*ast.Ident); ok && ast.Unparen(st.Lhs[i]) == base {
 					if declaredWithin(pass.Info.ObjectOf(id), body.Pos(), body.End()) {
 						continue // local-to-local copy

@@ -85,36 +85,6 @@ func TestSimEventPathAllocRegression(t *testing.T) {
 	}
 }
 
-// TestLaneShareFixture pins the ownership corpus under the scoped
-// import path.
-func TestLaneShareFixture(t *testing.T) {
-	checkGolden(t, "laneshare", runFixture(t, "laneshare", "odbscale/internal/cache"))
-}
-
-// TestLaneShareScope loads the same corpus outside the lane-worker
-// packages: nothing may fire.
-func TestLaneShareScope(t *testing.T) {
-	if got := runFixture(t, "laneshare", "odbscale/internal/lint/fixture/lanes"); len(got) != 0 {
-		t.Errorf("laneshare fired outside its package scope:\n%s", strings.Join(got, "\n"))
-	}
-}
-
-// TestLaneOwnershipRegression is the acceptance pin: a write to a
-// non-owned slot inside a lane worker must be caught, and the real
-// owned-range stride (cpu := worker; cpu += workers) must not be.
-func TestLaneOwnershipRegression(t *testing.T) {
-	got := runFixture(t, "laneshare", "odbscale/internal/cache")
-	joined := strings.Join(got, "\n")
-	if !strings.Contains(joined, "without indexing") {
-		t.Errorf("laneshare missed the non-owned write:\n%s", joined)
-	}
-	for _, line := range got {
-		if strings.Contains(line, "neg.go") {
-			t.Errorf("laneshare flagged the compliant worker: %s", line)
-		}
-	}
-}
-
 // TestFindingOrderDeterministic runs the same-line corpus twice and
 // requires byte-identical findings, in the total (file, line, column,
 // rule, message) order — the cross-analyzer ordering regression test.
@@ -185,7 +155,7 @@ func TestSortFindingsTotalOrder(t *testing.T) {
 const lintBudget = 30 * time.Second
 
 // TestRepoLintsClean pins two acceptance criteria at once: the
-// repository lints clean under all nine analyzers, and one whole-repo
+// repository lints clean under all eight analyzers, and one whole-repo
 // run fits the CI budget.
 func TestRepoLintsClean(t *testing.T) {
 	if testing.Short() {
@@ -205,7 +175,7 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// BenchmarkLintWholeRepo measures one full nine-analyzer pass over the
+// BenchmarkLintWholeRepo measures one full eight-analyzer pass over the
 // repository, the number the CI budget assertion above is pinned to.
 func BenchmarkLintWholeRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {

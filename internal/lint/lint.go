@@ -56,12 +56,12 @@ type Analyzer struct {
 }
 
 // All returns the full rule set in reporting order: the six
-// intra-procedural rules plus the three interprocedural analyzers
-// built on the call-graph layer (see callgraph.go).
+// intra-procedural rules plus the two interprocedural analyzers built
+// on the call-graph layer (see callgraph.go).
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, MapOrder, SentinelErr, FloatEq, CtxLoop, HotWaiver,
-		TaintDet, HotAlloc, LaneShare,
+		TaintDet, HotAlloc,
 	}
 }
 

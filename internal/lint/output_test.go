@@ -40,7 +40,7 @@ func TestJSONOutput(t *testing.T) {
 }
 
 // TestSARIFOutput checks the -sarif surface: version, the full rule
-// table (all nine analyzers plus the lint pseudo-rule), and one result
+// table (all eight analyzers plus the lint pseudo-rule), and one result
 // per finding with a physical location.
 func TestSARIFOutput(t *testing.T) {
 	var stdout, stderr bytes.Buffer

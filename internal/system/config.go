@@ -103,14 +103,6 @@ type Tuning struct {
 	// LSM holds the LSM engine's shape and background-bandwidth knobs;
 	// ignored by the B-tree engine.
 	LSM engine.LSMTuning
-
-	// SnoopLanes controls the coherence domain's deterministic parallel
-	// snoop lanes: 0 enables them automatically at or above
-	// cache.MinParallelCPUs processors, > 0 forces that many lanes on
-	// (tests use this to exercise the parallel path at small P), and < 0
-	// forces the sequential snoop loop. Metrics are bit-identical either
-	// way.
-	SnoopLanes int
 }
 
 // DefaultTuning returns the calibrated defaults.

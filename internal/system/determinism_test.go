@@ -46,28 +46,3 @@ func TestRunBitIdenticalAcrossRuns(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelSnoopBitIdentical pins the deterministic-parallelism
-// contract of the coherence domain's snoop lanes: forcing the parallel
-// fork/join path (at a processor count far below the MinParallelCPUs
-// gate, and with more lanes than CPUs to exercise lane assignment)
-// produces metrics bit-identical to the sequential snoop loop. Run
-// under -race this test also checks the lanes for data races.
-func TestParallelSnoopBitIdentical(t *testing.T) {
-	for _, lanes := range []int{2, 4, 8} {
-		cfg := determinismConfig(40, 4)
-		cfg.Tuning.SnoopLanes = -1
-		seq, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("sequential run: %v", err)
-		}
-		cfg.Tuning.SnoopLanes = lanes
-		par, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("parallel run (%d lanes): %v", lanes, err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("%d-lane metrics differ from sequential:\n%+v\n%+v", lanes, seq, par)
-		}
-	}
-}

@@ -1,8 +1,6 @@
 package system
 
 import (
-	"context"
-
 	"odbscale/internal/perfmon"
 	"odbscale/internal/workload"
 )
@@ -59,14 +57,4 @@ func (m *machine) counterSource() perfmon.Source {
 		}
 		return 0
 	}
-}
-
-// RunEMON executes a configuration while sampling the performance
-// counters with the paper's EMON schedule.
-//
-// Deprecated: RunEMON is Run with WithEMON; use Run.
-func RunEMON(cfg Config, emon perfmon.Config) (Metrics, []perfmon.Result, error) {
-	var results []perfmon.Result
-	met, err := Run(context.Background(), cfg, WithEMON(emon, &results))
-	return met, results, err
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,8 @@ func emonConfig() perfmon.Config {
 func TestRunEMONSamplesRates(t *testing.T) {
 	cfg := fastConfig(40, 12, 4)
 	cfg.MeasureTxns = 800
-	m, results, err := RunEMON(cfg, emonConfig())
+	var results []perfmon.Result
+	m, err := Run(context.Background(), cfg, WithEMON(emonConfig(), &results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +53,13 @@ func TestRunEMONSamplesRates(t *testing.T) {
 }
 
 func TestRunEMONBadConfig(t *testing.T) {
-	if _, _, err := RunEMON(Config{}, emonConfig()); err == nil {
+	var results []perfmon.Result
+	if _, err := Run(context.Background(), Config{}, WithEMON(emonConfig(), &results)); err == nil {
 		t.Fatal("bad config accepted")
 	}
 	cfg := fastConfig(10, 8, 1)
 	cfg.MeasureTxns = 0
-	if _, _, err := RunEMON(cfg, emonConfig()); err == nil {
+	if _, err := Run(context.Background(), cfg, WithEMON(emonConfig(), &results)); err == nil {
 		t.Fatal("zero target accepted")
 	}
 }

@@ -1,8 +1,6 @@
 package system
 
 import (
-	"context"
-
 	"odbscale/internal/odb"
 	"odbscale/internal/qstats"
 	"odbscale/internal/sim"
@@ -189,12 +187,4 @@ func (m *machine) startFlight() {
 		m.eng.After(interval, tick)
 	}
 	m.eng.After(interval, tick)
-}
-
-// RunRecorded executes a configuration while feeding the flight
-// recorder. A nil recorder degrades to a plain run.
-//
-// Deprecated: RunRecorded is Run with WithRecorder; use Run.
-func RunRecorded(ctx context.Context, cfg Config, rec *telemetry.Recorder) (Metrics, error) {
-	return Run(ctx, cfg, WithRecorder(rec))
 }

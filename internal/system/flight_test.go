@@ -23,25 +23,25 @@ func flightCfg() Config {
 // with and without the recorder must produce identical metrics.
 func TestRunRecordedDoesNotPerturb(t *testing.T) {
 	cfg := flightCfg()
-	plain, err := RunContext(context.Background(), cfg)
+	plain, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder(telemetry.Config{})
-	recorded, err := RunRecorded(context.Background(), cfg, rec)
+	recorded, err := Run(context.Background(), cfg, WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain != recorded {
 		t.Errorf("recorder perturbed the simulation:\nplain    %+v\nrecorded %+v", plain, recorded)
 	}
-	// Nil recorder degrades to RunContext.
-	viaNil, err := RunRecorded(context.Background(), cfg, nil)
+	// A nil recorder degrades to a plain run.
+	viaNil, err := Run(context.Background(), cfg, WithRecorder(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != plain {
-		t.Error("RunRecorded(nil) differs from RunContext")
+		t.Error("Run with WithRecorder(nil) differs from a plain Run")
 	}
 }
 
@@ -50,7 +50,7 @@ func TestRunRecordedDoesNotPerturb(t *testing.T) {
 func TestRunRecordedDeterministic(t *testing.T) {
 	run := func() (*telemetry.Recorder, Metrics) {
 		rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
-		m, err := RunRecorded(context.Background(), flightCfg(), rec)
+		m, err := Run(context.Background(), flightCfg(), WithRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestRunRecordedDeterministic(t *testing.T) {
 func TestRunRecordedFlightData(t *testing.T) {
 	cfg := flightCfg()
 	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
-	m, err := RunRecorded(context.Background(), cfg, rec)
+	m, err := Run(context.Background(), cfg, WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

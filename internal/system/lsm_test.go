@@ -116,7 +116,7 @@ func TestLSMProfiledExactSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
-	m, err := RunProfiled(context.Background(), cfg, nil, col)
+	m, err := Run(context.Background(), cfg, WithProfiler(col))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,10 @@
 package system
 
 import (
-	"context"
-
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
-	"odbscale/internal/telemetry"
 	"odbscale/internal/workload"
 )
-
-// RunProfiled executes a configuration while feeding the flight recorder
-// and the cycle-attribution profiler. Nil observers are ignored.
-//
-// Deprecated: RunProfiled is Run with WithRecorder and WithProfiler; use
-// Run.
-func RunProfiled(ctx context.Context, cfg Config, rec *telemetry.Recorder, prof *profile.Collector) (Metrics, error) {
-	return Run(ctx, cfg, WithRecorder(rec), WithProfiler(prof))
-}
 
 // addShare appends an instruction share, coalescing runs of the same
 // frame so per-chunk share lists stay a handful of entries.

@@ -15,12 +15,12 @@ import (
 // alongside), must produce identical Metrics.
 func TestRunProfiledDoesNotPerturb(t *testing.T) {
 	cfg := flightCfg()
-	plain, err := RunContext(context.Background(), cfg)
+	plain, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
-	profiled, err := RunProfiled(context.Background(), cfg, nil, col)
+	profiled, err := Run(context.Background(), cfg, WithProfiler(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +30,12 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 
 	// Profiling alongside the flight recorder must match a recorded run.
 	rec := telemetry.NewRecorder(telemetry.Config{})
-	recorded, err := RunRecorded(context.Background(), cfg, rec)
+	recorded, err := Run(context.Background(), cfg, WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec2 := telemetry.NewRecorder(telemetry.Config{})
-	both, err := RunProfiled(context.Background(), cfg, rec2, profile.NewCollector())
+	both, err := Run(context.Background(), cfg, WithRecorder(rec2), WithProfiler(profile.NewCollector()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 		t.Errorf("profiler perturbed a recorded run:\nrecorded %+v\nboth     %+v", recorded, both)
 	}
 
-	// Nil collector and recorder degrade to RunContext.
-	viaNil, err := RunProfiled(context.Background(), cfg, nil, nil)
+	// A nil collector and recorder degrade to a plain run.
+	viaNil, err := Run(context.Background(), cfg, WithRecorder(nil), WithProfiler(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != plain {
-		t.Error("RunProfiled(nil, nil) differs from RunContext")
+		t.Error("Run with nil recorder and profiler differs from a plain Run")
 	}
 }
 
@@ -58,7 +58,7 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 func TestRunProfiledDeterministic(t *testing.T) {
 	run := func() *profile.Profile {
 		col := profile.NewCollector()
-		if _, err := RunProfiled(context.Background(), flightCfg(), nil, col); err != nil {
+		if _, err := Run(context.Background(), flightCfg(), WithProfiler(col)); err != nil {
 			t.Fatal(err)
 		}
 		return col.Profile()
@@ -84,7 +84,7 @@ func TestRunProfiledDeterministic(t *testing.T) {
 func TestProfileAccountsWholeRun(t *testing.T) {
 	cfg := flightCfg()
 	col := profile.NewCollector()
-	m, err := RunProfiled(context.Background(), cfg, nil, col)
+	m, err := Run(context.Background(), cfg, WithProfiler(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestProfileCPIBreakdownAtScale(t *testing.T) {
 	cfg.WarmupTxns = 200
 	cfg.MeasureTxns = 600
 	col := profile.NewCollector()
-	m, err := RunProfiled(context.Background(), cfg, nil, col)
+	m, err := Run(context.Background(), cfg, WithProfiler(col))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,8 @@ func WithQueueStats(c *qstats.Collector) Option {
 
 // Run executes one configuration and returns its metrics. It is the
 // single entry point for all simulations: options attach the trace
-// capture, flight recorder, EMON sampler and cycle profiler that the
-// deprecated Run* variants used to expose as separate functions.
+// capture, flight recorder, EMON sampler, cycle profiler, span tracer
+// and queueing collector.
 //
 // When ctx is cancelled mid-simulation the drive loop stops and the
 // context's error is returned instead of metrics. A nil ctx is treated
@@ -153,7 +153,6 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Metrics, error) {
 	}
 
 	m := build(cfg)
-	defer m.close()
 	m.rec = o.rec
 	m.prof = o.prof
 	m.spans = o.spans
@@ -243,7 +242,3 @@ func chainHook(prev, next func()) func() {
 		next()
 	}
 }
-
-// close releases run-scoped resources: the coherence domain's parallel
-// snoop lane workers, when enabled.
-func (m *machine) close() { m.domain.Close() }

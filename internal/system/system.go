@@ -71,7 +71,7 @@ type machine struct {
 	onReset   func()      // observer hooks armed at measurement start
 	extraDone func() bool // extra completion condition (EMON's schedule)
 
-	// Flight recorder (nil unless RunRecorded). flUserInstr/flOSInstr are
+	// Flight recorder (nil unless WithRecorder). flUserInstr/flOSInstr are
 	// free-running per-mode instruction counters — unlike user/os they are
 	// never gated on measuring, so the sampler can difference them across
 	// the whole run, warm-up included.
@@ -79,7 +79,7 @@ type machine struct {
 	flUserInstr uint64
 	flOSInstr   uint64
 
-	// Cycle-attribution profiler (nil unless RunProfiled). The chunk
+	// Cycle-attribution profiler (nil unless WithProfiler). The chunk
 	// execution paths append per-frame instruction shares to the scratch
 	// lists; price apportions the chunk's cycles and events over them and
 	// truncates. Purely observational: no randomness, no scheduling.
@@ -154,10 +154,12 @@ func validate(cfg Config) error {
 	if cfg.MeasureTxns < 1 {
 		return fmt.Errorf("system: %w", ErrNoTxns)
 	}
-	// Fields that would otherwise panic (a zero buffer cache, disk set or
-	// scale) or never finish (a zero clock leaves no simulated-time cap;
-	// a negative warm-up never ends).
-	m := cfg.Machine
+	// Fields that would otherwise panic (a zero buffer cache, disk set,
+	// scale or OS quantum) or never finish (a zero clock leaves no
+	// simulated-time cap; a negative warm-up never ends; a zero chunk or
+	// DB-writer interval stops simulated time from advancing; a zero
+	// memtable or a fanout below two makes the LSM compact without end).
+	m, t := cfg.Machine, cfg.Tuning
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
 		return badField("Machine.FreqHz", m.FreqHz)
@@ -167,10 +169,20 @@ func validate(cfg Config) error {
 		return badField("Machine.Disks.DataDisks", m.Disks.DataDisks)
 	case m.Disks.LogDisks < 1:
 		return badField("Machine.Disks.LogDisks", m.Disks.LogDisks)
-	case cfg.Tuning.Scale == 0:
-		return badField("Tuning.Scale", cfg.Tuning.Scale)
+	case t.Scale == 0:
+		return badField("Tuning.Scale", t.Scale)
+	case t.QuantumInstr == 0:
+		return badField("Tuning.QuantumInstr", t.QuantumInstr)
+	case t.ChunkInstr == 0:
+		return badField("Tuning.ChunkInstr", t.ChunkInstr)
+	case !(t.DBWriterIntervalMS > 0):
+		return badField("Tuning.DBWriterIntervalMS", t.DBWriterIntervalMS)
 	case cfg.WarmupTxns < 0:
 		return badField("WarmupTxns", cfg.WarmupTxns)
+	case cfg.Engine == "lsm" && t.LSM.MemtableMB < 1:
+		return badField("Tuning.LSM.MemtableMB", t.LSM.MemtableMB)
+	case cfg.Engine == "lsm" && t.LSM.Fanout < 2:
+		return badField("Tuning.LSM.Fanout", t.LSM.Fanout)
 	}
 	if _, ok := engine.Lookup(cfg.Engine); !ok {
 		return fmt.Errorf("system: %w: %q (have %v)", ErrBadEngine, cfg.Engine, engine.Names())
@@ -187,13 +199,6 @@ func badField(path string, v any) error {
 // configurations that cannot reach the transaction target still finish.
 func capSimCycles(cfg Config) sim.Time {
 	return sim.Time(300 * cfg.Machine.FreqHz)
-}
-
-// RunContext executes one configuration, honouring the context.
-//
-// Deprecated: RunContext is Run(ctx, cfg); use Run.
-func RunContext(ctx context.Context, cfg Config) (Metrics, error) {
-	return Run(ctx, cfg)
 }
 
 func build(cfg Config) *machine {
@@ -220,12 +225,6 @@ func build(cfg Config) *machine {
 	fsb := bus.New(cfg.Machine.Bus, float64(t.Scale))
 	geo := workload.ScaledGeometry(cfg.Machine.Geometry, t.Scale)
 	domain := cache.NewDomain(geo, cfg.Processors, cfg.Coherent)
-	switch {
-	case t.SnoopLanes > 0:
-		domain.EnableParallelLanes(t.SnoopLanes)
-	case t.SnoopLanes == 0 && cfg.Processors >= cache.MinParallelCPUs:
-		domain.EnableParallelLanes(0)
-	}
 	synthCfg := t.Synth
 	synthCfg.Scale = t.Scale
 	synthCfg.HotSetBytes = t.HotBytesPerWhs * cfg.Warehouses

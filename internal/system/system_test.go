@@ -44,9 +44,10 @@ func TestBadConfigRejected(t *testing.T) {
 }
 
 // TestDegenerateConfigsRejected runs configs that used to panic
-// (buffer cache, disks, scale) or run until the context deadline (clock,
-// warm-up) through Run with a background context: each must return
-// ErrBadConfig naming the field, promptly.
+// (buffer cache, disks, scale, quantum) or run until the context
+// deadline or out of memory (clock, warm-up, chunk, DB-writer interval,
+// LSM memtable and fanout) through Run with a background context: each
+// must return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -58,6 +59,12 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 0 }},
 		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 0 }},
 		{"WarmupTxns", func(c *Config) { c.WarmupTxns = -1 }},
+		{"Tuning.QuantumInstr", func(c *Config) { c.Tuning.QuantumInstr = 0 }},
+		{"Tuning.ChunkInstr", func(c *Config) { c.Tuning.ChunkInstr = 0 }},
+		{"Tuning.DBWriterIntervalMS", func(c *Config) { c.Tuning.DBWriterIntervalMS = 0 }},
+		{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
+		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
+		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := fastConfig(10, 8, 1)
@@ -86,7 +93,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, cfg)
+	_, err := Run(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -100,7 +107,7 @@ func TestRunContextCancellation(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer dcancel()
 	start = time.Now()
-	_, err = RunContext(dctx, cfg)
+	_, err = Run(dctx, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -108,13 +115,16 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("mid-run cancellation took %v", elapsed)
 	}
 
-	a, err := RunContext(context.Background(), fastConfig(25, 10, 2))
+	// A live context that is never cancelled does not perturb the run.
+	lctx, lcancel := context.WithCancel(context.Background())
+	defer lcancel()
+	a, err := Run(lctx, fastConfig(25, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := run(t, fastConfig(25, 10, 2))
 	if a.TPS != b.TPS || a.CPI != b.CPI {
-		t.Fatalf("RunContext diverged from Run: %v vs %v", a, b)
+		t.Fatalf("cancellable context diverged from a plain Run: %v vs %v", a, b)
 	}
 }
 
@@ -185,6 +195,10 @@ func TestMPIRoughlyFlatAcrossProcessors(t *testing.T) {
 	}
 }
 
+// TestCoherence pins the edges of the snoop walk and the direction of
+// the paper's coherence ablation: no coherence misses without a remote
+// cache to snoop, a share that grows with P, and fewer L3 misses when
+// coherence is switched off.
 func TestCoherence(t *testing.T) {
 	m := run(t, fastConfig(200, 30, 4))
 	if m.CoherenceShare <= 0 {
@@ -197,11 +211,23 @@ func TestCoherence(t *testing.T) {
 	if uni.CoherenceShare != 0 {
 		t.Fatalf("1P system has coherence misses: %v", uni.CoherenceShare)
 	}
-	cfg := fastConfig(200, 30, 4)
+	cfg := fastConfig(200, 12, 1)
+	cfg.Coherent = false
+	if uniOff := run(t, cfg); uniOff != uni {
+		t.Fatalf("coherence flag changed a 1P run:\n%+v\n%+v", uni, uniOff)
+	}
+	cfg = fastConfig(200, 30, 4)
 	cfg.Coherent = false
 	off := run(t, cfg)
 	if off.CoherenceShare != 0 {
 		t.Fatalf("coherence disabled but share = %v", off.CoherenceShare)
+	}
+	if off.MPI >= m.MPI {
+		t.Fatalf("disabling coherence did not lower 4P MPI: %v -> %v", m.MPI, off.MPI)
+	}
+	dual := run(t, fastConfig(200, 20, 2))
+	if dual.CoherenceShare <= 0 || dual.CoherenceShare >= m.CoherenceShare {
+		t.Fatalf("coherence share does not grow with P: 2P=%v 4P=%v", dual.CoherenceShare, m.CoherenceShare)
 	}
 }
 
@@ -316,7 +342,8 @@ func TestMetricsString(t *testing.T) {
 func TestRunTraced(t *testing.T) {
 	var buf testBuffer
 	cfg := fastConfig(25, 10, 2)
-	m, refs, err := RunTraced(cfg, &buf)
+	var refs uint64
+	m, err := Run(context.Background(), cfg, WithTrace(&buf, &refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +354,7 @@ func TestRunTraced(t *testing.T) {
 	if want := 6 + int(refs)*10; buf.n != want {
 		t.Fatalf("trace size = %d, want %d", buf.n, want)
 	}
-	if _, _, err := RunTraced(Config{}, &buf); err == nil {
+	if _, err := Run(context.Background(), Config{}, WithTrace(&buf, &refs)); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }

@@ -66,7 +66,7 @@ func NewManifest(tool string, seed int64) *Manifest {
 			// without linking go/types into every binary.
 			LintRules: []string{
 				"determinism", "maporder", "sentinelerr", "floateq", "ctxloop", "hotwaiver",
-				"taintdet", "hotalloc", "laneshare",
+				"taintdet", "hotalloc",
 			},
 			Tier1: "go build ./... && go test ./... && odblint ./...",
 		},

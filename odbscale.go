@@ -99,13 +99,6 @@ func WithProfiler(prof *ProfileCollector) Option { return system.WithProfiler(pr
 // decomposition sums exactly to each transaction's measured latency.
 func WithSpans(tr *SpanTracer) Option { return system.WithSpans(tr) }
 
-// RunContext executes one configuration, honouring the context.
-//
-// Deprecated: RunContext is Run(ctx, cfg); use Run.
-func RunContext(ctx context.Context, cfg Config) (Metrics, error) {
-	return system.Run(ctx, cfg)
-}
-
 // Run observers.
 type (
 	// Recorder is the flight recorder: latency histograms, timeline
@@ -319,17 +312,6 @@ type (
 // ten-second windows, six rotations.
 func DefaultEMONConfig(cyclesPerSecond float64) EMONConfig {
 	return perfmon.DefaultConfig(cyclesPerSecond)
-}
-
-// RunEMON executes a configuration while sampling its performance
-// counters with the EMON schedule, returning both the exact metrics and
-// the sampled observations (with their sampling error).
-//
-// Deprecated: RunEMON is Run with WithEMON; use Run.
-func RunEMON(cfg Config, emon EMONConfig) (Metrics, []EMONResult, error) {
-	var results []EMONResult
-	m, err := system.Run(context.Background(), cfg, system.WithEMON(emon, &results))
-	return m, results, err
 }
 
 // EMONEvents returns the Table 2 events in order.

@@ -139,7 +139,8 @@ func TestPublicEMONAndFunctionalStore(t *testing.T) {
 	emon := odbscale.DefaultEMONConfig(cfg.Machine.FreqHz)
 	emon.Window /= 200
 	emon.Repeats = 3
-	_, results, err := odbscale.RunEMON(cfg, emon)
+	var results []odbscale.EMONResult
+	_, err := odbscale.Run(context.Background(), cfg, odbscale.WithEMON(emon, &results))
 	if err != nil {
 		t.Fatal(err)
 	}
