@@ -8,19 +8,20 @@ import (
 	"strings"
 	"testing"
 
+	"odbscale/internal/campaign"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
-// fullSource carries every optional payload at once — the richest shape
-// a CLI can serve.
-type fullSource struct {
-	*telemetry.Recorder
-	*profile.Store
-	*txtrace.Tracer
-	*qstats.Collector
+// fullMux serves rec with every extra endpoint at once — the richest
+// shape a CLI can serve.
+func fullMux(rec *telemetry.Recorder, col *qstats.Collector) http.Handler {
+	return NewMux(rec,
+		Endpoint{Path: "/profile", Write: campaign.NewStore[*profile.Profile]("profile").WriteJSON},
+		Endpoint{Path: "/traces", Write: txtrace.NewTracer(txtrace.Config{}).WriteTraces},
+		Endpoint{Path: "/bottlenecks", Write: col.WriteBottlenecks})
 }
 
 // TestContentTypeHeaders pins the Content-Type of every endpoint: the
@@ -29,8 +30,7 @@ type fullSource struct {
 func TestContentTypeHeaders(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.Config{})
 	rec.PushSample(telemetry.Sample{SimSeconds: 0.5, TPS: 10})
-	src := fullSource{rec, profile.NewStore(), txtrace.NewTracer(txtrace.Config{}), qstats.NewCollector()}
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(fullMux(rec, qstats.NewCollector()))
 	defer ts.Close()
 
 	cases := map[string]string{
@@ -123,8 +123,7 @@ func TestBottlenecksEndpoint(t *testing.T) {
 	}
 
 	col := qstats.NewCollector()
-	src := fullSource{telemetry.NewRecorder(telemetry.Config{}), profile.NewStore(), txtrace.NewTracer(txtrace.Config{}), col}
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(fullMux(telemetry.NewRecorder(telemetry.Config{}), col))
 	defer ts.Close()
 
 	body, _, err := httpGet(ts.URL + "/bottlenecks")

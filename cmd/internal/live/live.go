@@ -1,9 +1,10 @@
 // Package live serves a flight recorder over HTTP: /metrics
 // (OpenMetrics text), /timeline (JSON sample series) and /progress
-// (JSON position). It is the only place where the flight recorder meets
-// the network — the telemetry, system and campaign packages stay under
-// the determinism rule, while the HTTP server (and its wall clock) live
-// here in cmd/ territory.
+// (JSON position), plus the extra JSON endpoints a command registers
+// (/profile, /traces, /bottlenecks). It is the only place where the
+// flight recorder meets the network — the telemetry, system and
+// campaign packages stay under the determinism rule, while the HTTP
+// server (and its wall clock) live here in cmd/ territory.
 package live
 
 import (
@@ -23,29 +24,12 @@ type Source interface {
 	WriteProgress(io.Writer) error
 }
 
-// ProfileSource is the optional fourth endpoint: sources that also
-// carry cycle-attribution profiles (e.g. *profile.Store, or a combined
-// source wrapping one) additionally get /profile. Detected by type
-// assertion in NewMux, so plain flight sources keep working unchanged.
-type ProfileSource interface {
-	WriteProfiles(io.Writer) error
-}
-
-// TraceSource is the optional fifth endpoint: sources that also carry
-// sampled transaction span traces (e.g. *txtrace.Tracer for one run,
-// *txtrace.Store for a campaign, or a combined source wrapping either)
-// additionally get /traces. Detected by type assertion in NewMux, like
-// ProfileSource.
-type TraceSource interface {
-	WriteTraces(io.Writer) error
-}
-
-// BottleneckSource is the optional queueing-observatory endpoint:
-// sources that carry per-resource service-center reports (e.g.
-// *qstats.Collector for one run, *qstats.Store for a campaign, or a
-// combined source wrapping either) additionally get /bottlenecks.
-type BottleneckSource interface {
-	WriteBottlenecks(io.Writer) error
+// Endpoint is one extra JSON document served next to the flight
+// endpoints, such as a campaign instrument's /profile or a single run's
+// /traces.
+type Endpoint struct {
+	Path  string
+	Write func(io.Writer) error
 }
 
 // HealthSource lets a source provide a richer /healthz payload (run
@@ -82,11 +66,9 @@ func handler(contentType string, write func(io.Writer) error) http.HandlerFunc {
 	}
 }
 
-// NewMux routes the flight-recorder endpoints over src, adding
-// /profile when src also carries cycle-attribution profiles, /traces
-// when it carries sampled transaction spans, and /bottlenecks when it
-// carries queueing-observatory reports. /healthz is always present.
-func NewMux(src Source) *http.ServeMux {
+// NewMux routes the flight-recorder endpoints over src plus each extra
+// endpoint. /healthz is always present.
+func NewMux(src Source, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", handler(contentTypeOM, src.WriteMetrics))
 	timelineJSON := handler(contentTypeJSON, src.WriteTimeline)
@@ -112,17 +94,9 @@ func NewMux(src Source) *http.ServeMux {
 		}))
 	}
 	index := "odbscale flight recorder: /metrics /timeline /progress /healthz"
-	if ps, ok := src.(ProfileSource); ok {
-		mux.HandleFunc("/profile", handler(contentTypeJSON, ps.WriteProfiles))
-		index += " /profile"
-	}
-	if ts, ok := src.(TraceSource); ok {
-		mux.HandleFunc("/traces", handler(contentTypeJSON, ts.WriteTraces))
-		index += " /traces"
-	}
-	if bs, ok := src.(BottleneckSource); ok {
-		mux.HandleFunc("/bottlenecks", handler(contentTypeJSON, bs.WriteBottlenecks))
-		index += " /bottlenecks"
+	for _, ep := range extra {
+		mux.HandleFunc(ep.Path, handler(contentTypeJSON, ep.Write))
+		index += " " + ep.Path
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
@@ -141,15 +115,15 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts serving src on addr (e.g. ":8090" or "127.0.0.1:0") in a
-// background goroutine and returns once the listener is bound, so
-// Addr() is immediately routable.
-func Serve(addr string, src Source) (*Server, error) {
+// Serve starts serving src and the extra endpoints on addr (e.g.
+// ":8090" or "127.0.0.1:0") in a background goroutine and returns once
+// the listener is bound, so Addr() is immediately routable.
+func Serve(addr string, src Source, extra ...Endpoint) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewMux(src)}
+	srv := &http.Server{Handler: NewMux(src, extra...)}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -114,15 +114,8 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 }
 
-// profiledSource combines a flight source with a profile store — the
-// shape odbsweep serves when both -listen and -profile are set.
-type profiledSource struct {
-	*telemetry.CampaignRecorder
-	*profile.Store
-}
-
-// TestProfileEndpoint checks /profile appears exactly when the source
-// carries profiles, and serves the store's JSON payload.
+// TestProfileEndpoint checks /profile appears exactly when it is
+// registered, and serves the profile store's JSON payload.
 func TestProfileEndpoint(t *testing.T) {
 	// A plain flight source must not expose /profile.
 	plain := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{})))
@@ -136,16 +129,15 @@ func TestProfileEndpoint(t *testing.T) {
 		t.Errorf("/profile on a plain source: status %d, want 404", resp.StatusCode)
 	}
 
-	st := profile.NewStore()
+	st := campaign.NewStore[*profile.Profile]("profile")
 	col := profile.NewCollector()
 	col.SetMeta(profile.Meta{Label: "W=10,P=1", Scale: 1})
 	col.AddChunk(profile.User,
 		[]profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}},
 		1000, 2500, profile.Events{L3Miss: 4})
 	st.Put("W=10,P=1", col.Profile())
-	src := profiledSource{telemetry.NewCampaignRecorder(telemetry.Config{}), st}
-
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(NewMux(telemetry.NewCampaignRecorder(telemetry.Config{}),
+		Endpoint{Path: "/profile", Write: st.WriteJSON}))
 	defer ts.Close()
 	body, ct, err := httpGet(ts.URL + "/profile")
 	if err != nil {
@@ -202,15 +194,9 @@ func TestMetricsResponseFormat(t *testing.T) {
 	}
 }
 
-// spannedSource combines a flight source with a span tracer — the shape
-// odbrun serves when both -listen and -spans are set.
-type spannedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-}
-
-// TestTraceEndpoint checks /traces appears exactly when the source
-// carries span traces, and serves the tracer's dump payload.
+// TestTraceEndpoint checks /traces appears exactly when it is
+// registered, and serves the tracer's dump payload — the shape odbrun
+// serves when both -listen and -spans are set.
 func TestTraceEndpoint(t *testing.T) {
 	// A plain flight source must not expose /traces.
 	plain := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{})))
@@ -230,9 +216,8 @@ func TestTraceEndpoint(t *testing.T) {
 	ps.Begin(odb.NewOrder, 1000)
 	ps.EndChunk(1000, 500, 0)
 	tr.End(ps, 1500, true)
-	src := spannedSource{telemetry.NewRecorder(telemetry.Config{}), tr}
-
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{}),
+		Endpoint{Path: "/traces", Write: tr.WriteTraces}))
 	defer ts.Close()
 	body, ct, err := httpGet(ts.URL + "/traces")
 	if err != nil {
@@ -324,7 +309,7 @@ func liveSpec(path string, flight *telemetry.CampaignRecorder) campaign.Spec {
 		Warehouses:     []int{2, 4, 6},
 		Processors:     []int{1, 2},
 		CheckpointPath: path,
-		Flight:         flight,
+		Instruments:    []campaign.Instrument{campaign.Flight(flight)},
 	}
 }
 

@@ -49,29 +49,6 @@ import (
 	"odbscale/internal/txtrace"
 )
 
-// spannedSource serves the flight recorder plus the span tracer — the
-// shape odbrun's live server takes when both -listen and -spans are on.
-// The other observer combinations get their own concrete types below:
-// a nil embedded field would still advertise its endpoint to the mux's
-// type assertions, so each combination must only embed what it has.
-type spannedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-}
-
-// queuedSource adds the queueing observatory's /bottlenecks.
-type queuedSource struct {
-	*telemetry.Recorder
-	*qstats.Collector
-}
-
-// observedSource is the full rig: spans and station metrics together.
-type observedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-	*qstats.Collector
-}
-
 // report is the -json output document.
 type report struct {
 	Manifest *telemetry.Manifest                 `json:"manifest"`
@@ -125,44 +102,30 @@ func main() {
 	}
 
 	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: *sampleMS})
+	opts := []system.Option{system.WithRecorder(rec)}
+	var extra []live.Endpoint
 	var spans *txtrace.Tracer
 	if *spansOut != "" {
 		spans = txtrace.NewTracer(txtrace.Config{HeadEvery: *spanHead})
+		opts = append(opts, system.WithSpans(spans))
+		extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteTraces})
 	}
 	var qc *qstats.Collector
 	if *qstatsOut != "" {
 		qc = qstats.NewCollector()
+		opts = append(opts, system.WithQueueStats(qc))
+		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: qc.WriteBottlenecks})
 	}
 	var srv *live.Server
 	if *listen != "" {
-		var src live.Source = rec
-		endpoints := "/metrics /timeline /progress /healthz"
-		switch {
-		case spans != nil && qc != nil:
-			src = observedSource{rec, spans, qc}
-			endpoints += " /traces /bottlenecks"
-		case spans != nil:
-			src = spannedSource{rec, spans}
-			endpoints += " /traces"
-		case qc != nil:
-			src = queuedSource{rec, qc}
-			endpoints += " /bottlenecks"
-		}
 		var err error
-		srv, err = live.Serve(*listen, src)
+		srv, err = live.Serve(*listen, rec, extra...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("flight recorder on http://%s (%s)", srv.Addr(), endpoints)
+		log.Printf("flight recorder on http://%s (endpoints listed at /)", srv.Addr())
 	}
 
-	opts := []system.Option{system.WithRecorder(rec)}
-	if spans != nil {
-		opts = append(opts, system.WithSpans(spans))
-	}
-	if qc != nil {
-		opts = append(opts, system.WithQueueStats(qc))
-	}
 	started := time.Now()
 	m, err := system.Run(context.Background(), cfg, opts...)
 	if err != nil {

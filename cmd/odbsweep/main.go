@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -67,27 +68,6 @@ import (
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
-
-// flightSource combines the campaign flight recorder with the profile
-// store so the live server exposes /profile next to the flight
-// endpoints.
-type flightSource struct {
-	*telemetry.CampaignRecorder
-	*profile.Store
-}
-
-// spanSource adds the span-trace store, exposing /traces as well.
-type spanSource struct {
-	live.Source
-	*txtrace.Store
-}
-
-// qstatSource adds the queueing-observatory store, exposing
-// /bottlenecks as well.
-type qstatSource struct {
-	live.Source
-	*qstats.Store
-}
 
 func parseInts(s string) []int {
 	var out []int
@@ -169,45 +149,37 @@ func main() {
 	}
 	spec.Observer = campaign.Observers(observers...)
 
-	var profiles *profile.Store
-	if *profileFlag || *profileDir != "" {
-		profiles = profile.NewStore()
-		spec.Profiles = profiles
-	}
-	var spans *txtrace.Store
-	if *spansFlag || *spanDir != "" {
-		spans = txtrace.NewStore(txtrace.Config{})
-		spec.Spans = spans
-	}
-	var stations *qstats.Store
-	if *qstatsFlag || *qstatsDir != "" {
-		stations = qstats.NewStore()
-		spec.QueueStats = stations
-	}
-
+	var flight *telemetry.CampaignRecorder
 	if *listen != "" {
-		flight := telemetry.NewCampaignRecorder(telemetry.Config{})
-		spec.Flight = flight
-		var src live.Source = flight
-		endpoints := "/metrics /timeline /progress"
-		if profiles != nil {
-			src = flightSource{flight, profiles}
-			endpoints += " /profile"
-		}
-		if spans != nil {
-			src = spanSource{src, spans}
-			endpoints += " /traces"
-		}
-		if stations != nil {
-			src = qstatSource{src, stations}
-			endpoints += " /bottlenecks"
-		}
-		srv, err := live.Serve(*listen, src)
+		flight = telemetry.NewCampaignRecorder(telemetry.Config{})
+		spec.Instruments = append(spec.Instruments, campaign.Flight(flight))
+	}
+	var extra []live.Endpoint
+	var profiles *campaign.Store[*profile.Profile]
+	if *profileFlag || *profileDir != "" {
+		profiles = campaign.NewStore[*profile.Profile]("profile")
+		spec.Instruments = append(spec.Instruments, campaign.Profiles(profiles))
+		extra = append(extra, live.Endpoint{Path: "/profile", Write: profiles.WriteJSON})
+	}
+	var spans *campaign.Store[*txtrace.Dump]
+	if *spansFlag || *spanDir != "" {
+		spans = campaign.NewStore[*txtrace.Dump]("dump")
+		spec.Instruments = append(spec.Instruments, campaign.Spans(txtrace.Config{}, spans))
+		extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteJSON})
+	}
+	var stations *campaign.Store[*qstats.Report]
+	if *qstatsFlag || *qstatsDir != "" {
+		stations = campaign.NewStore[*qstats.Report]("report")
+		spec.Instruments = append(spec.Instruments, campaign.QueueStats(stations))
+		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: stations.WriteJSON})
+	}
+	if flight != nil {
+		srv, err := live.Serve(*listen, flight, extra...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		log.Printf("campaign flight recorder on http://%s (%s)", srv.Addr(), endpoints)
+		log.Printf("campaign flight recorder on http://%s (endpoints listed at /)", srv.Addr())
 	}
 
 	// Ctrl-C cancels the campaign cleanly: in-flight runs stop at the
@@ -248,42 +220,50 @@ func main() {
 	}
 
 	if profiles != nil {
-		emitProfiles(profiles, warehouses, processors, *profileDir)
+		writeEach(profiles, *profileDir, "profiles", (*profile.Profile).Encode)
+		emitProfiles(profiles, warehouses, processors)
 	}
 	if spans != nil {
-		emitSpans(spans, warehouses, processors, *spanDir)
+		writeEach(spans, *spanDir, "trace dumps", (*txtrace.Dump).Write)
+		emitSpans(spans, warehouses, processors)
 	}
 	if stations != nil {
-		emitQStats(stations, warehouses, processors, *qstatsDir)
+		writeEach(stations, *qstatsDir, "station reports", (*qstats.Report).WriteJSON)
+		emitQStats(stations, warehouses, processors)
 	}
 }
 
-// emitProfiles post-processes the campaign's profile store: optionally
-// write each point's profile JSON to dir, then print the attribution
-// shift across the cached-to-scaled pivot — the smallest-W point diffed
-// against the largest-W one — for each processor lane.
-func emitProfiles(st *profile.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeEach writes every point's payload in st into dir (when set), one
+// <point>.json file each (e.g. W10-P1.json), for offline analysis.
+func writeEach[T any](st *campaign.Store[T], dir, noun string, write func(T, io.Writer) error) {
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	keys := st.Keys()
+	for _, key := range keys {
+		name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
 			log.Fatal(err)
 		}
-		for _, key := range st.Keys() {
-			p := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := p.Encode(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+		if err := write(st.Get(key), f); err != nil {
+			f.Close()
+			log.Fatal(err)
 		}
-		log.Printf("wrote %d profiles to %s", len(st.Keys()), dir)
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
+	log.Printf("wrote %d %s to %s", len(keys), noun, dir)
+}
+
+// emitProfiles prints the attribution shift across the cached-to-scaled
+// pivot — the smallest-W point diffed against the largest-W one — for
+// each processor lane.
+func emitProfiles(st *campaign.Store[*profile.Profile], warehouses, processors []int) {
 	if len(warehouses) < 2 {
 		return
 	}
@@ -301,31 +281,9 @@ func emitProfiles(st *profile.Store, warehouses, processors []int, dir string) {
 	}
 }
 
-// emitSpans post-processes the campaign's span-trace store: optionally
-// write each point's dump JSON to dir, then print the wait-state shift
-// across the pivot for each processor lane.
-func emitSpans(st *txtrace.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for _, key := range st.Keys() {
-			d := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := d.Write(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("wrote %d trace dumps to %s", len(st.Keys()), dir)
-	}
+// emitSpans prints the wait-state shift across the pivot for each
+// processor lane.
+func emitSpans(st *campaign.Store[*txtrace.Dump], warehouses, processors []int) {
 	if len(warehouses) < 2 {
 		return
 	}
@@ -343,32 +301,9 @@ func emitSpans(st *txtrace.Store, warehouses, processors []int, dir string) {
 	}
 }
 
-// emitQStats post-processes the campaign's station-report store:
-// optionally write each point's report JSON to dir, then print the
-// bottleneck-shift table — wait demand per station down the warehouse
-// sweep — for each processor lane.
-func emitQStats(st *qstats.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for _, key := range st.Keys() {
-			r := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("wrote %d station reports to %s", len(st.Keys()), dir)
-	}
+// emitQStats prints the bottleneck-shift table — wait demand per
+// station down the warehouse sweep — for each processor lane.
+func emitQStats(st *campaign.Store[*qstats.Report], warehouses, processors []int) {
 	if len(warehouses) < 2 {
 		return
 	}

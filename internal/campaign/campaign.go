@@ -11,10 +11,14 @@
 // so an interrupted campaign resumes where it left off, and a pluggable
 // Observer streams progress events (PointStarted, PointFinished,
 // TunerProbe, CampaignDone) for live CLIs and machine-readable logs.
+// Instruments (the flight recorder, profiler, span tracer and queueing
+// observatory) attach to every measurement run and checkpoint one
+// payload each.
 package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -22,11 +26,8 @@ import (
 	"time"
 
 	"odbscale/internal/clock"
-	"odbscale/internal/profile"
-	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
-	"odbscale/internal/txtrace"
 )
 
 // Spec describes one campaign: the platform and measurement lengths,
@@ -86,40 +87,12 @@ type Spec struct {
 	// Observer receives progress events; nil means none.
 	Observer Observer
 
-	// Flight, when set, turns on the flight recorder: every measurement
-	// run executes under system.Run with WithRecorder feeding a per-run telemetry
-	// recorder, finished runs merge their latency histograms and retain
-	// their timelines in Flight, and a flight observer keeps Flight's
-	// campaign progress current for the live HTTP endpoints. When a
-	// CheckpointPath is set, a run manifest is written next to it at
-	// campaign start and again at completion.
-	Flight *telemetry.CampaignRecorder
-
-	// Profiles, when set, turns on the cycle-attribution profiler: every
-	// measurement run executes under system.Run with WithProfiler and a fresh
-	// collector (alongside the flight recorder when Flight is also set),
-	// and each finished point's profile lands in Profiles under its
-	// telemetry.PointName key. With a CheckpointPath the profile — and
-	// the run's latency histograms — persist in the checkpoint, so a
-	// resumed campaign restores them instead of losing them.
-	Profiles *profile.Store
-
-	// Spans, when set, turns on the per-transaction span tracer: every
-	// measurement run executes under system.Run with WithSpans and a
-	// fresh tracer built from the store's sampling configuration
-	// (alongside the flight recorder and profiler when those are also
-	// set), and each finished point's trace dump lands in Spans under
-	// its telemetry.PointName key. With a CheckpointPath the dump
-	// persists in the checkpoint and survives resume.
-	Spans *txtrace.Store
-
-	// QueueStats, when set, turns on the queueing observatory: every
-	// measurement run executes under system.Run with WithQueueStats and
-	// a fresh collector (alongside the other observers when set), and
-	// each finished point's station report lands in QueueStats under its
-	// telemetry.PointName key. With a CheckpointPath the report persists
-	// in the checkpoint and survives resume.
-	QueueStats *qstats.Store
+	// Instruments observe every measurement run (tuner probes run
+	// bare): each is started before the run, attaches its system.Run
+	// option, and finishes into one payload kind that persists in the
+	// checkpoint and is restored on resume. Flight, Profiles, Spans and
+	// QueueStats build the built-in ones.
+	Instruments []Instrument
 }
 
 // fingerprint reduces the spec to its run-defining parameters.
@@ -204,49 +177,16 @@ func (r *Result) Series(p int) []system.Metrics {
 	return out
 }
 
-// RunFunc is the simulator entry point a Runner drives.
-type RunFunc func(ctx context.Context, cfg system.Config) (system.Metrics, error)
+// RunFunc is the simulator entry point a Runner drives. att holds the
+// run's instrument handles; tuner probes pass none.
+type RunFunc func(ctx context.Context, cfg system.Config, att []Attached) (system.Metrics, error)
 
-// The default entry points all route through the one system.Run API,
-// differing only in which observers they attach.
-func defaultRun(ctx context.Context, cfg system.Config) (system.Metrics, error) {
-	return system.Run(ctx, cfg)
-}
-
-func defaultFlightRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder) (system.Metrics, error) {
-	return system.Run(ctx, cfg, system.WithRecorder(rec))
-}
-
-func defaultProfiledRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector) (system.Metrics, error) {
-	return system.Run(ctx, cfg, system.WithRecorder(rec), system.WithProfiler(col))
-}
-
-func defaultSpannedRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder,
-	col *profile.Collector, tr *txtrace.Tracer) (system.Metrics, error) {
-	opts := make([]system.Option, 0, 3)
-	if rec != nil {
-		opts = append(opts, system.WithRecorder(rec))
+// defaultRun calls system.Run with each handle's option.
+func defaultRun(ctx context.Context, cfg system.Config, att []Attached) (system.Metrics, error) {
+	opts := make([]system.Option, len(att))
+	for i, a := range att {
+		opts[i] = a.Option()
 	}
-	if col != nil {
-		opts = append(opts, system.WithProfiler(col))
-	}
-	opts = append(opts, system.WithSpans(tr))
-	return system.Run(ctx, cfg, opts...)
-}
-
-func defaultObservedRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder,
-	col *profile.Collector, tr *txtrace.Tracer, qc *qstats.Collector) (system.Metrics, error) {
-	opts := make([]system.Option, 0, 4)
-	if rec != nil {
-		opts = append(opts, system.WithRecorder(rec))
-	}
-	if col != nil {
-		opts = append(opts, system.WithProfiler(col))
-	}
-	if tr != nil {
-		opts = append(opts, system.WithSpans(tr))
-	}
-	opts = append(opts, system.WithQueueStats(qc))
 	return system.Run(ctx, cfg, opts...)
 }
 
@@ -255,33 +195,7 @@ func defaultObservedRun(ctx context.Context, cfg system.Config, rec *telemetry.R
 // caching layers).
 type Runner struct {
 	Spec    Spec
-	RunFunc RunFunc // nil means system.Run
-
-	// FlightFunc is the recorded-run entry point used for measurement
-	// runs when Spec.Flight is set; nil means system.Run with
-	// WithRecorder. Tests
-	// interpose on it like RunFunc.
-	FlightFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder) (system.Metrics, error)
-
-	// ProfiledFunc is the profiled-run entry point used for measurement
-	// runs when Spec.Profiles is set; nil means system.Run with
-	// WithRecorder and WithProfiler. The
-	// recorder argument is nil unless Spec.Flight is also set.
-	ProfiledFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector) (system.Metrics, error)
-
-	// SpannedFunc is the span-traced entry point used for measurement
-	// runs when Spec.Spans is set; nil means system.Run with WithSpans
-	// (plus WithRecorder / WithProfiler for the non-nil observers). The
-	// recorder is nil unless Spec.Flight is also set, the collector nil
-	// unless Spec.Profiles is.
-	SpannedFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector, tr *txtrace.Tracer) (system.Metrics, error)
-
-	// QStatsFunc is the observatory entry point used for measurement
-	// runs when Spec.QueueStats is set; nil means system.Run with
-	// WithQueueStats (plus WithRecorder / WithProfiler / WithSpans for
-	// the non-nil observers). The recorder, collector and tracer are nil
-	// unless Spec.Flight / Spec.Profiles / Spec.Spans are.
-	QStatsFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector, tr *txtrace.Tracer, qc *qstats.Collector) (system.Metrics, error)
+	RunFunc RunFunc // nil means system.Run with each handle's option
 
 	// Clock supplies the wall time behind the Elapsed fields of
 	// progress events; nil means the real clock. Simulated results
@@ -333,8 +247,8 @@ func (pl *pool) do(ctx context.Context, fn func(context.Context) (system.Metrics
 }
 
 // run executes one configuration inside the pool.
-func (pl *pool) run(ctx context.Context, fn RunFunc, cfg system.Config) (system.Metrics, error) {
-	return pl.do(ctx, func(ctx context.Context) (system.Metrics, error) { return fn(ctx, cfg) })
+func (pl *pool) run(ctx context.Context, fn RunFunc, cfg system.Config, att []Attached) (system.Metrics, error) {
+	return pl.do(ctx, func(ctx context.Context) (system.Metrics, error) { return fn(ctx, cfg, att) })
 }
 
 // emitter serializes observer delivery and keeps the summary counters.
@@ -403,9 +317,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if obs == nil {
 		obs = noop{}
 	}
-	if spec.Flight != nil {
-		spec.Flight.SetTotalPoints(len(spec.Warehouses) * len(spec.Processors))
-		obs = Observers(obs, NewFlightObserver(spec.Flight))
+	for _, in := range spec.Instruments {
+		if o := in.Begin(len(spec.Warehouses) * len(spec.Processors)); o != nil {
+			obs = Observers(obs, o)
+		}
 	}
 	ck, err := newCKStore(spec)
 	if err != nil {
@@ -490,24 +405,15 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 		}
 		key := PointKey{W: w, P: p}
 		if pt, ok := ck.point(key); ok {
-			if pt.Flight != nil {
-				name := telemetry.PointName(w, p)
-				if spec.Flight != nil && len(pt.Flight.Hists) > 0 {
-					hists, err := decodeHists(pt.Flight.Hists)
-					if err != nil {
-						fail(fmt.Errorf("campaign: restoring W=%d P=%d: %w", w, p, err))
-						return
-					}
-					spec.Flight.RestoreRun(name, hists)
+			name := telemetry.PointName(w, p)
+			for _, in := range spec.Instruments {
+				raw, ok := pt.Flight[in.Kind()]
+				if !ok {
+					continue
 				}
-				if spec.Profiles != nil && pt.Flight.Profile != nil {
-					spec.Profiles.Put(name, pt.Flight.Profile)
-				}
-				if spec.Spans != nil && pt.Flight.Spans != nil {
-					spec.Spans.Put(name, pt.Flight.Spans)
-				}
-				if spec.QueueStats != nil && pt.Flight.QStats != nil {
-					spec.QueueStats.Put(name, pt.Flight.QStats)
+				if err := in.Restore(name, raw); err != nil {
+					fail(fmt.Errorf("campaign: restoring W=%d P=%d: %w", w, p, err))
+					return
 				}
 			}
 			em.pointFinished(PointResult{
@@ -553,79 +459,23 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			t0 := clk.Now()
 			cfg := spec.config(w, c, p, spec.MeasureTxns)
 			name := telemetry.PointName(w, p)
-			var m system.Metrics
-			var err error
-			var rec *telemetry.Recorder
-			var col *profile.Collector
-			var tr *txtrace.Tracer
-			var qc *qstats.Collector
-			switch {
-			case spec.QueueStats != nil:
-				obsFn := r.QStatsFunc
-				if obsFn == nil {
-					obsFn = defaultObservedRun
+			att := make([]Attached, len(spec.Instruments))
+			for i, in := range spec.Instruments {
+				att[i] = in.Start(name, cfg)
+			}
+			m, err := pl.run(ctx, runFn, cfg, att)
+			// Persist the point's observability payload alongside its
+			// metrics so a resumed campaign restores rather than loses it.
+			ok := err == nil
+			payload := make(map[string]json.RawMessage, len(att))
+			for i, a := range att {
+				raw, ferr := a.Finish(ok)
+				if raw != nil {
+					payload[spec.Instruments[i].Kind()] = raw
 				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
+				if err == nil {
+					err = ferr
 				}
-				if spec.Profiles != nil {
-					col = profile.NewCollector()
-				}
-				if spec.Spans != nil {
-					tr = spec.Spans.NewTracer()
-				}
-				qc = qstats.NewCollector()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return obsFn(ctx, cfg, rec, col, tr, qc)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Spans != nil:
-				spanFn := r.SpannedFunc
-				if spanFn == nil {
-					spanFn = defaultSpannedRun
-				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
-				}
-				if spec.Profiles != nil {
-					col = profile.NewCollector()
-				}
-				tr = spec.Spans.NewTracer()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return spanFn(ctx, cfg, rec, col, tr)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Profiles != nil:
-				profFn := r.ProfiledFunc
-				if profFn == nil {
-					profFn = defaultProfiledRun
-				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
-				}
-				col = profile.NewCollector()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return profFn(ctx, cfg, rec, col)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Flight != nil:
-				flightFn := r.FlightFunc
-				if flightFn == nil {
-					flightFn = defaultFlightRun
-				}
-				rec = spec.Flight.StartRun(name)
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return flightFn(ctx, cfg, rec)
-				})
-				spec.Flight.FinishRun(name, err == nil)
-			default:
-				m, err = pl.run(ctx, runFn, cfg)
 			}
 			elapsed := clk.Since(t0)
 			if err != nil {
@@ -633,38 +483,9 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				fail(fmt.Errorf("campaign: W=%d P=%d: %w", w, p, err))
 				return
 			}
-			// Persist the point's observability payload alongside its
-			// metrics so a resumed campaign restores rather than loses it.
-			var pf *PointFlight
-			if rec != nil || col != nil || tr != nil || qc != nil {
-				pf = &PointFlight{}
-				if rec != nil {
-					pf.Hists = encodeHists(rec.Histograms())
-				}
-				if col != nil {
-					prof := col.Profile()
-					prof.Meta.Label = name
-					spec.Profiles.Put(name, prof)
-					pf.Profile = prof
-				}
-				if tr != nil {
-					d := tr.Dump()
-					d.Meta.Label = name
-					spec.Spans.Put(name, d)
-					pf.Spans = d
-				}
-				if qc != nil {
-					rep := qc.Report()
-					if rep != nil {
-						rep.Meta.Label = name
-						spec.QueueStats.Put(name, rep)
-						pf.QStats = rep
-					}
-				}
-			}
 			em.pointFinished(PointResult{Point: point, Metrics: m, Elapsed: elapsed})
 			record(PointKey{W: w, P: p}, m)
-			if err := ck.addPoint(w, p, c, m, pf); err != nil {
+			if err := ck.addPoint(w, p, c, m, payload); err != nil {
 				fail(fmt.Errorf("campaign: checkpointing W=%d P=%d: %w", w, p, err))
 			}
 		}(w, p, c)
@@ -684,7 +505,7 @@ func (r *Runner) tunePoint(ctx context.Context, pl *pool, ck *ckStore, em *emitt
 			return u, nil
 		}
 		t0 := clk.Now()
-		m, err := pl.run(ctx, runFn, spec.config(w, c, p, spec.TuneTxns))
+		m, err := pl.run(ctx, runFn, spec.config(w, c, p, spec.TuneTxns), nil)
 		if err != nil {
 			return 0, err
 		}
@@ -718,7 +539,7 @@ func RunAll(ctx context.Context, parallelism int, cfgs []system.Config) ([]syste
 		wg.Add(1)
 		go func(i int, cfg system.Config) {
 			defer wg.Done()
-			m, err := pl.run(ctx, defaultRun, cfg)
+			m, err := pl.run(ctx, defaultRun, cfg, nil)
 			out[i], errs[i] = m, err
 			if err != nil {
 				cancel()

@@ -45,7 +45,7 @@ type runLog struct {
 	cfgs  []system.Config
 }
 
-func (l *runLog) run(ctx context.Context, cfg system.Config) (system.Metrics, error) {
+func (l *runLog) run(ctx context.Context, cfg system.Config, _ []Attached) (system.Metrics, error) {
 	if l.delay > 0 {
 		select {
 		case <-time.After(l.delay):

@@ -1,20 +1,14 @@
 package campaign
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
-	"odbscale/internal/profile"
-	"odbscale/internal/qstats"
 	"odbscale/internal/system"
-	"odbscale/internal/telemetry"
-	"odbscale/internal/txtrace"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -48,55 +42,11 @@ type CheckpointPoint struct {
 	P       int            `json:"p"`
 	C       int            `json:"c"`
 	Metrics system.Metrics `json:"metrics"`
-	// Flight is the point's persisted observability payload, present
-	// when the campaign ran with the flight recorder or the profiler.
+	// Flight is the point's persisted observability payload: one raw
+	// JSON document per instrument kind ("hists", "profile", "spans",
+	// "qstats"), so a resumed campaign restores it instead of losing it.
 	// Old checkpoints without it still load.
-	Flight *PointFlight `json:"flight,omitempty"`
-}
-
-// PointFlight persists a completed point's observability data so a
-// resumed campaign restores it instead of losing it: the per-type
-// latency histograms (base64 of the mergeable Histogram encoding), the
-// point's cycle-attribution profile, and its span-trace dump.
-type PointFlight struct {
-	Hists   map[string]string `json:"hists,omitempty"`
-	Profile *profile.Profile  `json:"profile,omitempty"`
-	Spans   *txtrace.Dump     `json:"spans,omitempty"`
-	QStats  *qstats.Report    `json:"qstats,omitempty"`
-}
-
-// encodeHists converts a run's histograms to the checkpoint wire form.
-func encodeHists(hists map[string]*telemetry.Histogram) map[string]string {
-	if len(hists) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]string, len(hists))
-	for _, name := range names {
-		out[name] = base64.StdEncoding.EncodeToString(hists[name].Encode())
-	}
-	return out
-}
-
-// decodeHists reverses encodeHists.
-func decodeHists(enc map[string]string) (map[string]*telemetry.Histogram, error) {
-	out := make(map[string]*telemetry.Histogram, len(enc))
-	for name, s := range enc {
-		data, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
-		}
-		h, err := telemetry.DecodeHistogram(data)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
-		}
-		out[name] = h
-	}
-	return out, nil
+	Flight map[string]json.RawMessage `json:"flight,omitempty"`
 }
 
 // CheckpointProbe is one completed tuner probe.
@@ -219,7 +169,7 @@ func (s *ckStore) probe(w, p, c int) (float64, bool) {
 	return u, ok
 }
 
-func (s *ckStore) addPoint(w, p, c int, m system.Metrics, fl *PointFlight) error {
+func (s *ckStore) addPoint(w, p, c int, m system.Metrics, fl map[string]json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pt := CheckpointPoint{W: w, P: p, C: c, Metrics: m, Flight: fl}

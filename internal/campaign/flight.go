@@ -1,12 +1,108 @@
 package campaign
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"odbscale/internal/clock"
+	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 )
+
+// flight is the flight-recorder instrument: every measurement run feeds
+// a per-run recorder from cr, finished runs merge their latency
+// histograms and retain their timelines in cr, and a flight observer
+// keeps cr's campaign progress current for the live HTTP endpoints.
+type flight struct {
+	cr *telemetry.CampaignRecorder
+}
+
+// Flight returns the flight-recorder instrument over cr. Its checkpoint
+// payload is the run's per-type latency histograms.
+func Flight(cr *telemetry.CampaignRecorder) Instrument { return flight{cr: cr} }
+
+func (f flight) Kind() string { return "hists" }
+
+func (f flight) Begin(points int) Observer {
+	f.cr.SetTotalPoints(points)
+	return &flightObserver{cr: f.cr}
+}
+
+func (f flight) Start(point string, _ system.Config) Attached {
+	return &flightRun{cr: f.cr, point: point, rec: f.cr.StartRun(point)}
+}
+
+func (f flight) Restore(point string, raw json.RawMessage) error {
+	var enc map[string]string
+	if err := json.Unmarshal(raw, &enc); err != nil {
+		return fmt.Errorf("campaign: hists payload: %w", err)
+	}
+	hists, err := decodeHists(enc)
+	if err != nil {
+		return err
+	}
+	f.cr.RestoreRun(point, hists)
+	return nil
+}
+
+// flightRun is the flight instrument attached to one run.
+type flightRun struct {
+	cr    *telemetry.CampaignRecorder
+	point string
+	rec   *telemetry.Recorder
+}
+
+func (r *flightRun) Option() system.Option { return system.WithRecorder(r.rec) }
+
+func (r *flightRun) Finish(ok bool) (json.RawMessage, error) {
+	r.cr.FinishRun(r.point, ok)
+	if !ok {
+		return nil, nil
+	}
+	enc := encodeHists(r.rec.Histograms())
+	if enc == nil {
+		return nil, nil
+	}
+	return json.Marshal(enc)
+}
+
+// encodeHists converts a run's histograms to the checkpoint wire form:
+// base64 of the mergeable Histogram encoding, keyed by type.
+func encodeHists(hists map[string]*telemetry.Histogram) map[string]string {
+	if len(hists) == 0 {
+		return nil
+	}
+	names := make([]string, 0, len(hists))
+	for name := range hists {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make(map[string]string, len(hists))
+	for _, name := range names {
+		out[name] = base64.StdEncoding.EncodeToString(hists[name].Encode())
+	}
+	return out
+}
+
+// decodeHists reverses encodeHists.
+func decodeHists(enc map[string]string) (map[string]*telemetry.Histogram, error) {
+	out := make(map[string]*telemetry.Histogram, len(enc))
+	for name, s := range enc {
+		data, err := base64.StdEncoding.DecodeString(s)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
+		}
+		h, err := telemetry.DecodeHistogram(data)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
+		}
+		out[name] = h
+	}
+	return out, nil
+}
 
 // flightObserver mirrors campaign events into a CampaignRecorder's live
 // progress, feeding the /progress and /metrics endpoints. It is the glue
@@ -14,14 +110,6 @@ import (
 // event translation lives here.
 type flightObserver struct {
 	cr *telemetry.CampaignRecorder
-}
-
-// NewFlightObserver returns an Observer that keeps cr's campaign
-// progress current. The runner installs it automatically when
-// Spec.Flight is set; it is exported for callers composing their own
-// observer chains.
-func NewFlightObserver(cr *telemetry.CampaignRecorder) Observer {
-	return &flightObserver{cr: cr}
 }
 
 func (f *flightObserver) PointStarted(p Point) {

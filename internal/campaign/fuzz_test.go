@@ -37,6 +37,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte(``))                                            // empty file
 	f.Add(bytes.Replace(data, []byte(`"w"`), []byte(`"w":`), 1)) // corrupted key
 	f.Add(bytes.Replace(data, []byte(`42`), []byte(`4e999`), 1)) // numeric overflow
+	f.Add(bytes.Replace(data, []byte(`"metrics"`),               // instrument payloads
+		[]byte(`"flight":{"hists":{"NewOrder":"AAE="},"qstats":null},"metrics"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -228,30 +228,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// TestStore checks ordering, merge and the /profile payload.
-func TestStore(t *testing.T) {
-	s := NewStore()
-	s.Put("W=10,P=1", sampleProfile(5000, 1200))
-	s.Put("W=2,P=1", sampleProfile(3000, 800))
-	if got := s.Keys(); len(got) != 2 || got[0] != "W=10,P=1" {
-		t.Errorf("keys = %v", got)
-	}
-	if s.Get("W=2,P=1") == nil || s.Get("missing") != nil {
-		t.Error("Get misbehaves")
-	}
-	merged := s.Merged("campaign")
-	if merged.TotalCycles() != 10000 {
-		t.Errorf("merged cycles %f", merged.TotalCycles())
-	}
-	var buf bytes.Buffer
-	if err := s.WriteProfiles(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "W=10,P=1") {
-		t.Errorf("payload missing key:\n%s", buf.String())
-	}
-}
-
 // TestKindAndPhaseNames pins the frame vocabulary the folded output and
 // diff keys depend on.
 func TestKindAndPhaseNames(t *testing.T) {

@@ -220,23 +220,3 @@ func TestCollectorReset(t *testing.T) {
 		t.Fatalf("counts after reset = %+v, want zero", got)
 	}
 }
-
-func TestStoreInsertionOrder(t *testing.T) {
-	s := NewStore()
-	s.Put("b", Build(testInput()))
-	s.Put("a", Build(testInput()))
-	s.Put("b", Build(testInput()))
-	if got := s.Keys(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Fatalf("keys = %v, want [b a]", got)
-	}
-	if s.Get("a") == nil || s.Get("missing") != nil {
-		t.Fatal("Get misbehaved")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteBottlenecks(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"key\": \"b\"") {
-		t.Fatalf("store payload missing key: %s", buf.String())
-	}
-}

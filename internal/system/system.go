@@ -155,10 +155,11 @@ func validate(cfg Config) error {
 		return fmt.Errorf("system: %w", ErrNoTxns)
 	}
 	// Fields that would otherwise panic (a zero buffer cache, disk set,
-	// scale or OS quantum) or never finish (a zero clock leaves no
-	// simulated-time cap; a negative warm-up never ends; a zero chunk or
-	// DB-writer interval stops simulated time from advancing; a zero
-	// memtable or a fanout below two makes the LSM compact without end).
+	// cache line size or associativity, scale or OS quantum) or never
+	// finish (a zero clock leaves no simulated-time cap; a negative
+	// warm-up never ends; a zero chunk or DB-writer interval stops
+	// simulated time from advancing; a zero memtable or a fanout below
+	// two makes the LSM compact without end).
 	m, t := cfg.Machine, cfg.Tuning
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
@@ -169,6 +170,14 @@ func validate(cfg Config) error {
 		return badField("Machine.Disks.DataDisks", m.Disks.DataDisks)
 	case m.Disks.LogDisks < 1:
 		return badField("Machine.Disks.LogDisks", m.Disks.LogDisks)
+	case m.Geometry.LineSize < 1:
+		return badField("Machine.Geometry.LineSize", m.Geometry.LineSize)
+	case m.Geometry.TCWays < 1:
+		return badField("Machine.Geometry.TCWays", m.Geometry.TCWays)
+	case m.Geometry.L2Ways < 1:
+		return badField("Machine.Geometry.L2Ways", m.Geometry.L2Ways)
+	case m.Geometry.L3Ways < 1:
+		return badField("Machine.Geometry.L3Ways", m.Geometry.L3Ways)
 	case t.Scale == 0:
 		return badField("Tuning.Scale", t.Scale)
 	case t.QuantumInstr == 0:

@@ -44,7 +44,7 @@ func TestBadConfigRejected(t *testing.T) {
 }
 
 // TestDegenerateConfigsRejected runs configs that used to panic
-// (buffer cache, disks, scale, quantum) or run until the context
+// (buffer cache, disks, cache geometry, scale, quantum) or run until the context
 // deadline or out of memory (clock, warm-up, chunk, DB-writer interval,
 // LSM memtable and fanout) through Run with a background context: each
 // must return ErrBadConfig naming the field, promptly.
@@ -56,6 +56,12 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 0 }},
 		{"Machine.Disks.DataDisks", func(c *Config) { c.Machine.Disks.DataDisks = 0 }},
 		{"Machine.Disks.LogDisks", func(c *Config) { c.Machine.Disks.LogDisks = 0 }},
+		{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = 0 }},
+		{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = -64 }},
+		{"Machine.Geometry.TCWays", func(c *Config) { c.Machine.Geometry.TCWays = 0 }},
+		{"Machine.Geometry.L2Ways", func(c *Config) { c.Machine.Geometry.L2Ways = 0 }},
+		{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = 0 }},
+		{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = -1 }},
 		{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 0 }},
 		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 0 }},
 		{"WarmupTxns", func(c *Config) { c.WarmupTxns = -1 }},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"odbscale/internal/odb"
 	"odbscale/internal/sim"
@@ -108,70 +107,4 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		return nil, fmt.Errorf("txtrace: decoding dump: %w", err)
 	}
 	return &d, nil
-}
-
-// Store retains one trace dump per sweep point so a campaign can carry
-// span samples through checkpoint/resume. Keys are the campaign's point
-// names ("W=10,P=1"); insertion order is preserved.
-type Store struct {
-	mu    sync.Mutex
-	cfg   Config
-	keys  []string
-	byKey map[string]*Dump
-}
-
-// NewStore returns an empty store whose NewTracer builds tracers with
-// the given sampling configuration.
-func NewStore(cfg Config) *Store {
-	return &Store{cfg: cfg.withDefaults(), byKey: map[string]*Dump{}}
-}
-
-// NewTracer builds a tracer with the store's sampling configuration.
-func (s *Store) NewTracer() *Tracer { return NewTracer(s.cfg) }
-
-// Put stores a point's dump, replacing any previous one.
-func (s *Store) Put(key string, d *Dump) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byKey[key]; !ok {
-		s.keys = append(s.keys, key)
-	}
-	s.byKey[key] = d
-}
-
-// Get returns the dump stored for key, or nil.
-func (s *Store) Get(key string) *Dump {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byKey[key]
-}
-
-// Keys returns the stored point names in insertion order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.keys))
-	copy(out, s.keys)
-	return out
-}
-
-// WriteTraces writes every stored dump as one JSON array keyed by point
-// name — the /traces payload when a campaign is being served.
-func (s *Store) WriteTraces(w io.Writer) error {
-	s.mu.Lock()
-	type entry struct {
-		Key  string `json:"key"`
-		Dump *Dump  `json:"dump"`
-	}
-	entries := make([]entry, 0, len(s.keys))
-	for _, k := range s.keys {
-		entries = append(entries, entry{Key: k, Dump: s.byKey[k]})
-	}
-	s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(entries); err != nil {
-		return fmt.Errorf("txtrace: encoding store: %w", err)
-	}
-	return nil
 }

@@ -371,31 +371,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("negative config resolved to %+v, want all disabled", got)
 	}
 }
-
-// TestStoreRoundTrip checks the per-point store preserves insertion
-// order and serves a well-formed /traces payload.
-func TestStoreRoundTrip(t *testing.T) {
-	st := NewStore(Config{})
-	st.Put("W=10,P=1", &Dump{Meta: Meta{Label: "W=10,P=1"}})
-	st.Put("W=20,P=1", &Dump{Meta: Meta{Label: "W=20,P=1"}})
-	if !reflect.DeepEqual(st.Keys(), []string{"W=10,P=1", "W=20,P=1"}) {
-		t.Fatalf("keys = %v", st.Keys())
-	}
-	if st.Get("W=10,P=1") == nil || st.Get("missing") != nil {
-		t.Fatal("Get misbehaves")
-	}
-	var buf bytes.Buffer
-	if err := st.WriteTraces(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var entries []struct {
-		Key  string `json:"key"`
-		Dump *Dump  `json:"dump"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].Key != "W=10,P=1" {
-		t.Fatalf("store payload = %+v", entries)
-	}
-}
