@@ -1,36 +1,29 @@
-// Command odbprof drives the cycle-attribution profiler: capture a
-// profile from a simulated run, render it as a per-phase CPI-breakdown
-// table, folded flame-graph stacks or pprof-style text, and diff two
-// profiles to expose attribution shifts (e.g. across the paper's
-// cached-to-scaled pivot).
+// Command odbprof reads cycle-attribution profiles: it renders one as
+// a per-phase CPI-breakdown table, folded flame-graph stacks or
+// pprof-style text, and diffs two to expose attribution shifts (e.g.
+// across the paper's cached-to-scaled pivot). Profiles come from
+// odbrun -profile FILE or odbsweep -profiledir DIR.
 //
 // Usage:
 //
-//	odbprof capture [-w warehouses] [-c clients] [-p processors]
-//	                [-seed n] [-machine xeon|itanium2] [-txns n]
-//	                [-o file] [-report]
 //	odbprof report <profile.json>
 //	odbprof folded <profile.json>
 //	odbprof text   <profile.json>
 //	odbprof diff   <a.json> <b.json>
 //
-// capture runs the simulator with profiling on and writes the profile
-// as JSON (stdout with -o -); report prints the Figure 12-style event
-// decomposition per engine phase; folded emits "txn;phase;mode cycles"
-// lines for standard flame-graph tooling; text prints a flat pprof-like
-// listing; diff compares two captured profiles frame by frame, largest
-// attribution shift first.
+// report prints the Figure 12-style event decomposition per engine
+// phase; folded emits "txn;phase;mode cycles" lines for standard
+// flame-graph tooling; text prints a flat pprof-like listing; diff
+// compares two captured profiles frame by frame, largest attribution
+// shift first.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"odbscale/internal/profile"
-	"odbscale/internal/system"
 )
 
 func main() {
@@ -40,8 +33,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "capture":
-		capture(os.Args[2:])
 	case "report":
 		render(os.Args[2:], func(p *profile.Profile) error { return p.WriteCPITable(os.Stdout) })
 	case "folded":
@@ -56,69 +47,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbprof capture|report|folded|text|diff [args]")
+	fmt.Fprintln(os.Stderr, "usage: odbprof report|folded|text|diff [args]")
 	os.Exit(2)
-}
-
-// capture runs one profiled simulation and writes the profile.
-func capture(args []string) {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	out := fs.String("o", "-", "output file for the profile JSON (- = stdout)")
-	report := fs.Bool("report", false, "also print the CPI-breakdown table to stderr")
-	fs.Parse(args)
-
-	clients := *c
-	if clients <= 0 {
-		clients = system.HeuristicClients(*w, *p)
-	}
-	cfg := system.DefaultConfig(*w, clients, *p)
-	cfg.Seed = *seed
-	cfg.MeasureTxns = *txns
-	if *warmup >= 0 {
-		cfg.WarmupTxns = *warmup
-	}
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
-	}
-
-	col := profile.NewCollector()
-	m, err := system.Run(context.Background(), cfg, system.WithProfiler(col))
-	if err != nil {
-		log.Fatal(err)
-	}
-	prof := col.Profile()
-	prof.Meta.Label = fmt.Sprintf("W=%d,C=%d,P=%d", *w, clients, *p)
-
-	dst := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		dst = f
-	}
-	if err := prof.Encode(dst); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("captured %s: %d txns, CPI=%.4f, L3 share=%.1f%%",
-		prof.Meta.Label, m.Txns, prof.CPI(), prof.L3Share()*100)
-	if *report {
-		if err := prof.WriteCPITable(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // load reads one profile from a path ("-" = stdin).

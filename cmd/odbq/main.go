@@ -1,43 +1,31 @@
-// Command odbq drives the queueing observatory: run a simulation with
-// per-resource service-center accounting on, print the station table
+// Command odbq reads queueing-observatory reports (written by odbrun
+// -qstats FILE or odbsweep -qstatsdir DIR): it prints the station table
 // with the operational-law audit (Little's law N = X·R and the
-// utilization law U = X·S, checked per station), rank the stations by
-// the queueing delay they impose per transaction, diff two reports to
-// expose demand shifts across a knob change, and sweep the warehouse
-// axis to table where the primary bottleneck migrates across the
-// cached→scaled pivot.
+// utilization law U = X·S, checked per station), ranks the stations by
+// the queueing delay they impose per transaction, and diffs two
+// reports to expose demand shifts across a knob change. The
+// bottleneck-shift table across a warehouse sweep comes from odbsweep
+// -qstats.
 //
 // Usage:
 //
-//	odbq report [-w warehouses] [-c clients] [-p processors] [-seed n]
-//	            [-machine xeon|itanium2] [-engine name] [-txns n]
-//	            [-warmup n] [-o file] [-check]
+//	odbq report [-check] <report.json>
 //	odbq rank   <report.json>
 //	odbq diff   <a.json> <b.json>
-//	odbq sweep  [-w list] [-p list] [-engines list] [-txns n] [-seed n]
-//	            [-machine xeon|itanium2] [-json dir]
 //
-// report runs the simulator with WithQueueStats and prints the
-// observatory table (-o also writes the report JSON; -check exits 1 if
-// any operational-law residual exceeds 1e-6 or the ranking is empty —
-// the CI smoke contract). rank prints just the wait-demand ranking of a
-// saved report. diff compares two saved reports station by station.
-// sweep measures every warehouse × processor × engine combination and
-// prints one bottleneck-shift table per (engine, P) lane.
+// report prints the observatory table (-check exits 1 if any
+// operational-law residual exceeds 1e-6 or the ranking is empty — the
+// CI smoke contract). rank prints just the wait-demand ranking. diff
+// compares two reports station by station.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
 	"odbscale/internal/qstats"
-	"odbscale/internal/system"
 )
 
 func main() {
@@ -53,89 +41,29 @@ func main() {
 		rank(os.Args[2:])
 	case "diff":
 		diff(os.Args[2:])
-	case "sweep":
-		sweep(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbq report|rank|diff|sweep [args]")
+	fmt.Fprintln(os.Stderr, "usage: odbq report|rank|diff [args]")
 	os.Exit(2)
 }
 
-// machineFor resolves the -machine flag.
-func machineFor(name string) system.MachineConfig {
-	switch name {
-	case "xeon":
-		return system.DefaultConfig(1, 1, 1).Machine
-	case "itanium2":
-		return system.Itanium2Quad()
-	}
-	log.Fatalf("unknown machine %q", name)
-	panic("unreachable")
-}
-
-// capture runs one observed simulation and returns its station report.
-func capture(w, c, p int, seed int64, machine, engine string, txns, warmup int) *qstats.Report {
-	clients := c
-	if clients <= 0 {
-		clients = system.HeuristicClients(w, p)
-	}
-	cfg := system.DefaultConfig(w, clients, p)
-	cfg.Seed = seed
-	cfg.Engine = engine
-	cfg.MeasureTxns = txns
-	if warmup >= 0 {
-		cfg.WarmupTxns = warmup
-	}
-	cfg.Machine = machineFor(machine)
-	col := qstats.NewCollector()
-	if _, err := system.Run(context.Background(), cfg, system.WithQueueStats(col)); err != nil {
-		log.Fatal(err)
-	}
-	r := col.Report()
-	if r == nil {
-		log.Fatal("run published no report")
-	}
-	return r
-}
-
-// report runs one observed simulation and prints the observatory table.
+// report prints the observatory table of a saved report; -check exits
+// 1 if any operational-law residual exceeds 1e-6 or the ranking is
+// empty.
 func report(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	engine := fs.String("engine", "", "storage engine (empty = default B-tree)")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	out := fs.String("o", "", "also write the report JSON to this file (- = stdout)")
 	check := fs.Bool("check", false, "exit 1 on an operational-law violation or empty ranking")
 	fs.Parse(args)
-
-	r := capture(*w, *c, *p, *seed, *machine, *engine, *txns, *warmup)
-	if *out != "" {
-		dst := os.Stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			dst = f
-		}
-		if err := r.WriteJSON(dst); err != nil {
-			log.Fatal(err)
-		}
+	if fs.NArg() != 1 {
+		log.Fatal("expected exactly one report file (or - for stdin)")
 	}
-	if *out != "-" {
-		if err := r.WriteText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+	r := load(fs.Arg(0))
+	if err := r.WriteText(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 	if *check {
 		if viol := r.Check(1e-6); len(viol) > 0 {
@@ -199,67 +127,5 @@ func diff(args []string) {
 	}
 	if err := qstats.WriteDiff(os.Stdout, load(args[0]), load(args[1])); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// parseInts parses a comma-separated integer list.
-func parseInts(s, flagName string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			log.Fatalf("bad -%s entry %q: %v", flagName, f, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// sweep measures every warehouse × processor × engine combination and
-// prints one bottleneck-shift table per (engine, P) lane.
-func sweep(args []string) {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	wList := fs.String("w", "10,50,100,200,300", "comma-separated warehouse counts")
-	pList := fs.String("p", "1,4", "comma-separated processor counts")
-	engines := fs.String("engines", "btree,lsm", "comma-separated storage engines")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	txns := fs.Int("txns", 2400, "measured transactions per point")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	jsonDir := fs.String("json", "", "also write each point's report JSON into this directory")
-	fs.Parse(args)
-
-	ws := parseInts(*wList, "w")
-	ps := parseInts(*pList, "p")
-	for _, engine := range strings.Split(*engines, ",") {
-		engine = strings.TrimSpace(engine)
-		// The registry's default B-tree is the empty engine name.
-		runEngine := engine
-		if engine == "btree" {
-			runEngine = ""
-		}
-		for _, p := range ps {
-			reports := make([]*qstats.Report, 0, len(ws))
-			for _, w := range ws {
-				r := capture(w, 0, p, *seed, *machine, runEngine, *txns, *warmup)
-				if *jsonDir != "" {
-					path := filepath.Join(*jsonDir, fmt.Sprintf("%s-w%d-p%d.json", engine, w, p))
-					f, err := os.Create(path)
-					if err != nil {
-						log.Fatal(err)
-					}
-					if err := r.WriteJSON(f); err != nil {
-						f.Close()
-						log.Fatal(err)
-					}
-					f.Close()
-				}
-				reports = append(reports, r)
-			}
-			if err := qstats.WriteShiftTable(os.Stdout, reports); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-		}
 	}
 }

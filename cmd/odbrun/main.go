@@ -1,40 +1,53 @@
 // Command odbrun executes one OLTP configuration on the simulated
 // platform and prints its metrics, iron-law decomposition and CPI
-// breakdown.
+// breakdown. It is the one capture path for a single run: each
+// observer rides along on demand and writes a file for its reader
+// command (odbprof, odbspan, odbq, odbtrace).
 //
-// The flight recorder rides along on demand: -listen serves /metrics,
-// /timeline and /progress over HTTP while the run simulates (and until
-// Ctrl-C afterwards, so short runs stay inspectable), -timeline dumps
-// the sampled timeline as JSON, and -json replaces the text report with
-// a machine-readable document bundling the run manifest (config, seed,
+// The flight recorder: -listen serves /metrics, /timeline and
+// /progress over HTTP while the run simulates (and until Ctrl-C
+// afterwards, so short runs stay inspectable), -timeline dumps the
+// sampled timeline as JSON (a path ending in .csv switches to the flat
+// CSV table), and -json replaces the text report with a
+// machine-readable document bundling the run manifest (config, seed,
 // provenance, phase durations), the final metrics and per-transaction
 // latency digests.
 //
-// The span tracer rides along the same way: -spans captures a
-// deterministic sample of per-transaction span trees (head sampling
-// plus the slowest per type) and writes the trace dump as JSON for
-// cmd/odbspan; with -listen it is also served live on /traces.
+// The cycle-attribution profiler: -profile writes the run's per-phase
+// CPI attribution as JSON for cmd/odbprof.
 //
-// The queueing observatory rides along too: -qstats collects
-// per-resource service-center metrics (arrivals, utilization, wait
-// demand, operational-law audit) and writes the report as JSON for
-// cmd/odbq ("-" prints the text report instead); with -listen the
-// ranking is also served live on /bottlenecks. A -timeline path ending
-// in .csv switches the dump from JSON to the flat CSV table.
+// The span tracer: -spans captures a deterministic sample of
+// per-transaction span trees (head sampling plus the slowest per type)
+// and writes the trace dump as JSON for cmd/odbspan; with -listen it is
+// also served live on /traces.
+//
+// The queueing observatory: -qstats collects per-resource
+// service-center metrics (arrivals, utilization, wait demand,
+// operational-law audit) and writes the report as JSON for cmd/odbq
+// ("-" prints the text report instead, so it cannot share stdout with
+// -json); with -listen the ranking is also served live on /bottlenecks.
+//
+// The reference trace: -trace writes every measured memory reference
+// in the trace format for cmd/odbtrace -replay.
+//
+// The profile and span dumps are labelled "W=..,C=..,P=..".
 //
 // Usage:
 //
 //	odbrun [-w warehouses] [-c clients] [-p processors] [-seed n]
-//	       [-machine xeon|itanium2] [-engine btree|lsm] [-txns n]
-//	       [-nocoherence] [-json] [-listen addr] [-timeline file[.csv]]
-//	       [-sample ms] [-spans file] [-spanhead n] [-qstats file]
+//	       [-machine xeon|itanium2] [-engine btree|lsm] [-lsmmem mb]
+//	       [-txns n] [-warmup n] [-nocoherence] [-json] [-listen addr]
+//	       [-timeline file[.csv]] [-sample ms] [-profile file]
+//	       [-spans file] [-spanhead n] [-qstats file|-] [-trace file]
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -42,7 +55,9 @@ import (
 	"time"
 
 	"odbscale/cmd/internal/live"
+	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/engine"
+	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
@@ -71,39 +86,46 @@ func main() {
 	lsmMem := flag.Int("lsmmem", engine.DefaultLSMTuning().MemtableMB,
 		"LSM memtable size in MB (ignored by btree)")
 	txns := flag.Int("txns", 2400, "measured transactions")
+	warmup := flag.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
 	nocoh := flag.Bool("nocoherence", false, "disable MESI coherence")
 	jsonOut := flag.Bool("json", false, "emit the run manifest, metrics and latency digests as JSON")
 	listen := flag.String("listen", "", "serve the flight recorder on this address (e.g. :8090)")
 	timelineOut := flag.String("timeline", "", "write the sampled timeline as JSON to this file")
 	sampleMS := flag.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
+	profileOut := flag.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
 	spansOut := flag.String("spans", "", "trace transaction spans and write the dump as JSON to this file")
 	spanHead := flag.Int("spanhead", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables head sampling)")
 	qstatsOut := flag.String("qstats", "", "collect service-center metrics and write the report as JSON to this file (\"-\" prints the text report)")
+	traceOut := flag.String("trace", "", "write every measured memory reference to this file in the trace format")
 	flag.Parse()
+	if err := checkOutputs(*jsonOut, *qstatsOut); err != nil {
+		fmt.Fprintf(os.Stderr, "odbrun: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := system.DefaultConfig(*w, *c, *p)
 	cfg.Seed = *seed
 	cfg.MeasureTxns = *txns
+	cfg.WarmupTxns = *warmup
 	cfg.Coherent = !*nocoh
-	if _, ok := engine.Lookup(*engineName); !ok {
-		log.Fatalf("unknown engine %q (have %s)", *engineName, strings.Join(engine.Names(), ", "))
-	}
 	cfg.Engine = *engineName
-	if *lsmMem < 1 {
-		log.Fatalf("-lsmmem %d: memtable must be at least 1 MB", *lsmMem)
-	}
 	cfg.Tuning.LSM.MemtableMB = *lsmMem
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
+	mc, err := runflags.Machine(*machine)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Machine = mc
+	label := fmt.Sprintf("W=%d,C=%d,P=%d", *w, *c, *p)
 
 	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: *sampleMS})
 	opts := []system.Option{system.WithRecorder(rec)}
 	var extra []live.Endpoint
+	var prof *profile.Collector
+	if *profileOut != "" {
+		prof = profile.NewCollector()
+		opts = append(opts, system.WithProfiler(prof))
+	}
 	var spans *txtrace.Tracer
 	if *spansOut != "" {
 		spans = txtrace.NewTracer(txtrace.Config{HeadEvery: *spanHead})
@@ -116,9 +138,16 @@ func main() {
 		opts = append(opts, system.WithQueueStats(qc))
 		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: qc.WriteBottlenecks})
 	}
+	var traceFile *os.File
+	var refs uint64
+	if *traceOut != "" {
+		if traceFile, err = os.Create(*traceOut); err != nil {
+			log.Fatal(err)
+		}
+		opts = append(opts, system.WithTrace(traceFile, &refs))
+	}
 	var srv *live.Server
 	if *listen != "" {
-		var err error
 		srv, err = live.Serve(*listen, rec, extra...)
 		if err != nil {
 			log.Fatal(err)
@@ -133,24 +162,23 @@ func main() {
 	}
 	wall := time.Since(started)
 
-	if spans != nil {
-		f, err := os.Create(*spansOut)
-		if err != nil {
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil {
 			log.Fatal(err)
 		}
-		if err := spans.WriteTraces(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		log.Printf("captured %d memory references to %s", refs, *traceOut)
 	}
-
+	if prof != nil {
+		pr := prof.Profile()
+		pr.Meta.Label = label
+		writeFile(*profileOut, pr.Encode)
+	}
+	if spans != nil {
+		d := spans.Dump()
+		d.Meta.Label = label
+		writeFile(*spansOut, d.Write)
+	}
 	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
-		if err != nil {
-			log.Fatal(err)
-		}
 		// The extension picks the encoding: .csv gets the flat table
 		// (one row per sample, stations flattened into columns), any
 		// other path keeps the JSON sample series.
@@ -158,14 +186,8 @@ func main() {
 		if strings.HasSuffix(*timelineOut, ".csv") {
 			dump = rec.WriteTimelineCSV
 		}
-		if err := dump(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(*timelineOut, dump)
 	}
-
 	if qc != nil {
 		rep := qc.Report()
 		if rep == nil {
@@ -176,16 +198,7 @@ func main() {
 				log.Fatal(err)
 			}
 		} else {
-			f, err := os.Create(*qstatsOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+			writeFile(*qstatsOut, rep.WriteJSON)
 		}
 	}
 
@@ -238,5 +251,29 @@ func main() {
 		<-ctx.Done()
 		stop()
 		srv.Close()
+	}
+}
+
+// checkOutputs rejects output flags that would share stdout: -json
+// writes one JSON document there, and "-qstats -" would put the text
+// report in front of it.
+func checkOutputs(jsonOut bool, qstatsOut string) error {
+	if jsonOut && qstatsOut == "-" {
+		return errors.New("-json and -qstats - both write to stdout; give -qstats a file")
+	}
+	return nil
+}
+
+// writeFile creates path and writes one artifact into it.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -1,37 +1,30 @@
-// Command odbspan drives the per-transaction span tracer: capture a
-// deterministic sample of span trees from a simulated run, render the
+// Command odbspan reads per-transaction span-trace dumps (written by
+// odbrun -spans FILE or odbsweep -spandir DIR): it renders the
 // wait-state breakdown report (per-type latency quantiles decomposed
 // into cpu / lock / io / busy / queue shares plus the slowest
-// exemplar's critical path), export Chrome trace-event JSON for
-// chrome://tracing or Perfetto, list the slowest sampled transactions,
-// and diff two dumps to expose wait-state shifts across configurations.
+// exemplar's critical path), exports Chrome trace-event JSON for
+// chrome://tracing or Perfetto, lists the slowest sampled transactions,
+// and diffs two dumps to expose wait-state shifts across configurations.
 //
 // Usage:
 //
-//	odbspan capture [-w warehouses] [-c clients] [-p processors]
-//	                [-seed n] [-machine xeon|itanium2] [-txns n]
-//	                [-warmup n] [-head n] [-tailk n] [-o file] [-report]
 //	odbspan report <spans.json>
 //	odbspan export <spans.json>
 //	odbspan top    [-n count] <spans.json>
 //	odbspan diff   <a.json> <b.json>
 //
-// capture runs the simulator with span tracing on and writes the dump
-// as JSON (stdout with -o -); report prints the wait-state table;
-// export emits Chrome trace-event JSON; top lists the N slowest
-// retained traces with their critical paths; diff compares two dumps
-// per transaction type, exiting 0 always — wait-state shifts are
-// findings, not failures.
+// report prints the wait-state table; export emits Chrome trace-event
+// JSON; top lists the N slowest retained traces with their critical
+// paths; diff compares two dumps per transaction type, exiting 0
+// always — wait-state shifts are findings, not failures.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
-	"odbscale/internal/system"
 	"odbscale/internal/txtrace"
 )
 
@@ -42,8 +35,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "capture":
-		capture(os.Args[2:])
 	case "report":
 		render(os.Args[2:], func(d *txtrace.Dump) error { return d.WriteReport(os.Stdout) })
 	case "export":
@@ -58,71 +49,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbspan capture|report|export|top|diff [args]")
+	fmt.Fprintln(os.Stderr, "usage: odbspan report|export|top|diff [args]")
 	os.Exit(2)
-}
-
-// capture runs one span-traced simulation and writes the dump.
-func capture(args []string) {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	head := fs.Int("head", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables)")
-	tailk := fs.Int("tailk", txtrace.DefaultTailK, "keep the K slowest transactions per type (-1 disables)")
-	out := fs.String("o", "-", "output file for the trace dump JSON (- = stdout)")
-	report := fs.Bool("report", false, "also print the wait-state report to stderr")
-	fs.Parse(args)
-
-	clients := *c
-	if clients <= 0 {
-		clients = system.HeuristicClients(*w, *p)
-	}
-	cfg := system.DefaultConfig(*w, clients, *p)
-	cfg.Seed = *seed
-	cfg.MeasureTxns = *txns
-	if *warmup >= 0 {
-		cfg.WarmupTxns = *warmup
-	}
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
-	}
-
-	tr := txtrace.NewTracer(txtrace.Config{HeadEvery: *head, TailK: *tailk})
-	m, err := system.Run(context.Background(), cfg, system.WithSpans(tr))
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := tr.Dump()
-	d.Meta.Label = fmt.Sprintf("W=%d,C=%d,P=%d", *w, clients, *p)
-
-	dst := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		dst = f
-	}
-	if err := d.Write(dst); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("captured %s: %d txns measured, %d traces retained",
-		d.Meta.Label, m.Txns, len(d.Traces))
-	if *report {
-		if err := d.WriteReport(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // load reads one trace dump from a path ("-" = stdin).

@@ -46,25 +46,23 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"odbscale/cmd/internal/live"
+	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/campaign"
 	"odbscale/internal/engine"
 	"odbscale/internal/experiment"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
-	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
@@ -93,9 +91,6 @@ func main() {
 	engineName := flag.String("engine", engine.DefaultName,
 		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: completed points persist here after every run")
-	resume := flag.Bool("resume", false, "resume from -checkpoint, re-executing only incomplete points")
-	events := flag.String("events", "", "append a JSON campaign event log to this file")
 	listen := flag.String("listen", "", "serve the live campaign flight recorder on this address (/metrics /timeline /progress)")
 	profileFlag := flag.Bool("profile", false, "run every point under the cycle-attribution profiler and print the attribution shift across the cached-to-scaled pivot")
 	profileDir := flag.String("profiledir", "", "with -profile, write each point's profile JSON into this directory")
@@ -105,7 +100,7 @@ func main() {
 	qstatsDir := flag.String("qstatsdir", "", "with -qstats, write each point's station report JSON into this directory")
 	csv := flag.Bool("csv", false, "CSV output")
 	jsonOut := flag.Bool("json", false, "JSON output (one object per point)")
-	quiet := flag.Bool("quiet", false, "suppress the stderr progress line")
+	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
 	o := experiment.Defaults()
@@ -118,36 +113,15 @@ func main() {
 	o.TuneTxns = *tuneTxns
 	o.AutoTune = *clients == 0 && !*heuristic
 	o.Parallelism = *par
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		o.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown -machine %q (want xeon or itanium2)", *machine)
+	mc, err := runflags.Machine(*machine)
+	if err != nil {
+		log.Fatal(err)
 	}
+	o.Machine = mc
 
 	warehouses, processors := parseInts(*ws), parseInts(*ps)
 	spec := o.CampaignSpec(warehouses, processors)
 	spec.Clients = *clients
-	spec.CheckpointPath = *checkpoint
-	spec.Resume = *resume
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-
-	var observers []campaign.Observer
-	if !*quiet {
-		observers = append(observers, campaign.NewProgress(os.Stderr, len(warehouses)*len(processors)))
-	}
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		observers = append(observers, campaign.NewEventLog(f))
-	}
-	spec.Observer = campaign.Observers(observers...)
 
 	var flight *telemetry.CampaignRecorder
 	if *listen != "" {
@@ -182,16 +156,8 @@ func main() {
 		log.Printf("campaign flight recorder on http://%s (endpoints listed at /)", srv.Addr())
 	}
 
-	// Ctrl-C cancels the campaign cleanly: in-flight runs stop at the
-	// next cancellation check and the checkpoint keeps completed points.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	res, err := campaign.Run(ctx, spec)
+	res, err := camp.Run(spec)
 	if err != nil {
-		if *checkpoint != "" {
-			log.Printf("campaign stopped; completed points are in %s (rerun with -resume)", *checkpoint)
-		}
 		log.Fatal(err)
 	}
 

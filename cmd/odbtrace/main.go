@@ -1,15 +1,14 @@
-// Command odbtrace captures the simulated memory-reference trace of one
-// OLTP configuration and replays it against a sweep of L3 capacities —
-// the trace-driven cache-study workflow of the memory-system literature
-// the paper builds on. Capture once, sweep offline.
+// Command odbtrace replays a captured memory-reference trace against a
+// sweep of L3 capacities — the trace-driven cache-study workflow of the
+// memory-system literature the paper builds on. Capture once with
+// odbrun -trace, sweep offline:
 //
-//	odbtrace -w 200 -c 44 -p 4 -o /tmp/odb.trace
+//	odbrun -w 200 -c 44 -p 4 -trace /tmp/odb.trace
 //	odbtrace -replay /tmp/odb.trace -l3 1,2,4,8
 package main
 
 import (
-	"context"
-
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -24,39 +23,47 @@ import (
 )
 
 func main() {
-	w := flag.Int("w", 200, "warehouses")
-	c := flag.Int("c", 0, "clients (0 = heuristic)")
-	p := flag.Int("p", 4, "processors")
-	txns := flag.Int("txns", 1500, "measured transactions")
-	out := flag.String("o", "odb.trace", "trace output file")
-	replay := flag.String("replay", "", "replay an existing trace instead of capturing")
-	l3s := flag.String("l3", "1,2,4,8", "L3 capacities (MB) for the replay sweep")
-	flag.Parse()
-
-	if *replay != "" {
-		replaySweep(*replay, *l3s, *p)
-		return
+	log.SetFlags(0)
+	log.SetPrefix("odbtrace: ")
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-
-	clients := *c
-	if clients == 0 {
-		clients = system.HeuristicClients(*w, *p)
-	}
-	cfg := system.DefaultConfig(*w, clients, *p)
-	cfg.MeasureTxns = *txns
-	f, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2)
 	}
-	defer f.Close()
-	var refs uint64
-	m, err := system.Run(context.Background(), cfg, system.WithTrace(f, &refs))
+	replaySweep(o)
+}
+
+// options are the parsed command-line arguments.
+type options struct {
+	replay string
+	l3     []int
+	p      int
+}
+
+// parseArgs parses the flags. -replay is required: the trace to replay
+// comes from odbrun -trace.
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("odbtrace", flag.ContinueOnError)
+	replay := fs.String("replay", "", "trace file to replay (written by odbrun -trace)")
+	l3s := fs.String("l3", "1,2,4,8", "L3 capacities (MB) for the replay sweep")
+	p := fs.Int("p", 4, "processors")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if *replay == "" {
+		return options{}, errors.New("-replay is required (capture a trace with odbrun -trace FILE)")
+	}
+	if fs.NArg() > 0 {
+		return options{}, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	sizes, err := parseL3List(*l3s)
 	if err != nil {
-		log.Fatal(err)
+		return options{}, err
 	}
-	fmt.Printf("captured %d references over %d transactions to %s\n", refs, m.Txns, *out)
-	fmt.Printf("exact measurement: MPI=%.5f CPI=%.3f\n", m.MPI, m.CPI)
-	fmt.Printf("replay with: odbtrace -replay %s -p %d\n", *out, *p)
+	return options{replay: *replay, l3: sizes, p: *p}, nil
 }
 
 // parseL3List parses the -l3 capacity list. Every entry must be a
@@ -90,14 +97,12 @@ func parseL3List(s string) ([]int, error) {
 	return sizes, nil
 }
 
-func replaySweep(path, l3list string, p int) {
-	sizes, err := parseL3List(l3list)
-	if err != nil {
-		log.Fatal(err)
-	}
+// replaySweep replays the trace once per L3 capacity and prints each
+// capacity's miss statistics.
+func replaySweep(o options) {
 	scale := system.DefaultTuning().Scale
-	for _, mb := range sizes {
-		f, err := os.Open(path)
+	for _, mb := range o.l3 {
+		f, err := os.Open(o.replay)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +113,7 @@ func replaySweep(path, l3list string, p int) {
 		geo := cache.XeonGeometry(1)
 		geo.L3Size = mb << 20
 		geo = workload.ScaledGeometry(geo, scale)
-		stats, err := trace.Replay(r, cache.NewDomain(geo, p, true))
+		stats, err := trace.Replay(r, cache.NewDomain(geo, o.p, true))
 		f.Close()
 		if err != nil {
 			log.Fatal(err)

@@ -50,3 +50,32 @@ func TestParseL3List(t *testing.T) {
 		}
 	}
 }
+
+func TestParseArgs(t *testing.T) {
+	o, err := parseArgs([]string{"-replay", "odb.trace", "-l3", "2,8", "-p", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := options{replay: "odb.trace", l3: []int{2, 8}, p: 1}
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("parseArgs = %+v, want %+v", o, want)
+	}
+
+	invalid := []struct {
+		args   []string
+		errHas string
+	}{
+		{nil, "-replay is required"},
+		{[]string{"-l3", "1,2", "-p", "4"}, "-replay is required"},
+		{[]string{"-replay", ""}, "-replay is required"},
+		{[]string{"-replay", "odb.trace", "extra"}, "unexpected arguments"},
+		{[]string{"-replay", "odb.trace", "-l3", "1,0"}, "must be positive"},
+		{[]string{"-replay", "odb.trace", "-o", "x"}, "not defined"},
+	}
+	for _, tc := range invalid {
+		_, err := parseArgs(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("parseArgs(%q) error = %v, want it to mention %q", tc.args, err, tc.errHas)
+		}
+	}
+}

@@ -6,14 +6,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 
-	"odbscale/internal/campaign"
+	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/core"
 	"odbscale/internal/experiment"
 	"odbscale/internal/perfmon"
@@ -25,10 +23,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps and shorter runs")
 	seed := flag.Int64("seed", 1, "random seed")
 	noTune := flag.Bool("notune", false, "use the client heuristic instead of the 90% tuner")
-	checkpoint := flag.String("checkpoint", "", "campaign checkpoint file: completed points persist here after every run")
-	resume := flag.Bool("resume", false, "resume the main campaign from -checkpoint, re-executing only incomplete points")
-	events := flag.String("events", "", "append a JSON campaign event log to this file")
-	quiet := flag.Bool("quiet", false, "suppress the stderr progress line")
+	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
 	o := experiment.Defaults()
@@ -51,33 +46,8 @@ func main() {
 	// tuner probe on one worker pool, with checkpoint/resume and a live
 	// progress line; Ctrl-C stops cleanly with the checkpoint intact.
 	withIOBound := append(append([]int{}, ws...), 1200)
-	spec := o.CampaignSpec(withIOBound, ps)
-	spec.CheckpointPath = *checkpoint
-	spec.Resume = *resume
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-	var observers []campaign.Observer
-	if !*quiet {
-		observers = append(observers, campaign.NewProgress(os.Stderr, len(withIOBound)*len(ps)))
-	}
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		observers = append(observers, campaign.NewEventLog(f))
-	}
-	spec.Observer = campaign.Observers(observers...)
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	res, err := campaign.Run(ctx, spec)
+	res, err := camp.Run(o.CampaignSpec(withIOBound, ps))
 	if err != nil {
-		if *checkpoint != "" {
-			log.Printf("campaign stopped; completed points are in %s (rerun with -resume)", *checkpoint)
-		}
 		log.Fatal(err)
 	}
 	set := experiment.SweepSetFrom(res)

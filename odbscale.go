@@ -41,6 +41,7 @@ import (
 	"odbscale/internal/odb"
 	"odbscale/internal/perfmon"
 	"odbscale/internal/profile"
+	"odbscale/internal/qstats"
 	"odbscale/internal/stats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
@@ -64,7 +65,8 @@ type (
 )
 
 // Option attaches an optional observer (trace capture, flight recorder,
-// EMON sampler, cycle profiler) to a Run.
+// EMON sampler, cycle profiler, span tracer, queueing observatory) to a
+// Run.
 type Option = system.Option
 
 // Run executes one configuration through warm-up and measurement. It is
@@ -99,6 +101,13 @@ func WithProfiler(prof *ProfileCollector) Option { return system.WithProfiler(pr
 // decomposition sums exactly to each transaction's measured latency.
 func WithSpans(tr *SpanTracer) Option { return system.WithSpans(tr) }
 
+// WithQueueStats feeds the queueing observatory during the run: each
+// service station (CPUs, bus, data disks, log, lock manager, buffer
+// pool, engine) is accounted as a service center, and the run's
+// station report carries the operational-law audit and the wait-demand
+// bottleneck ranking.
+func WithQueueStats(col *QueueStatsCollector) Option { return system.WithQueueStats(col) }
+
 // Run observers.
 type (
 	// Recorder is the flight recorder: latency histograms, timeline
@@ -120,6 +129,9 @@ type (
 	// SpanDump is a tracer's serializable snapshot: run identity,
 	// per-type wait-state aggregates, and the retained traces.
 	SpanDump = txtrace.Dump
+	// QueueStatsCollector accumulates per-station service-center
+	// metrics during a run.
+	QueueStatsCollector = qstats.Collector
 )
 
 // NewRecorder builds a flight recorder for WithRecorder.
@@ -132,6 +144,10 @@ func NewProfileCollector() *ProfileCollector { return profile.NewCollector() }
 // NewSpanTracer builds a span tracer for WithSpans; snapshot the
 // retained traces with its Dump method after the run.
 func NewSpanTracer(cfg SpanConfig) *SpanTracer { return txtrace.NewTracer(cfg) }
+
+// NewQueueStatsCollector builds a collector for WithQueueStats; read
+// the station report with its Report method after the run.
+func NewQueueStatsCollector() *QueueStatsCollector { return qstats.NewCollector() }
 
 // Sentinel configuration errors, matched with errors.Is.
 var (

@@ -132,6 +132,36 @@ func TestPublicSpeedup(t *testing.T) {
 	}
 }
 
+// TestPublicObserversLeaveMetricsUnchanged attaches every facade
+// observer option to one Run and checks that the metrics equal a plain
+// Run of the same configuration, and that each observer collected data.
+func TestPublicObserversLeaveMetricsUnchanged(t *testing.T) {
+	cfg := odbscale.DefaultConfig(10, 8, 1)
+	cfg.WarmupTxns = 100
+	cfg.MeasureTxns = 300
+	plain, err := odbscale.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := odbscale.NewRecorder(odbscale.RecorderConfig{})
+	prof := odbscale.NewProfileCollector()
+	spans := odbscale.NewSpanTracer(odbscale.SpanConfig{})
+	qs := odbscale.NewQueueStatsCollector()
+	observed, err := odbscale.Run(context.Background(), cfg,
+		odbscale.WithRecorder(rec), odbscale.WithProfiler(prof),
+		odbscale.WithSpans(spans), odbscale.WithQueueStats(qs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed != plain {
+		t.Fatalf("observers perturbed the run:\nplain    %+v\nobserved %+v", plain, observed)
+	}
+	if len(rec.HistogramNames()) == 0 || prof.Profile().CPI() == 0 ||
+		len(spans.Dump().Traces) == 0 || qs.Report() == nil {
+		t.Fatal("an observer collected nothing")
+	}
+}
+
 func TestPublicEMONAndFunctionalStore(t *testing.T) {
 	cfg := odbscale.DefaultConfig(25, 10, 2)
 	cfg.WarmupTxns = 150
