@@ -14,48 +14,49 @@ import (
 	"testing"
 
 	"odbscale"
+	"odbscale/internal/campaign"
 	"odbscale/internal/experiment"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 )
 
-// benchOptions returns a campaign sized for benchmarking.
-func benchOptions() experiment.Options {
-	o := experiment.Defaults()
-	o.MeasureTxns = 1000
-	o.TuneTxns = 600
-	o.WarmupTxns = 300
-	o.AutoTune = false
-	return o
+// benchSpec returns a campaign over ws × ps sized for benchmarking.
+func benchSpec(ws, ps []int) campaign.Spec {
+	s := experiment.DefaultSpec(ws, ps)
+	s.MeasureTxns = 1000
+	s.TuneTxns = 600
+	s.WarmupTxns = 300
+	s.AutoTune = false
+	return s
 }
 
 var benchWs = []int{10, 25, 50, 100, 150, 200, 300, 500, 800}
 
-// collect runs one sweep set per benchmark iteration.
-func collect(b *testing.B, o experiment.Options, ws []int, ps []int) *experiment.SweepSet {
+// collect runs one campaign per benchmark iteration.
+func collect(b *testing.B, spec campaign.Spec) *campaign.Result {
 	b.Helper()
-	set, err := o.CollectSweeps(ws, ps)
+	res, err := campaign.Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return set
+	return res
 }
 
 // BenchmarkTable1ClientTuning reproduces Table 1: the client counts
 // needed to hold CPU utilization above 90% across the W x P grid.
 func BenchmarkTable1ClientTuning(b *testing.B) {
-	o := benchOptions()
-	o.AutoTune = true
-	ws := []int{10, 50, 100, 500, 800}
+	spec := benchSpec([]int{10, 50, 100, 500, 800}, []int{1, 2, 4})
+	spec.AutoTune = true
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, ws, []int{1, 2, 4})
-		t := experiment.Table1(set)
+		res := collect(b, spec)
+		t := experiment.Table1(res)
 		if i == 0 {
 			b.Log("\n" + t.String())
-			last := set.ByP[4][len(ws)-1]
+			last, _ := res.Metrics(800, 4)
+			first, _ := res.Metrics(10, 1)
 			b.ReportMetric(float64(last.Clients), "clients@800W4P")
-			b.ReportMetric(float64(set.ByP[1][0].Clients), "clients@10W1P")
+			b.ReportMetric(float64(first.Clients), "clients@10W1P")
 		}
 	}
 }
@@ -63,13 +64,12 @@ func BenchmarkTable1ClientTuning(b *testing.B) {
 // BenchmarkFigure2TPS reproduces Figure 2: TPS versus warehouses per
 // processor count, including the I/O-bound 1200-warehouse point.
 func BenchmarkFigure2TPS(b *testing.B) {
-	o := benchOptions()
-	ws := append(append([]int{}, benchWs...), 1200)
+	spec := benchSpec(append(append([]int{}, benchWs...), 1200), []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, ws, []int{1, 2, 4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries("Figure 2: TPS", experiment.Figure2(set), 0))
-			s4 := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries("Figure 2: TPS", experiment.Figure2(res), 0))
+			s4 := res.Series(4)
 			b.ReportMetric(s4[0].TPS, "TPS@10W4P")
 			b.ReportMetric(s4[len(s4)-2].TPS, "TPS@800W4P")
 			b.ReportMetric(s4[len(s4)-1].CPUUtil, "util@1200W4P")
@@ -79,12 +79,12 @@ func BenchmarkFigure2TPS(b *testing.B) {
 
 // BenchmarkFigure3UtilSplit reproduces Figure 3: the OS/user CPU split.
 func BenchmarkFigure3UtilSplit(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries("Figure 3: utilization split (4P)", experiment.Figure3(set), 3))
-			ms := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries("Figure 3: utilization split (4P)", experiment.Figure3(res), 3))
+			ms := res.Series(4)
 			b.ReportMetric(ms[0].OSShare, "os-share@10W")
 			b.ReportMetric(ms[len(ms)-1].OSShare, "os-share@800W")
 		}
@@ -92,14 +92,14 @@ func BenchmarkFigure3UtilSplit(b *testing.B) {
 }
 
 // benchIPXFigure factors Figures 4-6 (IPX and its user/OS split).
-func benchIPXFigure(b *testing.B, title string, fig func(*experiment.SweepSet) []odbscale.Series,
+func benchIPXFigure(b *testing.B, title string, fig func(*campaign.Result) []odbscale.Series,
 	metric func(system.Metrics) float64, unit string) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{1, 2, 4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries(title, fig(set), 0))
-			ms := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries(title, fig(res), 0))
+			ms := res.Series(4)
 			b.ReportMetric(metric(ms[0]), unit+"@10W")
 			b.ReportMetric(metric(ms[len(ms)-1]), unit+"@800W")
 		}
@@ -127,12 +127,12 @@ func BenchmarkFigure6OSIPX(b *testing.B) {
 // BenchmarkFigure7DiskIO reproduces Figure 7: disk traffic per
 // transaction (reads, data writes, log).
 func BenchmarkFigure7DiskIO(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries("Figure 7: disk KB/txn (4P)", experiment.Figure7(set), 2))
-			ms := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries("Figure 7: disk KB/txn (4P)", experiment.Figure7(res), 2))
+			ms := res.Series(4)
 			b.ReportMetric(ms[0].ReadKBPerTxn, "readKB@10W")
 			b.ReportMetric(ms[len(ms)-1].ReadKBPerTxn, "readKB@800W")
 			b.ReportMetric(ms[len(ms)-1].LogKBPerTxn, "logKB@800W")
@@ -143,12 +143,12 @@ func BenchmarkFigure7DiskIO(b *testing.B) {
 // BenchmarkFigure8CtxSwitch reproduces Figure 8: the contention spike,
 // dip and I/O-driven rise of context switches per transaction.
 func BenchmarkFigure8CtxSwitch(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries("Figure 8: ctx switches/txn", experiment.Figure8(set), 2))
-			ms := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries("Figure 8: ctx switches/txn", experiment.Figure8(res), 2))
+			ms := res.Series(4)
 			b.ReportMetric(ms[0].CtxSwitchPerTxn, "cs@10W")
 			b.ReportMetric(ms[2].CtxSwitchPerTxn, "cs@50W")
 			b.ReportMetric(ms[len(ms)-1].CtxSwitchPerTxn, "cs@800W")
@@ -157,14 +157,14 @@ func BenchmarkFigure8CtxSwitch(b *testing.B) {
 }
 
 // benchCPIFigure factors Figures 9-11.
-func benchCPIFigure(b *testing.B, title string, fig func(*experiment.SweepSet) []odbscale.Series,
+func benchCPIFigure(b *testing.B, title string, fig func(*campaign.Result) []odbscale.Series,
 	metric func(system.Metrics) float64, unit string) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{1, 2, 4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries(title, fig(set), 3))
-			ms := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries(title, fig(res), 3))
+			ms := res.Series(4)
 			b.ReportMetric(metric(ms[0]), unit+"@10W")
 			b.ReportMetric(metric(ms[len(ms)-1]), unit+"@800W")
 		}
@@ -192,13 +192,13 @@ func BenchmarkFigure11OSCPI(b *testing.B) {
 // BenchmarkFigure12Breakdown reproduces Figure 12: the CPI component
 // breakdown (Tables 3 and 4 applied to measured event rates).
 func BenchmarkFigure12Breakdown(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
+		res := collect(b, spec)
 		if i == 0 {
-			t12 := experiment.Figure12(set)
+			t12 := experiment.Figure12(res)
 			b.Log("\n" + t12.String())
-			ms := set.ByP[4]
+			ms := res.Series(4)
 			last := ms[len(ms)-1].Breakdown
 			b.ReportMetric(last.L3/last.Total(), "L3-share@800W")
 			b.ReportMetric(last.Branch, "branchCPI@800W")
@@ -207,15 +207,15 @@ func BenchmarkFigure12Breakdown(b *testing.B) {
 }
 
 // benchMPIFigure factors Figures 13-15.
-func benchMPIFigure(b *testing.B, title string, fig func(*experiment.SweepSet) []odbscale.Series,
+func benchMPIFigure(b *testing.B, title string, fig func(*campaign.Result) []odbscale.Series,
 	metric func(system.Metrics) float64, unit string) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{1, 2, 4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries(title, fig(set), 5))
-			m4 := set.ByP[4]
-			m1 := set.ByP[1]
+			b.Log("\n" + experiment.RenderSeries(title, fig(res), 5))
+			m4 := res.Series(4)
+			m1 := res.Series(1)
 			b.ReportMetric(metric(m4[0])*1000, unit+"e3@10W4P")
 			b.ReportMetric(metric(m4[len(m4)-1])*1000, unit+"e3@800W4P")
 			b.ReportMetric(metric(m4[len(m4)-1])/metric(m1[len(m1)-1]), unit+"-4P/1P")
@@ -244,13 +244,13 @@ func BenchmarkFigure15OSMPI(b *testing.B) {
 // BenchmarkFigure16IOQ reproduces Figure 16: bus-transaction time in the
 // IOQ, flat near 102 cycles at 1P and rising with utilization at 4P.
 func BenchmarkFigure16IOQ(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{1, 2, 4})
+		res := collect(b, spec)
 		if i == 0 {
-			b.Log("\n" + experiment.RenderSeries("Figure 16: IOQ time (cycles)", experiment.Figure16(set), 1))
-			m1 := set.ByP[1]
-			m4 := set.ByP[4]
+			b.Log("\n" + experiment.RenderSeries("Figure 16: IOQ time (cycles)", experiment.Figure16(res), 1))
+			m1 := res.Series(1)
+			m4 := res.Series(4)
 			b.ReportMetric(m1[len(m1)-1].BusTime, "bus@800W1P")
 			b.ReportMetric(m4[len(m4)-1].BusTime, "bus@800W4P")
 			b.ReportMetric(m4[len(m4)-1].BusUtil, "busutil@800W4P")
@@ -261,10 +261,10 @@ func BenchmarkFigure16IOQ(b *testing.B) {
 // BenchmarkFigure17CPIPivot reproduces Figure 17: the two-region fit of
 // 4P CPI and its pivot point.
 func BenchmarkFigure17CPIPivot(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
-		char, err := set.Characterize(4)
+		res := collect(b, spec)
+		char, err := experiment.Characterize(res, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,10 +278,10 @@ func BenchmarkFigure17CPIPivot(b *testing.B) {
 
 // BenchmarkFigure18MPIPivot reproduces Figure 18: the 4P MPI fit.
 func BenchmarkFigure18MPIPivot(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{4})
-		char, err := set.Characterize(4)
+		res := collect(b, spec)
+		char, err := experiment.Characterize(res, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,17 +294,17 @@ func BenchmarkFigure18MPIPivot(b *testing.B) {
 // BenchmarkTable5Pivots reproduces Table 5: CPI and MPI pivots for all
 // processor configurations.
 func BenchmarkTable5Pivots(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{1, 2, 4})
 	for i := 0; i < b.N; i++ {
-		set := collect(b, o, benchWs, []int{1, 2, 4})
-		t5, err := experiment.Table5(set)
+		res := collect(b, spec)
+		t5, err := experiment.Table5(res)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			b.Log("\n" + t5.String())
 			for _, p := range []int{1, 2, 4} {
-				char, err := set.Characterize(p)
+				char, err := experiment.Characterize(res, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -317,9 +317,10 @@ func BenchmarkTable5Pivots(b *testing.B) {
 // BenchmarkFigure19Itanium reproduces Figure 19: CPI scaling on the
 // Itanium2 validation platform.
 func BenchmarkFigure19Itanium(b *testing.B) {
-	o := benchOptions()
+	spec := benchSpec(benchWs, []int{4})
+	spec.Machine = system.Itanium2Quad()
 	for i := 0; i < b.N; i++ {
-		cpi, char, err := experiment.Figure19(o, benchWs, 4)
+		cpi, char, err := experiment.Figure19(collect(b, spec), 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,10 +480,10 @@ func BenchmarkFlightRecorder(b *testing.B) {
 	})
 }
 
-// BenchmarkFullRunAllocations is the committed bench trajectory's target
-// workload (full-run-w200-p4 in BENCH_head.json) run under -benchmem:
-// the W=200, P=4 full run whose wall clock and allocation count the CI
-// bench job compares against BENCH_baseline.json.
+// BenchmarkFullRunAllocations is the first optimization round's target
+// workload (full-run-w200-p4 in the historical BENCH_head.json) run
+// under -benchmem: the W=200, P=4 full run whose wall clock and
+// allocation count that round recorded.
 func BenchmarkFullRunAllocations(b *testing.B) {
 	cfg := system.DefaultConfig(200, system.HeuristicClients(200, 4), 4)
 	cfg.MeasureTxns = 1200

@@ -10,7 +10,7 @@
 // paper's ≥90% CPU-utilization target through the campaign runner's
 // warm-started, memoized search. (Earlier versions silently fell back
 // to a static heuristic for -c 0; use -heuristic for that behaviour.)
-// A positive -c pins a fixed client count.
+// A positive -c pins a fixed client count; a negative one is rejected.
 //
 // Output: aligned text by default, -csv for CSV, -json for one JSON
 // object per point; -events appends a machine-readable campaign event
@@ -103,25 +103,23 @@ func main() {
 	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
-	o := experiment.Defaults()
-	o.Seed = *seed
 	if _, ok := engine.Lookup(*engineName); !ok {
 		log.Fatalf("unknown engine %q (have %s)", *engineName, strings.Join(engine.Names(), ", "))
 	}
-	o.Engine = *engineName
-	o.MeasureTxns = *txns
-	o.TuneTxns = *tuneTxns
-	o.AutoTune = *clients == 0 && !*heuristic
-	o.Parallelism = *par
 	mc, err := runflags.Machine(*machine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	o.Machine = mc
-
 	warehouses, processors := parseInts(*ws), parseInts(*ps)
-	spec := o.CampaignSpec(warehouses, processors)
+	spec := experiment.DefaultSpec(warehouses, processors)
+	spec.Machine = mc
+	spec.Seed = *seed
+	spec.Engine = *engineName
+	spec.MeasureTxns = *txns
+	spec.TuneTxns = *tuneTxns
+	spec.AutoTune = *clients == 0 && !*heuristic
 	spec.Clients = *clients
+	spec.Parallelism = *par
 
 	var flight *telemetry.CampaignRecorder
 	if *listen != "" {

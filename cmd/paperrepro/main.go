@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"odbscale/cmd/internal/runflags"
+	"odbscale/internal/campaign"
 	"odbscale/internal/core"
 	"odbscale/internal/experiment"
 	"odbscale/internal/perfmon"
@@ -26,70 +28,71 @@ func main() {
 	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
-	o := experiment.Defaults()
-	o.Seed = *seed
-	o.AutoTune = !*noTune
 	ws := experiment.StandardWarehouses
-	ps := experiment.StandardProcessors
 	if *quick {
-		o.MeasureTxns = 1200
-		o.TuneTxns = 800
-		o.WarmupTxns = 400
 		ws = []int{10, 25, 50, 100, 150, 200, 300, 500, 800}
+	}
+	spec := experiment.DefaultSpec(ws, experiment.StandardProcessors)
+	spec.Seed = *seed
+	spec.AutoTune = !*noTune
+	if *quick {
+		spec.MeasureTxns = 1200
+		spec.TuneTxns = 800
+		spec.WarmupTxns = 400
 	}
 
 	fmt.Println("== ODB scaling reproduction (Hankins et al., MICRO 2003) ==")
-	fmt.Printf("platform: %s, sweep W=%v, P=%v, tuner=%v\n\n", o.Machine.Name, ws, ps, o.AutoTune)
+	fmt.Printf("platform: %s, sweep W=%v, P=%v, tuner=%v\n\n", spec.Machine.Name, ws, spec.Processors, spec.AutoTune)
 
 	// Main campaign, with the I/O-bound 1200-warehouse point appended for
 	// Figure 2 only. It runs through the campaign runner: every point and
 	// tuner probe on one worker pool, with checkpoint/resume and a live
 	// progress line; Ctrl-C stops cleanly with the checkpoint intact.
-	withIOBound := append(append([]int{}, ws...), 1200)
-	res, err := camp.Run(o.CampaignSpec(withIOBound, ps))
+	xeon := spec
+	xeon.Warehouses = append(append([]int{}, ws...), 1200)
+	res, err := camp.Run(xeon)
 	if err != nil {
 		log.Fatal(err)
 	}
-	set := experiment.SweepSetFrom(res)
 
-	fmt.Println(experiment.Table1(set))
-	f2 := experiment.Figure2(set)
+	fmt.Println(experiment.Table1(res))
+	f2 := experiment.Figure2(res)
 	fmt.Println(experiment.RenderSeries("Figure 2: ODB TPS vs warehouses (1200W is I/O bound)", f2, 0))
 	fmt.Println(stats.Chart{Title: "Figure 2 (chart): TPS vs W"}.Render(f2...))
-	fmt.Println(experiment.RenderSeries("Figure 3: CPU utilization split (4P)", experiment.Figure3(set), 3))
-	fmt.Println(experiment.RenderSeries("Figure 4: instructions per transaction", experiment.Figure4(set), 0))
-	fmt.Println(experiment.RenderSeries("Figure 5: user-space IPX", experiment.Figure5(set), 0))
-	fmt.Println(experiment.RenderSeries("Figure 6: OS-space IPX", experiment.Figure6(set), 0))
-	fmt.Println(experiment.RenderSeries("Figure 7: disk I/O per transaction (KB, 4P)", experiment.Figure7(set), 2))
-	f8 := experiment.Figure8(set)
+	fmt.Println(experiment.RenderSeries("Figure 3: CPU utilization split (4P)", experiment.Figure3(res), 3))
+	fmt.Println(experiment.RenderSeries("Figure 4: instructions per transaction", experiment.Figure4(res), 0))
+	fmt.Println(experiment.RenderSeries("Figure 5: user-space IPX", experiment.Figure5(res), 0))
+	fmt.Println(experiment.RenderSeries("Figure 6: OS-space IPX", experiment.Figure6(res), 0))
+	fmt.Println(experiment.RenderSeries("Figure 7: disk I/O per transaction (KB, 4P)", experiment.Figure7(res), 2))
+	f8 := experiment.Figure8(res)
 	fmt.Println(experiment.RenderSeries("Figure 8: context switches per transaction", f8, 2))
 	fmt.Println(stats.Chart{Title: "Figure 8 (chart): contention spike, dip, I/O rise"}.Render(f8...))
-	f9 := experiment.Figure9(set)
+	f9 := experiment.Figure9(res)
 	fmt.Println(experiment.RenderSeries("Figure 9: CPI", f9, 3))
 	fmt.Println(stats.Chart{Title: "Figure 9 (chart): CPI cached/scaled regions"}.Render(f9...))
-	fmt.Println(experiment.RenderSeries("Figure 10: user-space CPI", experiment.Figure10(set), 3))
-	fmt.Println(experiment.RenderSeries("Figure 11: OS-space CPI", experiment.Figure11(set), 3))
+	fmt.Println(experiment.RenderSeries("Figure 10: user-space CPI", experiment.Figure10(res), 3))
+	fmt.Println(experiment.RenderSeries("Figure 11: OS-space CPI", experiment.Figure11(res), 3))
 
 	printTables23()
-	fmt.Println(experiment.Figure12(set))
-	f13 := experiment.Figure13(set)
+	fmt.Println(experiment.Figure12(res))
+	f13 := experiment.Figure13(res)
 	fmt.Println(experiment.RenderSeries("Figure 13: L3 misses per instruction", f13, 5))
 	fmt.Println(stats.Chart{Title: "Figure 13 (chart): MPI saturating, independent of P"}.Render(f13...))
-	fmt.Println(experiment.RenderSeries("Figure 14: user-space MPI", experiment.Figure14(set), 5))
-	fmt.Println(experiment.RenderSeries("Figure 15: OS-space MPI", experiment.Figure15(set), 5))
-	f16 := experiment.Figure16(set)
+	fmt.Println(experiment.RenderSeries("Figure 14: user-space MPI", experiment.Figure14(res), 5))
+	fmt.Println(experiment.RenderSeries("Figure 15: OS-space MPI", experiment.Figure15(res), 5))
+	f16 := experiment.Figure16(res)
 	fmt.Println(experiment.RenderSeries("Figure 16: bus-transaction time in the IOQ (cycles)", f16, 1))
 	fmt.Println(stats.Chart{Title: "Figure 16 (chart): IOQ latency flat at 1P, rising at 4P"}.Render(f16...))
 
 	// Figures 17/18: the 4P fits.
-	char, err := set.Characterize(4)
+	char, err := experiment.Characterize(res, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	printFit("Figure 17: two-region fit of 4P CPI", char.CPI)
 	printFit("Figure 18: two-region fit of 4P MPI", char.MPI)
 
-	t5, err := experiment.Table5(set)
+	t5, err := experiment.Table5(res)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,15 +100,22 @@ func main() {
 	fmt.Printf("Representative scaled configuration (CPI pivot + 25%% margin): %d warehouses\n\n",
 		char.MinimalConfiguration(0.25))
 
-	// Figure 19: Itanium2 validation.
-	cpi, itChar, err := experiment.Figure19(o, ws, 4)
+	// Figure 19: the same sweep at 4P on the Itanium2 validation platform.
+	itanium := spec
+	itanium.Machine = system.Itanium2Quad()
+	itanium.Processors = []int{4}
+	itRes, err := campaign.Run(context.Background(), itanium)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cpi, itChar, err := experiment.Figure19(itRes, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(experiment.RenderSeries("Figure 19: CPI scaling on the Itanium2 platform (4P)", []stats.Series{cpi}, 3))
 	fmt.Printf("Itanium2 CPI pivot: %.0f warehouses (Xeon: %.0f)\n", itChar.CPI.Pivot(), char.CPI.Pivot())
 
-	if err := verifyIronLaw(set); err != nil {
+	if err := verifyIronLaw(res); err != nil {
 		fmt.Fprintf(os.Stderr, "iron law verification failed: %v\n", err)
 		os.Exit(1)
 	}
@@ -143,9 +153,9 @@ func printFit(title string, fit core.ScalingFit) {
 }
 
 // verifyIronLaw checks TPS = util*P*F/(IPX*CPI) on every measured point.
-func verifyIronLaw(set *experiment.SweepSet) error {
-	for _, p := range set.Processors {
-		for _, m := range set.ByP[p] {
+func verifyIronLaw(res *campaign.Result) error {
+	for _, p := range res.Processors {
+		for _, m := range res.Series(p) {
 			law := core.IronLaw{
 				Processors:  m.Processors,
 				FrequencyHz: system.XeonQuad().FreqHz,

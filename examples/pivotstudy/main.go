@@ -19,10 +19,6 @@ import (
 )
 
 func main() {
-	opts := odbscale.DefaultOptions()
-	opts.AutoTune = false // heuristic clients keep the example brisk
-	opts.MeasureTxns = 2000
-
 	ws := []int{10, 25, 50, 100, 150, 200, 300, 400, 500, 650, 800}
 	const p = 4
 
@@ -30,20 +26,21 @@ func main() {
 	// point, a progress line tracks it live, and a checkpoint makes the
 	// sweep resumable if interrupted (rerun to pick up where it left off).
 	ctx := context.Background()
-	spec := opts.CampaignSpec(ws, []int{p})
+	spec := odbscale.DefaultCampaignSpec(ws, []int{p})
+	spec.AutoTune = false // heuristic clients keep the example brisk
+	spec.MeasureTxns = 2000
 	spec.CheckpointPath = "pivotstudy.checkpoint.json"
 	spec.Resume = true
 	spec.Observer = odbscale.NewCampaignProgress(os.Stderr, len(ws))
 
-	fmt.Printf("sweeping W=%v on %s (%dP)...\n", ws, opts.Machine.Name, p)
+	fmt.Printf("sweeping W=%v on %s (%dP)...\n", ws, spec.Machine.Name, p)
 	res, err := odbscale.RunCampaign(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.Remove(spec.CheckpointPath) // campaign complete: drop the checkpoint
-	set := odbscale.SweepSetFromCampaign(res)
 
-	char, err := set.Characterize(p)
+	char, err := odbscale.CharacterizeCampaign(res, p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func acceptanceSpec(path string) Spec {
 //     re-simulate a recorded tuner probe.
 //  2. The campaign (interrupted + resumed, so every executed run is
 //     counted) must perform strictly fewer simulator runs than the seed
-//     path — the same sweep with the legacy cold-start search that
-//     CollectSweeps used before the campaign runner (WarmStart off).
+//     path — the same sweep with the cold-start search sweeps used
+//     before the campaign runner (WarmStart off).
 //
 // Both counts come from the observer's event stream.
 func TestFullCampaignFewerRunsAndResume(t *testing.T) {
@@ -139,8 +139,8 @@ func TestFullCampaignFewerRunsAndResume(t *testing.T) {
 
 	// Phase C: the seed path — the identical sweep through the legacy
 	// cold-start search (every point's tuner climbs from MinClients, no
-	// cross-point warm start), as CollectSweeps ran it before the
-	// campaign runner existed.
+	// cross-point warm start), as sweeps ran before the campaign
+	// runner existed.
 	specC := acceptanceSpec(filepath.Join(t.TempDir(), "seed.json"))
 	specC.WarmStart = false
 	recC := &recorder{}

@@ -119,6 +119,9 @@ func (s *Spec) validate() error {
 	if s.MeasureTxns < 1 {
 		return fmt.Errorf("campaign: %w", system.ErrNoTxns)
 	}
+	if s.Clients < 0 {
+		return fmt.Errorf("campaign: negative Clients %d (0 tunes or uses the heuristic, positive pins a count)", s.Clients)
+	}
 	if s.AutoTune {
 		if s.TuneTxns < 1 {
 			return fmt.Errorf("campaign: AutoTune requires positive TuneTxns")

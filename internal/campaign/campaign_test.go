@@ -543,6 +543,11 @@ func TestSpecValidation(t *testing.T) {
 		t.Fatal("inverted client range accepted")
 	}
 	spec = testSpec()
+	spec.Clients = -5
+	if _, err := Run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "Clients") {
+		t.Fatalf("err = %v, want a rejection naming Clients", err)
+	}
+	spec = testSpec()
 	spec.Resume = true // no CheckpointPath
 	if _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("Resume without CheckpointPath accepted")

@@ -1,62 +1,39 @@
-// Package experiment drives the paper's evaluation: it tunes client
-// counts to the ≥90% CPU-utilization methodology (Table 1), runs
-// warehouse × processor sweeps, and assembles the data series behind
-// every figure and table in Sections 4-6.
+// Package experiment holds the paper's evaluation settings and turns
+// campaign results into its tables and figures: DefaultSpec describes
+// the ≥90%-utilization tuned warehouse × processor sweep (Table 1), the
+// figure and table assemblers read the campaign.Result it produces
+// (Sections 4-6), and Replicate measures run-to-run spread.
 //
-// The orchestration itself lives in the campaign package: Sweep and
-// CollectSweeps are thin compatibility wrappers that convert Options
-// into a campaign.Spec and run it through the shared worker pool, and
-// Replicate submits its seeded runs through the same pool.
+// Sweeps themselves run through the campaign package: campaign.Spec
+// describes one, campaign.Run executes it on the shared worker pool and
+// campaign.Result holds it.
 package experiment
 
 import (
-	"context"
-
 	"odbscale/internal/campaign"
 	"odbscale/internal/system"
 )
 
-// Options configures a measurement campaign.
-type Options struct {
-	Machine system.MachineConfig
-	Tuning  system.Tuning
-	// Engine names the storage engine every run executes on; empty means
-	// the default B-tree engine.
-	Engine      string
-	Seed        int64
-	WarmupTxns  int
-	MeasureTxns int
-
-	// TargetUtil is the CPU utilization the client tuner must reach
-	// (the paper keeps every configuration above 90%).
-	TargetUtil float64
-	MinClients int
-	MaxClients int
-
-	// AutoTune enables the client tuner; otherwise the heuristic is used.
-	AutoTune bool
-	// TuneTxns is the (smaller) measurement length used during tuning.
-	TuneTxns int
-
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
-}
-
-// Defaults returns the paper-equivalent campaign settings on the Xeon
-// platform.
-func Defaults() Options {
-	return Options{
+// DefaultSpec returns the paper-equivalent campaign on the Xeon
+// platform over the given warehouse and processor axes: auto-tuned
+// clients in [8, 64] reaching 90% utilization, warm-started probes.
+// Set CheckpointPath, Resume and Observer on the result before handing
+// it to campaign.Run.
+func DefaultSpec(ws, ps []int) campaign.Spec {
+	return campaign.Spec{
 		Machine:     system.XeonQuad(),
 		Tuning:      system.DefaultTuning(),
 		Seed:        1,
 		WarmupTxns:  600,
 		MeasureTxns: 2400,
+		TuneTxns:    1200,
 		TargetUtil:  0.90,
 		MinClients:  8,
 		MaxClients:  64,
 		AutoTune:    true,
-		TuneTxns:    1200,
-		Parallelism: 0,
+		WarmStart:   true,
+		Warehouses:  append([]int(nil), ws...),
+		Processors:  append([]int(nil), ps...),
 	}
 }
 
@@ -67,126 +44,3 @@ var StandardWarehouses = []int{10, 25, 50, 100, 150, 200, 300, 400, 500, 650, 80
 
 // StandardProcessors are the paper's three processor configurations.
 var StandardProcessors = []int{1, 2, 4}
-
-func (o Options) config(w, c, p, txns int) system.Config {
-	return system.Config{
-		Warehouses:  w,
-		Clients:     c,
-		Processors:  p,
-		Seed:        o.Seed,
-		Engine:      o.Engine,
-		Machine:     o.Machine,
-		Tuning:      o.Tuning,
-		Coherent:    true,
-		WarmupTxns:  o.WarmupTxns,
-		MeasureTxns: txns,
-	}
-}
-
-// CampaignSpec converts the options into a campaign specification over
-// the given warehouse and processor axes — the redesigned entry point
-// to sweeps. The spec warm-starts tuner searches and can be extended
-// with a checkpoint path and an observer before handing it to
-// campaign.Run (or the odbscale.RunCampaign facade).
-func (o Options) CampaignSpec(ws, ps []int) campaign.Spec {
-	return campaign.Spec{
-		Machine:     o.Machine,
-		Engine:      o.Engine,
-		Tuning:      o.Tuning,
-		Seed:        o.Seed,
-		WarmupTxns:  o.WarmupTxns,
-		MeasureTxns: o.MeasureTxns,
-		TuneTxns:    o.TuneTxns,
-		TargetUtil:  o.TargetUtil,
-		MinClients:  o.MinClients,
-		MaxClients:  o.MaxClients,
-		AutoTune:    o.AutoTune,
-		WarmStart:   true,
-		Parallelism: o.Parallelism,
-		Warehouses:  append([]int(nil), ws...),
-		Processors:  append([]int(nil), ps...),
-	}
-}
-
-// TuneClients finds the smallest client count in [MinClients, MaxClients]
-// that reaches TargetUtil for the configuration, following the paper's
-// methodology of masking disk latency with concurrency. If even
-// MaxClients cannot reach the target (an I/O-bound setup), MaxClients is
-// returned with its achieved utilization.
-func (o Options) TuneClients(w, p int) (int, error) {
-	probe := func(c int) (float64, error) {
-		m, err := system.Run(context.Background(), o.config(w, c, p, o.TuneTxns))
-		if err != nil {
-			return 0, err
-		}
-		return m.CPUUtil, nil
-	}
-	return campaign.Tune(probe, campaign.Bounds{
-		Min:    o.MinClients,
-		Max:    o.MaxClients,
-		Start:  o.MinClients,
-		Target: o.TargetUtil,
-	})
-}
-
-// RunPoint measures one (warehouses, processors) configuration with a
-// tuned or heuristic client count.
-func (o Options) RunPoint(w, p int) (system.Metrics, error) {
-	c := system.HeuristicClients(w, p)
-	if o.AutoTune {
-		tuned, err := o.TuneClients(w, p)
-		if err != nil {
-			return system.Metrics{}, err
-		}
-		c = tuned
-	}
-	return system.Run(context.Background(), o.config(w, c, p, o.MeasureTxns))
-}
-
-// Sweep measures every warehouse count for one processor configuration.
-// It is a compatibility wrapper over the campaign runner, which
-// schedules the points (and any tuner probes) on one bounded pool.
-func (o Options) Sweep(ws []int, p int) ([]system.Metrics, error) {
-	set, err := o.CollectSweeps(ws, []int{p})
-	if err != nil {
-		return nil, err
-	}
-	return set.ByP[p], nil
-}
-
-// SweepSet is a full campaign: one sweep per processor configuration.
-type SweepSet struct {
-	Warehouses []int
-	Processors []int
-	ByP        map[int][]system.Metrics
-}
-
-// SweepSetFrom arranges a campaign result into the SweepSet container
-// the figure and table assemblers consume.
-func SweepSetFrom(res *campaign.Result) *SweepSet {
-	set := &SweepSet{
-		Warehouses: res.Warehouses,
-		Processors: res.Processors,
-		ByP:        make(map[int][]system.Metrics),
-	}
-	for _, p := range res.Processors {
-		set.ByP[p] = res.Series(p)
-	}
-	return set
-}
-
-// CollectSweeps runs the full campaign. It is a compatibility wrapper
-// over the campaign runner; use CollectSweepsContext (or campaign.Run
-// directly) for cancellation, checkpointing and progress observation.
-func (o Options) CollectSweeps(ws, ps []int) (*SweepSet, error) {
-	return o.CollectSweepsContext(context.Background(), ws, ps)
-}
-
-// CollectSweepsContext runs the full campaign under a context.
-func (o Options) CollectSweepsContext(ctx context.Context, ws, ps []int) (*SweepSet, error) {
-	res, err := campaign.Run(ctx, o.CampaignSpec(ws, ps))
-	if err != nil {
-		return nil, err
-	}
-	return SweepSetFrom(res), nil
-}

@@ -1,47 +1,86 @@
 package experiment
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"odbscale/internal/campaign"
+	"odbscale/internal/system"
 )
 
-// fastOptions returns a campaign small enough for unit tests.
-func fastOptions() Options {
-	o := Defaults()
-	o.WarmupTxns = 200
-	o.MeasureTxns = 500
-	o.TuneTxns = 300
-	o.MaxClients = 48
-	return o
+// fastSpec returns a campaign small enough for unit tests.
+func fastSpec(ws, ps []int) campaign.Spec {
+	s := DefaultSpec(ws, ps)
+	s.WarmupTxns = 200
+	s.MeasureTxns = 500
+	s.TuneTxns = 300
+	s.MaxClients = 48
+	return s
 }
 
 var testWs = []int{10, 40, 120, 360}
 
-func collect(t *testing.T, o Options, ps []int) *SweepSet {
+func run(t *testing.T, spec campaign.Spec) *campaign.Result {
 	t.Helper()
-	set, err := o.CollectSweeps(testWs, ps)
+	res, err := campaign.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	return res
 }
 
-func TestTuneClientsReachesTarget(t *testing.T) {
-	o := fastOptions()
-	c, err := o.TuneClients(40, 4)
-	if err != nil {
-		t.Fatal(err)
+// point measures one (w, p) configuration as a single-point campaign.
+func point(t *testing.T, spec campaign.Spec, w, p int) system.Metrics {
+	t.Helper()
+	spec.Warehouses, spec.Processors = []int{w}, []int{p}
+	m, ok := run(t, spec).Metrics(w, p)
+	if !ok {
+		t.Fatalf("campaign result lacks W=%d P=%d", w, p)
 	}
-	if c < o.MinClients || c > o.MaxClients {
-		t.Fatalf("tuned clients = %d outside [%d, %d]", c, o.MinClients, o.MaxClients)
+	return m
+}
+
+// TestDefaultSpec pins the paper-equivalent campaign settings: they
+// enter every checkpoint's fingerprint, so a change here would stop
+// existing odbsweep and paperrepro checkpoints from resuming.
+func TestDefaultSpec(t *testing.T) {
+	ws, ps := []int{10, 25}, []int{1, 4}
+	got := DefaultSpec(ws, ps)
+	want := campaign.Spec{
+		Machine:     system.XeonQuad(),
+		Tuning:      system.DefaultTuning(),
+		Seed:        1,
+		WarmupTxns:  600,
+		MeasureTxns: 2400,
+		TuneTxns:    1200,
+		TargetUtil:  0.90,
+		MinClients:  8,
+		MaxClients:  64,
+		AutoTune:    true,
+		WarmStart:   true,
+		Warehouses:  []int{10, 25},
+		Processors:  []int{1, 4},
 	}
-	m, err := o.RunPoint(40, 4)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultSpec =\n%+v\nwant\n%+v", got, want)
+	}
+	ws[0], ps[0] = 99, 99
+	if got.Warehouses[0] != 10 || got.Processors[0] != 1 {
+		t.Fatal("DefaultSpec aliases the caller's axes")
+	}
+}
+
+func TestTunerReachesTarget(t *testing.T) {
+	spec := fastSpec(nil, nil)
+	m := point(t, spec, 40, 4)
+	if m.Clients < spec.MinClients || m.Clients > spec.MaxClients {
+		t.Fatalf("tuned clients = %d outside [%d, %d]", m.Clients, spec.MinClients, spec.MaxClients)
 	}
 	// The tuning measurement is shorter than the final one, so allow some
 	// slack; a maxed-out client count means the point is I/O bound.
-	if m.CPUUtil < o.TargetUtil-0.10 && m.Clients < o.MaxClients {
+	if m.CPUUtil < spec.TargetUtil-0.10 && m.Clients < spec.MaxClients {
 		t.Fatalf("tuned utilization = %v below target with %d clients", m.CPUUtil, m.Clients)
 	}
 }
@@ -49,27 +88,18 @@ func TestTuneClientsReachesTarget(t *testing.T) {
 func TestClientsGrowWithWarehousesAndProcessors(t *testing.T) {
 	// The paper's Table 1 trend: more warehouses (more I/O) and more
 	// processors require more clients to stay above 90% utilization.
-	o := fastOptions()
-	c10p1, err := o.TuneClients(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c360p4, err := o.TuneClients(360, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := fastSpec(nil, nil)
+	c10p1 := point(t, spec, 10, 1).Clients
+	c360p4 := point(t, spec, 360, 4).Clients
 	if c360p4 <= c10p1 {
 		t.Fatalf("clients did not grow: 10W/1P=%d vs 360W/4P=%d", c10p1, c360p4)
 	}
 }
 
 func TestSweepOrdering(t *testing.T) {
-	o := fastOptions()
-	o.AutoTune = false
-	ms, err := o.Sweep(testWs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := fastSpec(testWs, []int{2})
+	spec.AutoTune = false
+	ms := run(t, spec).Series(2)
 	if len(ms) != len(testWs) {
 		t.Fatalf("sweep returned %d points", len(ms))
 	}
@@ -84,37 +114,31 @@ func TestSweepOrdering(t *testing.T) {
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	o := fastOptions()
-	o.AutoTune = false
-	a, err := o.Sweep([]int{25}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := o.Sweep([]int{25}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0].TPS != b[0].TPS || a[0].CPI != b[0].CPI {
-		t.Fatalf("same seed produced different results: %v vs %v", a[0], b[0])
+	spec := fastSpec(nil, nil)
+	spec.AutoTune = false
+	a := point(t, spec, 25, 2)
+	b := point(t, spec, 25, 2)
+	if a.TPS != b.TPS || a.CPI != b.CPI {
+		t.Fatalf("same seed produced different results: %v vs %v", a, b)
 	}
 }
 
 func TestFiguresAssemble(t *testing.T) {
-	o := fastOptions()
-	o.AutoTune = false
-	set := collect(t, o, []int{1, 4})
+	spec := fastSpec(testWs, []int{1, 4})
+	spec.AutoTune = false
+	res := run(t, spec)
 
-	t1 := Table1(set)
+	t1 := Table1(res)
 	if len(t1.Rows) != len(testWs) || len(t1.Header) != 3 {
 		t.Fatalf("Table 1 shape: %d rows, %d cols", len(t1.Rows), len(t1.Header))
 	}
 
-	f2 := Figure2(set)
+	f2 := Figure2(res)
 	if len(f2) != 2 || f2[0].Len() != len(testWs) {
 		t.Fatalf("Figure 2 shape: %d series", len(f2))
 	}
 
-	f3 := Figure3(set)
+	f3 := Figure3(res)
 	if len(f3) != 2 {
 		t.Fatalf("Figure 3 series = %d", len(f3))
 	}
@@ -125,12 +149,12 @@ func TestFiguresAssemble(t *testing.T) {
 		}
 	}
 
-	f7 := Figure7(set)
+	f7 := Figure7(res)
 	if len(f7) != 3 {
 		t.Fatalf("Figure 7 series = %d", len(f7))
 	}
 
-	f12 := Figure12(set)
+	f12 := Figure12(res)
 	if len(f12.Rows) != len(testWs) {
 		t.Fatalf("Figure 12 rows = %d", len(f12.Rows))
 	}
@@ -142,17 +166,17 @@ func TestFiguresAssemble(t *testing.T) {
 }
 
 func TestCharacterizeAndTable5(t *testing.T) {
-	o := fastOptions()
-	o.AutoTune = false
-	set := collect(t, o, []int{4})
-	c, err := set.Characterize(4)
+	spec := fastSpec(testWs, []int{4})
+	spec.AutoTune = false
+	res := run(t, spec)
+	c, err := Characterize(res, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.CPI.Pivot() <= 0 || c.CPI.Pivot() > 400 {
 		t.Fatalf("CPI pivot = %v", c.CPI.Pivot())
 	}
-	t5, err := Table5(set)
+	t5, err := Table5(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +186,11 @@ func TestCharacterizeAndTable5(t *testing.T) {
 }
 
 func TestFigure19Itanium(t *testing.T) {
-	o := fastOptions()
-	o.AutoTune = false
-	cpi, char, err := Figure19(o, testWs, 2)
+	spec := fastSpec(testWs, []int{2})
+	spec.AutoTune = false
+	itanium := spec
+	itanium.Machine = system.Itanium2Quad()
+	cpi, char, err := Figure19(run(t, itanium), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +202,7 @@ func TestFigure19Itanium(t *testing.T) {
 	}
 	// The larger L3 keeps small configurations cheap: CPI at the smallest
 	// point must undercut the Xeon platform's.
-	xeon, err := o.RunPoint(testWs[0], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xeon := point(t, spec, testWs[0], 2)
 	if cpi.Points[0].Y >= xeon.CPI {
 		t.Fatalf("Itanium CPI %v >= Xeon %v at %dW", cpi.Points[0].Y, xeon.CPI, testWs[0])
 	}

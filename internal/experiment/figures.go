@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"odbscale/internal/campaign"
 	"odbscale/internal/core"
 	"odbscale/internal/stats"
 	"odbscale/internal/system"
@@ -36,10 +37,10 @@ func series(name string, ms []system.Metrics, f func(system.Metrics) float64) st
 }
 
 // perP builds one series per processor configuration.
-func perP(set *SweepSet, metric string, f func(system.Metrics) float64, includeIOBound bool) []stats.Series {
+func perP(res *campaign.Result, metric string, f func(system.Metrics) float64, includeIOBound bool) []stats.Series {
 	var out []stats.Series
-	for _, p := range set.Processors {
-		ms := set.ByP[p]
+	for _, p := range res.Processors {
+		ms := res.Series(p)
 		if !includeIOBound {
 			ms = balanced(ms)
 		}
@@ -50,19 +51,20 @@ func perP(set *SweepSet, metric string, f func(system.Metrics) float64, includeI
 
 // Table1 reports the tuned client counts per configuration — the paper's
 // Table 1, "Number of Clients at 90% CPU Utilization".
-func Table1(set *SweepSet) stats.Table {
+func Table1(res *campaign.Result) stats.Table {
 	t := stats.Table{Title: "Table 1: Number of Clients at 90% CPU Utilization",
 		Header: []string{"Warehouses"}}
-	for _, p := range set.Processors {
+	for _, p := range res.Processors {
 		t.Header = append(t.Header, fmt.Sprintf("%dP", p))
 	}
-	for i, w := range set.Warehouses {
+	for _, w := range res.Warehouses {
 		if w > MaxBalancedWarehouses {
 			continue
 		}
 		row := []string{fmt.Sprintf("%d", w)}
-		for _, p := range set.Processors {
-			row = append(row, fmt.Sprintf("%d", set.ByP[p][i].Clients))
+		for _, p := range res.Processors {
+			m, _ := res.Metrics(w, p)
+			row = append(row, fmt.Sprintf("%d", m.Clients))
 		}
 		t.AddRow(row...)
 	}
@@ -71,40 +73,40 @@ func Table1(set *SweepSet) stats.Table {
 
 // Figure2 returns TPS versus warehouses per processor count, including
 // any I/O-bound points in the sweep.
-func Figure2(set *SweepSet) []stats.Series {
-	return perP(set, "TPS", func(m system.Metrics) float64 { return m.TPS }, true)
+func Figure2(res *campaign.Result) []stats.Series {
+	return perP(res, "TPS", func(m system.Metrics) float64 { return m.TPS }, true)
 }
 
 // Figure3 returns the CPU utilization split between OS and user code for
 // the largest processor configuration.
-func Figure3(set *SweepSet) []stats.Series {
-	p := set.Processors[len(set.Processors)-1]
-	ms := balanced(set.ByP[p])
+func Figure3(res *campaign.Result) []stats.Series {
+	p := res.Processors[len(res.Processors)-1]
+	ms := balanced(res.Series(p))
 	osShare := series("OS share", ms, func(m system.Metrics) float64 { return m.CPUUtil * m.OSShare })
 	userShare := series("User share", ms, func(m system.Metrics) float64 { return m.CPUUtil * (1 - m.OSShare) })
 	return []stats.Series{userShare, osShare}
 }
 
 // Figure4 returns total IPX (instructions per transaction) per P.
-func Figure4(set *SweepSet) []stats.Series {
-	return perP(set, "IPX", func(m system.Metrics) float64 { return m.IPX }, false)
+func Figure4(res *campaign.Result) []stats.Series {
+	return perP(res, "IPX", func(m system.Metrics) float64 { return m.IPX }, false)
 }
 
 // Figure5 returns user-space IPX per P (flat in the paper).
-func Figure5(set *SweepSet) []stats.Series {
-	return perP(set, "UserIPX", func(m system.Metrics) float64 { return m.UserIPX }, false)
+func Figure5(res *campaign.Result) []stats.Series {
+	return perP(res, "UserIPX", func(m system.Metrics) float64 { return m.UserIPX }, false)
 }
 
 // Figure6 returns OS-space IPX per P (rising with I/O).
-func Figure6(set *SweepSet) []stats.Series {
-	return perP(set, "OSIPX", func(m system.Metrics) float64 { return m.OSIPX }, false)
+func Figure6(res *campaign.Result) []stats.Series {
+	return perP(res, "OSIPX", func(m system.Metrics) float64 { return m.OSIPX }, false)
 }
 
 // Figure7 returns disk traffic per transaction in KB: reads, data writes
 // and log writes, for the largest processor configuration.
-func Figure7(set *SweepSet) []stats.Series {
-	p := set.Processors[len(set.Processors)-1]
-	ms := balanced(set.ByP[p])
+func Figure7(res *campaign.Result) []stats.Series {
+	p := res.Processors[len(res.Processors)-1]
+	ms := balanced(res.Series(p))
 	return []stats.Series{
 		series("Read KB/txn", ms, func(m system.Metrics) float64 { return m.ReadKBPerTxn }),
 		series("Write KB/txn", ms, func(m system.Metrics) float64 { return m.WriteKBPerTxn }),
@@ -113,34 +115,34 @@ func Figure7(set *SweepSet) []stats.Series {
 }
 
 // Figure8 returns context switches per transaction per P.
-func Figure8(set *SweepSet) []stats.Series {
-	return perP(set, "CtxSw", func(m system.Metrics) float64 { return m.CtxSwitchPerTxn }, false)
+func Figure8(res *campaign.Result) []stats.Series {
+	return perP(res, "CtxSw", func(m system.Metrics) float64 { return m.CtxSwitchPerTxn }, false)
 }
 
 // Figure9 returns overall CPI per P.
-func Figure9(set *SweepSet) []stats.Series {
-	return perP(set, "CPI", func(m system.Metrics) float64 { return m.CPI }, false)
+func Figure9(res *campaign.Result) []stats.Series {
+	return perP(res, "CPI", func(m system.Metrics) float64 { return m.CPI }, false)
 }
 
 // Figure10 returns user-space CPI per P.
-func Figure10(set *SweepSet) []stats.Series {
-	return perP(set, "UserCPI", func(m system.Metrics) float64 { return m.UserCPI }, false)
+func Figure10(res *campaign.Result) []stats.Series {
+	return perP(res, "UserCPI", func(m system.Metrics) float64 { return m.UserCPI }, false)
 }
 
 // Figure11 returns OS-space CPI per P.
-func Figure11(set *SweepSet) []stats.Series {
-	return perP(set, "OSCPI", func(m system.Metrics) float64 { return m.OSCPI }, false)
+func Figure11(res *campaign.Result) []stats.Series {
+	return perP(res, "OSCPI", func(m system.Metrics) float64 { return m.OSCPI }, false)
 }
 
 // Figure12 returns the CPI breakdown by microarchitectural component for
 // the largest processor configuration, one row per warehouse count.
-func Figure12(set *SweepSet) stats.Table {
-	p := set.Processors[len(set.Processors)-1]
+func Figure12(res *campaign.Result) stats.Table {
+	p := res.Processors[len(res.Processors)-1]
 	t := stats.Table{
 		Title:  fmt.Sprintf("Figure 12: CPI breakdown by event (%dP)", p),
 		Header: []string{"Warehouses", "Inst", "Branch", "TLB", "TC", "L2", "L3", "Other", "Total", "L3 share"},
 	}
-	for _, m := range balanced(set.ByP[p]) {
+	for _, m := range balanced(res.Series(p)) {
 		b := m.Breakdown
 		t.AddRow(fmt.Sprintf("%d", m.Warehouses),
 			stats.F(b.Inst, 3), stats.F(b.Branch, 3), stats.F(b.TLB, 3), stats.F(b.TC, 3),
@@ -151,29 +153,29 @@ func Figure12(set *SweepSet) stats.Table {
 }
 
 // Figure13 returns overall L3 MPI per P.
-func Figure13(set *SweepSet) []stats.Series {
-	return perP(set, "MPI", func(m system.Metrics) float64 { return m.MPI }, false)
+func Figure13(res *campaign.Result) []stats.Series {
+	return perP(res, "MPI", func(m system.Metrics) float64 { return m.MPI }, false)
 }
 
 // Figure14 returns user-space MPI per P.
-func Figure14(set *SweepSet) []stats.Series {
-	return perP(set, "UserMPI", func(m system.Metrics) float64 { return m.UserMPI }, false)
+func Figure14(res *campaign.Result) []stats.Series {
+	return perP(res, "UserMPI", func(m system.Metrics) float64 { return m.UserMPI }, false)
 }
 
 // Figure15 returns OS-space MPI per P.
-func Figure15(set *SweepSet) []stats.Series {
-	return perP(set, "OSMPI", func(m system.Metrics) float64 { return m.OSMPI }, false)
+func Figure15(res *campaign.Result) []stats.Series {
+	return perP(res, "OSMPI", func(m system.Metrics) float64 { return m.OSMPI }, false)
 }
 
 // Figure16 returns the mean IOQ bus-transaction time per P.
-func Figure16(set *SweepSet) []stats.Series {
-	return perP(set, "BusTime", func(m system.Metrics) float64 { return m.BusTime }, false)
+func Figure16(res *campaign.Result) []stats.Series {
+	return perP(res, "BusTime", func(m system.Metrics) float64 { return m.BusTime }, false)
 }
 
 // Characterize fits the two-region scaling model for one processor
-// configuration (Figures 17 and 18).
-func (set *SweepSet) Characterize(p int) (core.Characterization, error) {
-	ms := balanced(set.ByP[p])
+// configuration of a campaign (Figures 17 and 18).
+func Characterize(res *campaign.Result, p int) (core.Characterization, error) {
+	ms := balanced(res.Series(p))
 	cpi := series("CPI", ms, func(m system.Metrics) float64 { return m.CPI })
 	mpi := series("MPI", ms, func(m system.Metrics) float64 { return m.MPI })
 	return core.Characterize(p, cpi, mpi)
@@ -181,11 +183,11 @@ func (set *SweepSet) Characterize(p int) (core.Characterization, error) {
 
 // Table5 reports the CPI and MPI pivot points for every processor
 // configuration.
-func Table5(set *SweepSet) (stats.Table, error) {
+func Table5(res *campaign.Result) (stats.Table, error) {
 	t := stats.Table{Title: "Table 5: Number of Warehouses for Pivot Points",
 		Header: []string{"Processors", "CPI", "MPI"}}
-	for _, p := range set.Processors {
-		c, err := set.Characterize(p)
+	for _, p := range res.Processors {
+		c, err := Characterize(res, p)
 		if err != nil {
 			return t, err
 		}
@@ -194,15 +196,11 @@ func Table5(set *SweepSet) (stats.Table, error) {
 	return t, nil
 }
 
-// Figure19 runs the Itanium2 validation sweep (Section 6.3) at the
-// largest processor count and returns the CPI series with its pivot.
-func Figure19(o Options, ws []int, p int) (stats.Series, core.Characterization, error) {
-	o.Machine = system.Itanium2Quad()
-	ms, err := o.Sweep(ws, p)
-	if err != nil {
-		return stats.Series{}, core.Characterization{}, err
-	}
-	ms = balanced(ms)
+// Figure19 returns the CPI series and its pivot for processor
+// configuration p of the Itanium2 validation campaign (Section 6.3):
+// a DefaultSpec sweep with Machine set to system.Itanium2Quad().
+func Figure19(res *campaign.Result, p int) (stats.Series, core.Characterization, error) {
+	ms := balanced(res.Series(p))
 	cpi := series(fmt.Sprintf("Itanium2 CPI %dP", p), ms, func(m system.Metrics) float64 { return m.CPI })
 	mpi := series("MPI", ms, func(m system.Metrics) float64 { return m.MPI })
 	c, err := core.Characterize(p, cpi, mpi)

@@ -50,16 +50,12 @@ func gather(ms []system.Metrics, f func(system.Metrics) float64) []float64 {
 }
 
 // Replicate runs one configuration n times with consecutive seeds and
-// summarizes the spread. The configuration's own seed is the first.
-func Replicate(cfg system.Config, n int) (Replication, error) {
-	return ReplicateContext(context.Background(), cfg, n)
-}
-
-// ReplicateContext is Replicate under a context: the n seeded runs are
-// submitted together through the campaign worker pool and execute
-// concurrently (each run is an isolated deterministic simulation, so
-// the summary is identical to the serial one).
-func ReplicateContext(ctx context.Context, cfg system.Config, n int) (Replication, error) {
+// summarizes the spread. The configuration's own seed is the first. The
+// n seeded runs are submitted together through the campaign worker pool
+// and execute concurrently (each run is an isolated deterministic
+// simulation, so the summary is identical to the serial one);
+// cancelling ctx stops them.
+func Replicate(ctx context.Context, cfg system.Config, n int) (Replication, error) {
 	if n < 2 {
 		return Replication{}, fmt.Errorf("experiment: need at least 2 replicas, got %d", n)
 	}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,7 +13,7 @@ func TestReplicateSpread(t *testing.T) {
 	cfg := system.DefaultConfig(40, 12, 2)
 	cfg.WarmupTxns = 150
 	cfg.MeasureTxns = 400
-	r, err := Replicate(cfg, 4)
+	r, err := Replicate(context.Background(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +37,16 @@ func TestReplicateSpread(t *testing.T) {
 }
 
 func TestReplicateErrors(t *testing.T) {
-	if _, err := Replicate(system.Config{}, 1); err == nil {
+	if _, err := Replicate(context.Background(), system.Config{}, 1); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := Replicate(system.Config{}, 3); err == nil {
+	if _, err := Replicate(context.Background(), system.Config{}, 3); err == nil {
 		t.Fatal("bad config accepted")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := system.DefaultConfig(10, 8, 1)
+	if _, err := Replicate(ctx, cfg, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replicate err = %v, want context.Canceled", err)
 	}
 }

@@ -5,8 +5,8 @@ import "strings"
 // hotPathScope is the set of packages on the simulator's per-chunk hot
 // path: the event engine, the RNG fast paths, the cache hierarchy and
 // buffer cache pools, the transaction generator, the scheduler and the
-// machine layer. These packages carry the committed bench trajectory
-// (BENCH_baseline.json / BENCH_head.json), so a lint waiver here is
+// machine layer. These packages carry the simulator's speed, which
+// simbench gates against the base commit, so a lint waiver here is
 // almost always protecting a performance invariant — and its reason
 // must say which one.
 var hotPathScope = map[string]bool{
@@ -36,7 +36,7 @@ var perfReasonMarkers = []string{
 
 // HotWaiver requires //lint:ignore waivers in hot-path packages to
 // carry perf-specific reasons. The suppression machinery already makes
-// reasons mandatory; this rule makes them meaningful where the bench
+// reasons mandatory; this rule makes them meaningful where simbench's
 // trajectory is at stake, so a waiver can be audited against the
 // optimization it protects.
 var HotWaiver = &Analyzer{

@@ -24,11 +24,10 @@
 //	spec.Resume = true
 //	spec.Observer = odbscale.NewCampaignProgress(os.Stderr, len(spec.Warehouses)*len(spec.Processors))
 //	res, err := odbscale.RunCampaign(ctx, spec)
-//	set := odbscale.SweepSetFromCampaign(res)
-//	char, err := set.Characterize(4) // pivot points, extrapolation
+//	char, err := odbscale.CharacterizeCampaign(res, 4) // pivot points, extrapolation
 //
-// The legacy Options.CollectSweeps surface remains as a thin wrapper
-// over the same runner.
+// A CampaignSpec is the one way to describe a sweep and RunCampaign the
+// one way to run it; the result feeds the characterization directly.
 package odbscale
 
 import (
@@ -203,15 +202,6 @@ func Characterize(processors int, cpi, mpi Series) (Characterization, error) {
 // Speedup returns the throughput ratio of two iron-law operating points.
 func Speedup(after, before IronLaw) float64 { return core.Speedup(after, before) }
 
-// Campaigns: sweeps, tuning and figure assembly.
-type (
-	// Options configures a measurement campaign (platform, measurement
-	// lengths, the ≥90%-utilization client tuner, parallelism).
-	Options = experiment.Options
-	// SweepSet holds a full warehouse × processor campaign.
-	SweepSet = experiment.SweepSet
-)
-
 // The campaign runner: context-aware scheduling of every run in a
 // campaign (measurement points and tuner probes) on one bounded pool,
 // with probe memoization, checkpoint/resume and progress events.
@@ -248,13 +238,14 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (*CampaignResult, error
 // given warehouse and processor axes (auto-tuned clients, warm-started
 // probes); customize CheckpointPath, Resume and Observer on the result.
 func DefaultCampaignSpec(ws, ps []int) CampaignSpec {
-	return experiment.Defaults().CampaignSpec(ws, ps)
+	return experiment.DefaultSpec(ws, ps)
 }
 
-// SweepSetFromCampaign arranges a campaign result into the SweepSet
-// container the figure and table assemblers consume.
-func SweepSetFromCampaign(res *CampaignResult) *SweepSet {
-	return experiment.SweepSetFrom(res)
+// CharacterizeCampaign fits the two-region scaling model to one
+// processor configuration of a completed campaign (its ≤800-warehouse
+// points): the CPI and MPI pivots and the extrapolation lines.
+func CharacterizeCampaign(res *CampaignResult, processors int) (Characterization, error) {
+	return experiment.Characterize(res, processors)
 }
 
 // NewCampaignProgress returns an observer rendering a live one-line
@@ -274,22 +265,15 @@ func CampaignObservers(obs ...CampaignObserver) CampaignObserver {
 	return campaign.Observers(obs...)
 }
 
-// DefaultOptions returns the paper-equivalent campaign settings.
-func DefaultOptions() Options { return experiment.Defaults() }
-
 // Replication summarizes repeated measurements under different seeds.
 type Replication = experiment.Replication
 
 // Replicate runs one configuration n times with consecutive seeds —
 // concurrently, through the campaign worker pool — and summarizes the
-// run-to-run spread of the headline metrics.
-func Replicate(cfg Config, n int) (Replication, error) {
-	return experiment.Replicate(cfg, n)
-}
-
-// ReplicateContext is Replicate under a context.
-func ReplicateContext(ctx context.Context, cfg Config, n int) (Replication, error) {
-	return experiment.ReplicateContext(ctx, cfg, n)
+// run-to-run spread of the headline metrics. Cancelling ctx stops the
+// runs.
+func Replicate(ctx context.Context, cfg Config, n int) (Replication, error) {
+	return experiment.Replicate(ctx, cfg, n)
 }
 
 // StandardWarehouses is the warehouse axis used by the paper's figures.

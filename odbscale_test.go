@@ -35,7 +35,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 // TestPublicCampaign drives the documented campaign surface: spec from
 // the facade, checkpointing, progress and event-log observers, resume,
-// and the sweep-set bridge into the figure assemblers.
+// and the campaign result the characterization reads.
 func TestPublicCampaign(t *testing.T) {
 	spec := odbscale.DefaultCampaignSpec([]int{10, 25}, []int{1})
 	spec.AutoTune = false // heuristic clients keep the test quick
@@ -57,9 +57,12 @@ func TestPublicCampaign(t *testing.T) {
 	if progress.Len() == 0 || events.Len() == 0 {
 		t.Fatal("observers produced no output")
 	}
-	set := odbscale.SweepSetFromCampaign(res)
-	if len(set.ByP[1]) != 2 {
-		t.Fatalf("sweep set has %d points", len(set.ByP[1]))
+	if ms := res.Series(1); len(ms) != 2 {
+		t.Fatalf("campaign result has %d points", len(ms))
+	}
+	// The two-region fit needs at least four warehouse counts.
+	if _, err := odbscale.CharacterizeCampaign(res, 1); err == nil {
+		t.Fatal("a two-point campaign was characterized")
 	}
 
 	// A second run resumes every point from the checkpoint: zero runs.
@@ -210,7 +213,7 @@ func TestPublicEMONAndFunctionalStore(t *testing.T) {
 		t.Fatalf("recovery lost money: %d != %d", w2, w)
 	}
 
-	rep, err := odbscale.Replicate(cfg, 2)
+	rep, err := odbscale.Replicate(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
