@@ -79,7 +79,10 @@ func (c *Campaign) Run(spec campaign.Spec) (*campaign.Result, error) {
 	defer stop()
 	res, err := campaign.Run(ctx, spec)
 	if err != nil && c.checkpoint != "" {
-		log.Printf("campaign stopped; completed points are in %s (rerun with -resume)", c.checkpoint)
+		// A spec rejected up front leaves no checkpoint to resume from.
+		if _, statErr := os.Stat(c.checkpoint); statErr == nil {
+			log.Printf("campaign stopped; completed points are in %s (rerun with -resume)", c.checkpoint)
+		}
 	}
 	return res, err
 }

@@ -2,7 +2,7 @@
 // a per-phase CPI-breakdown table, folded flame-graph stacks or
 // pprof-style text, and diffs two to expose attribution shifts (e.g.
 // across the paper's cached-to-scaled pivot). Profiles come from
-// odbrun -profile FILE or odbsweep -profiledir DIR.
+// odbrun -profile FILE or odbsweep -profile DIR.
 //
 // Usage:
 //

@@ -1,11 +1,11 @@
 // Command odbq reads queueing-observatory reports (written by odbrun
-// -qstats FILE or odbsweep -qstatsdir DIR): it prints the station table
+// -qstats FILE or odbsweep -qstats DIR): it prints the station table
 // with the operational-law audit (Little's law N = X·R and the
 // utilization law U = X·S, checked per station), ranks the stations by
 // the queueing delay they impose per transaction, and diffs two
 // reports to expose demand shifts across a knob change. The
 // bottleneck-shift table across a warehouse sweep comes from odbsweep
-// -qstats.
+// -qstats DIR.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
 // Command odbspan reads per-transaction span-trace dumps (written by
-// odbrun -spans FILE or odbsweep -spandir DIR): it renders the
+// odbrun -spans FILE or odbsweep -spans DIR): it renders the
 // wait-state breakdown report (per-type latency quantiles decomposed
 // into cpu / lock / io / busy / queue shares plus the slowest
 // exemplar's critical path), exports Chrome trace-event JSON for

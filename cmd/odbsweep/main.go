@@ -21,28 +21,30 @@
 // -checkpoint, a run manifest (config, seed, provenance) is written
 // next to the checkpoint file at campaign start and completion.
 //
-// -profile turns on the cycle-attribution profiler: every point runs
-// under system.Run with WithProfiler, per-point profiles persist in the
-// checkpoint (when one is configured), profiles are served on /profile
-// alongside -listen, and after the campaign each processor lane prints
-// the attribution shift across the cached-to-scaled pivot — the
-// smallest-W profile diffed against the largest-W one. -profiledir
-// additionally writes each point's profile JSON to a directory for
-// offline odbprof analysis.
+// Each observer is one flag naming a directory, which receives one JSON
+// file per point (e.g. W10-P1.json) for offline analysis:
 //
-// -spans turns on the per-transaction span tracer the same way: every
-// point runs under system.Run with WithSpans, per-point trace dumps
-// persist in the checkpoint, the store is served on /traces alongside
-// -listen, and after the campaign each processor lane prints the
-// wait-state shift across the pivot. -spandir writes each point's dump
-// JSON to a directory for offline odbspan analysis.
+// -profile DIR turns on the cycle-attribution profiler: every point
+// runs under system.Run with WithProfiler, per-point profiles persist
+// in the checkpoint (when one is configured) and are written to DIR for
+// odbprof, profiles are served on /profile alongside -listen, and after
+// the campaign each processor lane prints the attribution shift across
+// the cached-to-scaled pivot — the smallest-W profile diffed against
+// the largest-W one.
 //
-// -qstats turns on the queueing observatory: every point runs under
+// -spans DIR turns on the per-transaction span tracer the same way:
+// every point runs under system.Run with WithSpans, per-point trace
+// dumps persist in the checkpoint and are written to DIR for odbspan,
+// the store is served on /traces alongside -listen, and after the
+// campaign each processor lane prints the wait-state shift across the
+// pivot.
+//
+// -qstats DIR turns on the queueing observatory: every point runs under
 // system.Run with WithQueueStats, per-point station reports persist in
-// the checkpoint, the store is served on /bottlenecks alongside
-// -listen, and after the campaign each processor lane prints the
-// bottleneck-shift table across the warehouse sweep. -qstatsdir writes
-// each point's report JSON to a directory for offline odbq analysis.
+// the checkpoint and are written to DIR for odbq, the store is served
+// on /bottlenecks alongside -listen, and after the campaign each
+// processor lane prints the bottleneck-shift table across the warehouse
+// sweep.
 package main
 
 import (
@@ -92,20 +94,14 @@ func main() {
 		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	listen := flag.String("listen", "", "serve the live campaign flight recorder on this address (/metrics /timeline /progress)")
-	profileFlag := flag.Bool("profile", false, "run every point under the cycle-attribution profiler and print the attribution shift across the cached-to-scaled pivot")
-	profileDir := flag.String("profiledir", "", "with -profile, write each point's profile JSON into this directory")
-	spansFlag := flag.Bool("spans", false, "run every point under the span tracer and print the wait-state shift across the pivot")
-	spanDir := flag.String("spandir", "", "with -spans, write each point's trace dump JSON into this directory")
-	qstatsFlag := flag.Bool("qstats", false, "run every point under the queueing observatory and print the bottleneck-shift table across the sweep")
-	qstatsDir := flag.String("qstatsdir", "", "with -qstats, write each point's station report JSON into this directory")
+	profileDir := flag.String("profile", "", "run every point under the cycle-attribution profiler, write each point's profile JSON into this directory and print the attribution shift across the cached-to-scaled pivot")
+	spanDir := flag.String("spans", "", "run every point under the span tracer, write each point's trace dump JSON into this directory and print the wait-state shift across the pivot")
+	qstatsDir := flag.String("qstats", "", "run every point under the queueing observatory, write each point's station report JSON into this directory and print the bottleneck-shift table across the sweep")
 	csv := flag.Bool("csv", false, "CSV output")
 	jsonOut := flag.Bool("json", false, "JSON output (one object per point)")
 	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
-	if _, ok := engine.Lookup(*engineName); !ok {
-		log.Fatalf("unknown engine %q (have %s)", *engineName, strings.Join(engine.Names(), ", "))
-	}
 	mc, err := runflags.Machine(*machine)
 	if err != nil {
 		log.Fatal(err)
@@ -128,19 +124,19 @@ func main() {
 	}
 	var extra []live.Endpoint
 	var profiles *campaign.Store[*profile.Profile]
-	if *profileFlag || *profileDir != "" {
+	if *profileDir != "" {
 		profiles = campaign.NewStore[*profile.Profile]("profile")
 		spec.Instruments = append(spec.Instruments, campaign.Profiles(profiles))
 		extra = append(extra, live.Endpoint{Path: "/profile", Write: profiles.WriteJSON})
 	}
 	var spans *campaign.Store[*txtrace.Dump]
-	if *spansFlag || *spanDir != "" {
+	if *spanDir != "" {
 		spans = campaign.NewStore[*txtrace.Dump]("dump")
 		spec.Instruments = append(spec.Instruments, campaign.Spans(txtrace.Config{}, spans))
 		extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteJSON})
 	}
 	var stations *campaign.Store[*qstats.Report]
-	if *qstatsFlag || *qstatsDir != "" {
+	if *qstatsDir != "" {
 		stations = campaign.NewStore[*qstats.Report]("report")
 		spec.Instruments = append(spec.Instruments, campaign.QueueStats(stations))
 		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: stations.WriteJSON})
@@ -197,12 +193,9 @@ func main() {
 	}
 }
 
-// writeEach writes every point's payload in st into dir (when set), one
+// writeEach writes every point's payload in st into dir, one
 // <point>.json file each (e.g. W10-P1.json), for offline analysis.
 func writeEach[T any](st *campaign.Store[T], dir, noun string, write func(T, io.Writer) error) {
-	if dir == "" {
-		return
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}

@@ -130,6 +130,15 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("campaign: bad client range [%d, %d]", s.MinClients, s.MaxClients)
 		}
 	}
+	// Every point's run configuration, checked before anything is written,
+	// with the errors system.Run would return for it.
+	for _, w := range s.Warehouses {
+		for _, p := range s.Processors {
+			if err := system.Validate(s.config(w, 1, p, s.MeasureTxns)); err != nil {
+				return fmt.Errorf("campaign: W=%d P=%d: %w", w, p, err)
+			}
+		}
+	}
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 )
 
 // fakeUtil is the synthetic utilization surface the fake simulator
@@ -551,6 +552,19 @@ func TestSpecValidation(t *testing.T) {
 	spec.Resume = true // no CheckpointPath
 	if _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("Resume without CheckpointPath accepted")
+	}
+	// A run configuration system.Run would reject fails before the
+	// campaign writes its manifest or checkpoint.
+	spec = testSpec()
+	spec.Engine = "nope"
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	if _, err := Run(context.Background(), spec); !errors.Is(err, system.ErrBadEngine) {
+		t.Fatalf("err = %v, want ErrBadEngine", err)
+	}
+	for _, path := range []string{spec.CheckpointPath, telemetry.ManifestPath(spec.CheckpointPath)} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s written for a rejected spec (stat err = %v)", path, err)
+		}
 	}
 }
 

@@ -294,7 +294,7 @@ func coldFunc(name string) bool {
 		return true
 	}
 	switch name {
-	case "init", "Close", "String", "GoString", "Error", "Format", "validate":
+	case "init", "Close", "String", "GoString", "Error", "Format", "validate", "Validate":
 		return true
 	}
 	return false

@@ -45,8 +45,8 @@ func (m *machine) snapFlight() flightSnap {
 		cycles:    m.ctr.cycles,
 		l2Miss:    m.ctr.l2Miss,
 		l3Miss:    m.ctr.l3Miss,
-		userInstr: m.flUserInstr,
-		osInstr:   m.flOSInstr,
+		userInstr: m.ctr.instructions - m.ctr.osInstr,
+		osInstr:   m.ctr.osInstr,
 		bcGets:    bc.Gets,
 		bcHits:    bc.Hits,
 		physW:     ec.PhysicalWriteBytes + m.evictWr*odb.BlockSize,

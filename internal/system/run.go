@@ -13,30 +13,52 @@ import (
 	"odbscale/internal/txtrace"
 )
 
-// Option attaches an optional observer to a Run. Observers are strictly
-// that: none of them draws randomness or schedules simulation events, so
-// metrics are bit-identical with any combination of options attached.
-type Option func(*runOpts)
-
-type runOpts struct {
-	trace      io.Writer
-	traceCount *uint64
-	rec        *telemetry.Recorder
-	emon       *perfmon.Config
-	emonOut    *[]perfmon.Result
-	prof       *profile.Collector
-	spans      *txtrace.Tracer
-	qs         *qstats.Collector
-}
+// Option attaches an optional observer to a Run. It is applied to the
+// built machine before prefill, in argument order: it sets the
+// machine's concrete hot-path field and registers its own
+// measurement-start and run-end hooks. WithTrace, WithRecorder,
+// WithProfiler, WithSpans and WithQueueStats only read simulated state:
+// none draws randomness, and the recorder's timeline ticks are the only
+// events any of them schedules. Metrics are bit-identical with any
+// combination of these five attached, in any order. WithEMON is the
+// exception: its sampler schedules events and the run continues until
+// its schedule completes, so it can measure more than MeasureTxns.
+type Option func(*machine) error
 
 // WithTrace captures every simulated memory reference of the measurement
 // period to w in the trace format (see package trace and cmd/odbtrace).
 // If count is non-nil it receives the number of records written. A nil w
 // is ignored.
 func WithTrace(w io.Writer, count *uint64) Option {
-	return func(o *runOpts) {
-		o.trace = w
-		o.traceCount = count
+	return func(m *machine) error {
+		if w == nil {
+			return nil
+		}
+		tw, err := trace.NewWriter(w)
+		if err != nil {
+			return err
+		}
+		var tapErr error
+		m.atReset = append(m.atReset, func() {
+			m.synth.SetTap(func(cpu int, addr cache.Addr, kind cache.Kind) {
+				if tapErr == nil {
+					tapErr = tw.Write(trace.Record{CPU: uint8(cpu), Kind: kind, Addr: uint64(addr)})
+				}
+			})
+		})
+		m.atEnd = append(m.atEnd, func(Metrics) error {
+			if tapErr != nil {
+				return tapErr
+			}
+			if err := tw.Flush(); err != nil {
+				return err
+			}
+			if count != nil {
+				*count = tw.Count()
+			}
+			return nil
+		})
+		return nil
 	}
 }
 
@@ -44,7 +66,21 @@ func WithTrace(w io.Writer, count *uint64) Option {
 // phase marks at the warm-up reset and at run end, and timeline samples
 // every recorder interval of simulated time. A nil recorder is ignored.
 func WithRecorder(rec *telemetry.Recorder) Option {
-	return func(o *runOpts) { o.rec = rec }
+	return func(m *machine) error {
+		if rec == nil {
+			return nil
+		}
+		m.rec = rec
+		rec.SetTarget(uint64(m.cfg.MeasureTxns))
+		m.atReset = append(m.atReset, func() {
+			rec.MarkPhase(telemetry.PhaseMeasure, float64(m.resetAt)/m.cfg.Machine.FreqHz)
+		})
+		m.atEnd = append(m.atEnd, func(Metrics) error {
+			rec.MarkPhase(telemetry.PhaseDone, float64(m.eng.Now())/m.cfg.Machine.FreqHz)
+			return nil
+		})
+		return nil
+	}
 }
 
 // WithEMON samples the machine's performance counters with the paper's
@@ -54,9 +90,25 @@ func WithRecorder(rec *telemetry.Recorder) Option {
 // non-nil it receives one rate observation per event, with the sampling
 // spread — including the noise the paper reports for rare events.
 func WithEMON(cfg perfmon.Config, results *[]perfmon.Result) Option {
-	return func(o *runOpts) {
-		o.emon = &cfg
-		o.emonOut = results
+	return func(m *machine) error {
+		var sampler *perfmon.Sampler
+		m.atReset = append(m.atReset, func() {
+			sampler = perfmon.NewSampler(m.eng, cfg, m.counterSource())
+			sampler.Start(nil)
+		})
+		m.extraDone = func() bool { return sampler != nil && sampler.Done() }
+		m.atEnd = append(m.atEnd, func(Metrics) error {
+			if results == nil || sampler == nil {
+				return nil
+			}
+			out := make([]perfmon.Result, 0, len(perfmon.Events()))
+			for _, e := range perfmon.Events() {
+				out = append(out, sampler.Result(e))
+			}
+			*results = out
+			return nil
+		})
+		return nil
 	}
 }
 
@@ -65,7 +117,28 @@ func WithEMON(cfg perfmon.Config, results *[]perfmon.Result) Option {
 // (transaction type, engine phase, mode) frames as the pricing path
 // retires them. A nil collector is ignored.
 func WithProfiler(prof *profile.Collector) Option {
-	return func(o *runOpts) { o.prof = prof }
+	return func(m *machine) error {
+		if prof == nil {
+			return nil
+		}
+		m.prof = prof
+		prof.SetMeta(profile.Meta{
+			Warehouses: m.cfg.Warehouses,
+			Clients:    m.cfg.Clients,
+			Processors: m.cfg.Processors,
+			Seed:       m.cfg.Seed,
+			Scale:      m.cfg.Tuning.Scale,
+			FreqHz:     m.cfg.Machine.FreqHz,
+			OtherCPI:   m.cfg.Tuning.OtherCPI,
+			Stall:      m.cfg.Machine.Stall,
+		})
+		m.atEnd = append(m.atEnd, func(met Metrics) error {
+			prof.SetIdle(m.sched.IdleCyclesAt(m.eng.Now()))
+			prof.Finalize(met.ElapsedSeconds, met.Txns)
+			return nil
+		})
+		return nil
+	}
 }
 
 // WithSpans feeds the per-transaction span tracer: each measured
@@ -75,7 +148,20 @@ func WithProfiler(prof *profile.Collector) Option {
 // K slowest per type — is retained for reports and export. A nil tracer
 // is ignored.
 func WithSpans(tr *txtrace.Tracer) Option {
-	return func(o *runOpts) { o.spans = tr }
+	return func(m *machine) error {
+		if tr == nil {
+			return nil
+		}
+		m.spans = tr
+		tr.SetMeta(txtrace.Meta{
+			Warehouses: m.cfg.Warehouses,
+			Clients:    m.cfg.Clients,
+			Processors: m.cfg.Processors,
+			Seed:       m.cfg.Seed,
+			FreqHz:     m.cfg.Machine.FreqHz,
+		})
+		return nil
+	}
 }
 
 // WithQueueStats feeds the queueing observatory: every shared service
@@ -85,10 +171,37 @@ func WithSpans(tr *txtrace.Tracer) Option {
 // derived report is published at every flight-recorder tick, and the
 // final report — utilization, throughput, service/wait times, queue
 // lengths, operational-law residuals, bottleneck ranking — is published
-// when the run completes. Strictly observational: no randomness, no
-// scheduled events, bit-identical metrics. A nil collector is ignored.
+// when the run completes. A nil collector is ignored.
 func WithQueueStats(c *qstats.Collector) Option {
-	return func(o *runOpts) { o.qs = c }
+	return func(m *machine) error {
+		if c == nil {
+			return nil
+		}
+		m.qs = c
+		m.sched.SetStation(c.Station(qstats.CPU))
+		m.fsb.SetStation(c.Station(qstats.Bus))
+		m.disks.SetStations(c.Station(qstats.Disk), c.Station(qstats.Log))
+		m.qsLock = c.Station(qstats.LockMgr)
+		m.qsBusy = c.Station(qstats.BufferPool)
+		m.qsEngine = c.Station(qstats.Engine)
+		c.SetServers(qstats.CPU, m.cfg.Processors*m.smt)
+		c.SetServers(qstats.Bus, 1)
+		c.SetServers(qstats.Disk, m.disks.DataDisks())
+		c.SetServers(qstats.Log, m.cfg.Machine.Disks.LogDisks)
+		m.atReset = append(m.atReset, func() {
+			c.ResetStations()
+			// Clear in-flight block marks so no completion lands in the
+			// measurement window without its arrival.
+			for _, sp := range m.procs {
+				sp.qsSt = nil
+			}
+		})
+		m.atEnd = append(m.atEnd, func(Metrics) error {
+			c.Publish(m.qsReport())
+			return nil
+		})
+		return nil
+	}
 }
 
 // Run executes one configuration and returns its metrics. It is the
@@ -100,13 +213,7 @@ func WithQueueStats(c *qstats.Collector) Option {
 // context's error is returned instead of metrics. A nil ctx is treated
 // as context.Background().
 func Run(ctx context.Context, cfg Config, opts ...Option) (Metrics, error) {
-	var o runOpts
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
-	}
-	if err := validate(cfg); err != nil {
+	if err := Validate(cfg); err != nil {
 		return Metrics{}, err
 	}
 	if ctx == nil {
@@ -118,127 +225,25 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Metrics, error) {
 		return Metrics{}, err
 	}
 
-	var tw *trace.Writer
-	if o.trace != nil {
-		var err error
-		tw, err = trace.NewWriter(o.trace)
-		if err != nil {
+	m := build(cfg)
+	for _, opt := range opts {
+		if opt == nil {
+			continue
+		}
+		if err := opt(m); err != nil {
 			return Metrics{}, err
 		}
 	}
-	if o.rec != nil {
-		o.rec.SetTarget(uint64(cfg.MeasureTxns))
-	}
-	if o.prof != nil {
-		o.prof.SetMeta(profile.Meta{
-			Warehouses: cfg.Warehouses,
-			Clients:    cfg.Clients,
-			Processors: cfg.Processors,
-			Seed:       cfg.Seed,
-			Scale:      cfg.Tuning.Scale,
-			FreqHz:     cfg.Machine.FreqHz,
-			OtherCPI:   cfg.Tuning.OtherCPI,
-			Stall:      cfg.Machine.Stall,
-		})
-	}
-
-	if o.spans != nil {
-		o.spans.SetMeta(txtrace.Meta{
-			Warehouses: cfg.Warehouses,
-			Clients:    cfg.Clients,
-			Processors: cfg.Processors,
-			Seed:       cfg.Seed,
-			FreqHz:     cfg.Machine.FreqHz,
-		})
-	}
-
-	m := build(cfg)
-	m.rec = o.rec
-	m.prof = o.prof
-	m.spans = o.spans
-	if o.qs != nil {
-		m.qs = o.qs
-		m.sched.SetStation(o.qs.Station(qstats.CPU))
-		m.fsb.SetStation(o.qs.Station(qstats.Bus))
-		m.disks.SetStations(o.qs.Station(qstats.Disk), o.qs.Station(qstats.Log))
-		m.qsLock = o.qs.Station(qstats.LockMgr)
-		m.qsBusy = o.qs.Station(qstats.BufferPool)
-		m.qsEngine = o.qs.Station(qstats.Engine)
-		o.qs.SetServers(qstats.CPU, cfg.Processors*m.smt)
-		o.qs.SetServers(qstats.Bus, 1)
-		o.qs.SetServers(qstats.Disk, m.disks.DataDisks())
-		o.qs.SetServers(qstats.Log, cfg.Machine.Disks.LogDisks)
-	}
-
-	// Observer hooks arm at the warm-up reset so they see exactly the
-	// measurement period. Multiple observers chain on the same hook.
-	var tapErr error
-	if tw != nil {
-		m.onReset = chainHook(m.onReset, func() {
-			m.synth.SetTap(func(cpu int, addr cache.Addr, kind cache.Kind) {
-				if tapErr == nil {
-					tapErr = tw.Write(trace.Record{CPU: uint8(cpu), Kind: kind, Addr: uint64(addr)})
-				}
-			})
-		})
-	}
-	var sampler *perfmon.Sampler
-	if o.emon != nil {
-		emonCfg := *o.emon
-		m.onReset = chainHook(m.onReset, func() {
-			sampler = perfmon.NewSampler(m.eng, emonCfg, m.counterSource())
-			sampler.Start(nil)
-		})
-		m.extraDone = func() bool { return sampler != nil && sampler.Done() }
-	}
-
 	m.prefill()
 	m.start()
-	if o.rec != nil {
-		m.startFlight()
-	}
 	if err := m.drive(ctx); err != nil {
 		return Metrics{}, err
 	}
-	if tapErr != nil {
-		return Metrics{}, tapErr
-	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
+	met := m.metrics()
+	for _, end := range m.atEnd {
+		if err := end(met); err != nil {
 			return Metrics{}, err
 		}
-		if o.traceCount != nil {
-			*o.traceCount = tw.Count()
-		}
-	}
-	if o.rec != nil {
-		o.rec.MarkPhase(telemetry.PhaseDone, float64(m.eng.Now())/cfg.Machine.FreqHz)
-	}
-	met := m.metrics()
-	if o.qs != nil {
-		o.qs.Publish(m.qsReport())
-	}
-	if o.prof != nil {
-		o.prof.SetIdle(m.sched.IdleCyclesAt(m.eng.Now()))
-		o.prof.Finalize(met.ElapsedSeconds, met.Txns)
-	}
-	if o.emonOut != nil && sampler != nil {
-		results := make([]perfmon.Result, 0, len(perfmon.Events()))
-		for _, e := range perfmon.Events() {
-			results = append(results, sampler.Result(e))
-		}
-		*o.emonOut = results
 	}
 	return met, nil
-}
-
-// chainHook composes measurement-start hooks in registration order.
-func chainHook(prev, next func()) func() {
-	if prev == nil {
-		return next
-	}
-	return func() {
-		prev()
-		next()
-	}
 }

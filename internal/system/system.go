@@ -28,8 +28,11 @@ import (
 
 // serverProc is the per-process payload: the ODB server process state.
 type serverProc struct {
-	txn       *odb.Txn
-	opIdx     int
+	txn   *odb.Txn
+	opIdx int
+	// pendingOS is the OS instruction bill of the process's next chunk:
+	// deferred I/O-completion and writer-assist work charged while it
+	// slept, plus what the running chunk charges through chargeOS.
 	pendingOS uint64
 	carry     []odb.BlockID      // blocks installed by I/O since the last chunk
 	dbWriter  bool               // the engine-maintenance process (DB writer / compactor)
@@ -67,17 +70,19 @@ type machine struct {
 	cyclesPerMS float64
 	smt         int
 
-	ctr       counters
-	onReset   func()      // observer hooks armed at measurement start
-	extraDone func() bool // extra completion condition (EMON's schedule)
+	ctr counters
 
-	// Flight recorder (nil unless WithRecorder). flUserInstr/flOSInstr are
-	// free-running per-mode instruction counters — unlike user/os they are
-	// never gated on measuring, so the sampler can difference them across
-	// the whole run, warm-up included.
-	rec         *telemetry.Recorder
-	flUserInstr uint64
-	flOSInstr   uint64
+	// Observer hooks, registered by the options in argument order:
+	// atReset runs at measurement start (before the components zero
+	// their statistics), atEnd after the final metrics are assembled.
+	// extraDone is an extra drive-loop completion condition (EMON's
+	// schedule).
+	atReset   []func()
+	atEnd     []func(Metrics) error
+	extraDone func() bool
+
+	// Flight recorder (nil unless WithRecorder).
+	rec *telemetry.Recorder
 
 	// Cycle-attribution profiler (nil unless WithProfiler). The chunk
 	// execution paths append per-frame instruction shares to the scratch
@@ -145,8 +150,9 @@ var (
 	ErrBadEngine = errors.New("unknown storage engine")
 )
 
-// validate rejects configurations Run cannot execute.
-func validate(cfg Config) error {
+// Validate rejects configurations Run cannot execute, with the errors
+// Run would return for them.
+func Validate(cfg Config) error {
 	if cfg.Warehouses < 1 || cfg.Clients < 1 || cfg.Processors < 1 {
 		return fmt.Errorf("system: %w: W=%d C=%d P=%d",
 			ErrBadConfig, cfg.Warehouses, cfg.Clients, cfg.Processors)
@@ -427,6 +433,11 @@ func (m *machine) start() {
 		m.eng.After(interval, tick)
 	}
 	m.eng.After(interval, tick)
+	// The timeline sampler's first tick is queued after the DB writer's,
+	// so coinciding ticks keep that order.
+	if m.rec != nil {
+		m.startFlight()
+	}
 }
 
 // ctxCheckEvery is how many dispatched events pass between context
@@ -512,8 +523,6 @@ func (m *machine) runChunk(p *osker.Proc, cpuID int, budget uint64) osker.Outcom
 		chunkCap = budget
 	}
 	var userInstr uint64
-	osInstr := sp.pendingOS
-	sp.pendingOS = 0
 	// Visit list for pricing: the carried I/O installs plus every block
 	// touched this chunk, built in the proc's reusable scratch buffer.
 	blocks := append(sp.blocksBuf[:0], sp.carry...)
@@ -522,7 +531,7 @@ func (m *machine) runChunk(p *osker.Proc, cpuID int, budget uint64) osker.Outcom
 	if m.prof != nil {
 		// Deferred I/O-completion and writer-assist work charged to this
 		// process executes in interrupt context, not the transaction.
-		m.osShares = addShare(m.osShares, profile.KindKernel, odb.PhaseSyscall, osInstr)
+		m.osShares = addShare(m.osShares, profile.KindKernel, odb.PhaseSyscall, sp.pendingOS)
 	}
 
 loop:
@@ -530,17 +539,11 @@ loop:
 		if sp.txn == nil {
 			sp.txn = m.gen.Next(p.ID)
 			sp.opIdx = 0
-			osInstr += t.PerTxnOSInstr
-			if m.prof != nil {
-				m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), odb.PhaseSyscall, t.PerTxnOSInstr)
-			}
-			if m.rec != nil {
-				sp.startAt = m.eng.Now()
-			}
+			sp.startAt = m.eng.Now()
 			if ts != nil {
 				ts.Begin(sp.txn.Type, m.eng.Now())
-				ts.AddInstr(odb.PhaseSyscall, t.PerTxnOSInstr)
 			}
+			m.chargeOS(sp, odb.PhaseSyscall, t.PerTxnOSInstr)
 		}
 		op := &sp.txn.Ops[sp.opIdx]
 		userInstr += op.Instr
@@ -576,13 +579,7 @@ loop:
 					sp.opIdx++
 					wait := sim.Time(m.rng.Exp(t.BusyWaitMS) * m.cyclesPerMS)
 					m.eng.After(wait, sp.wake)
-					if ts != nil {
-						ts.SetBlock(txtrace.KindBusyWait, 0)
-					}
-					if m.qsBusy != nil {
-						m.qsBusy.Arrive()
-						sp.qsSt = m.qsBusy
-					}
+					m.block(sp, txtrace.KindBusyWait, 0, m.qsBusy)
 					blocked = true
 					break loop
 				}
@@ -599,26 +596,13 @@ loop:
 				}
 				m.inflight[block] = append(waiters, ioWaiter{proc: p, sp: sp, write: write})
 				if !pending {
-					osInstr += t.IOIssueInstr
-					if m.prof != nil {
-						m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), odb.PhaseSyscall, t.IOIssueInstr)
-					}
-					if ts != nil {
-						ts.AddInstr(odb.PhaseSyscall, t.IOIssueInstr)
-					}
+					m.chargeOS(sp, odb.PhaseSyscall, t.IOIssueInstr)
 					m.disks.Read(uint64(block), func() { m.readDone(block) })
 				} else {
-					osInstr += 2000 // buffer-wait path; the read is in flight
-					if m.prof != nil {
-						m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), odb.PhaseSyscall, 2000)
-					}
-					if ts != nil {
-						ts.AddInstr(odb.PhaseSyscall, 2000)
-					}
+					m.chargeOS(sp, odb.PhaseSyscall, 2000) // buffer-wait path; the read is in flight
 				}
-				if ts != nil {
-					ts.SetBlock(txtrace.KindIOWait, 0)
-				}
+				// Disk reads are counted by the disk array's own station.
+				m.block(sp, txtrace.KindIOWait, 0, nil)
 				blocked = true
 				break loop
 			}
@@ -629,31 +613,15 @@ loop:
 			if stall := m.se.MemWrite(op.Bytes); stall > 0 {
 				sp.opIdx++
 				m.eng.After(stall, sp.wake)
-				if ts != nil {
-					ts.SetBlock(txtrace.KindBusyWait, 0)
-				}
-				if m.qsEngine != nil {
-					m.qsEngine.Arrive()
-					sp.qsSt = m.qsEngine
-				}
+				m.block(sp, txtrace.KindBusyWait, 0, m.qsEngine)
 				blocked = true
 				break loop
 			}
 		case odb.OpLock:
 			if !m.lm.Acquire(op.Res, p.ID, sp.wake) {
 				sp.opIdx++
-				osInstr += 2000 // semaphore sleep path
-				if m.prof != nil {
-					m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), odb.PhaseLock, 2000)
-				}
-				if ts != nil {
-					ts.AddInstr(odb.PhaseLock, 2000)
-					ts.SetBlock(txtrace.KindLockWait, uint8(op.Res.Class))
-				}
-				if m.qsLock != nil {
-					m.qsLock.Arrive()
-					sp.qsSt = m.qsLock
-				}
+				m.chargeOS(sp, odb.PhaseLock, 2000) // semaphore sleep path
+				m.block(sp, txtrace.KindLockWait, uint8(op.Res.Class), m.qsLock)
 				blocked = true
 				break loop
 			}
@@ -661,39 +629,20 @@ loop:
 			m.lm.Release(op.Res, p.ID)
 		case odb.OpLog:
 			kb := (op.Bytes + 1023) / 1024
-			osInstr += t.LogInstrPerKB * uint64(kb)
-			if m.prof != nil {
-				m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), odb.PhaseLogCommit, t.LogInstrPerKB*uint64(kb))
-			}
-			if ts != nil {
-				ts.AddInstr(odb.PhaseLogCommit, t.LogInstrPerKB*uint64(kb))
-			}
+			m.chargeOS(sp, odb.PhaseLogCommit, t.LogInstrPerKB*uint64(kb))
 			m.disks.LogWrite(1, nil)
 			if m.measuring {
 				m.logBytes += float64(op.Bytes)
 			}
 		case odb.OpCommit:
-			if m.rec != nil {
-				// Latency at chunk granularity: both endpoints are chunk
-				// start times, so the commit chunk's own cycles are excluded
-				// symmetrically with the generating chunk's.
-				us := float64(m.eng.Now()-sp.startAt) * 1e3 / m.cyclesPerMS
-				m.rec.ObserveSpan(sp.txn.Type.String(), uint64(us))
-			}
-			if ts != nil {
-				// Same latency window as the recorder: both endpoints are
-				// chunk start times, the commit chunk's cycles excluded.
-				m.spans.End(ts, m.eng.Now(), m.measuring)
-			}
-			m.commit()
-			m.gen.Recycle(sp.txn)
-			sp.txn = nil
-			sp.opIdx = 0
+			m.commit(sp)
 			continue loop // opIdx already reset; skip the increment
 		}
 		sp.opIdx++
 	}
 
+	osInstr := sp.pendingOS
+	sp.pendingOS = 0
 	cycles := m.price(cpuID, p.ID, userInstr, osInstr, blocks)
 	sp.blocksBuf = blocks[:0] // price consumed the list synchronously
 	if ts != nil {
@@ -703,6 +652,33 @@ loop:
 		sp.qsBlockEnd = m.eng.Now() + cycles
 	}
 	return osker.Outcome{Cycles: cycles, Instr: userInstr + osInstr, Block: blocked}
+}
+
+// chargeOS bills n OS instructions of engine phase ph, executed on
+// behalf of the process's transaction, to the running chunk: its OS
+// total, the profiler's share list and the span tracer's phase clock.
+func (m *machine) chargeOS(sp *serverProc, ph odb.Phase, n uint64) {
+	sp.pendingOS += n
+	if m.prof != nil {
+		m.osShares = addShare(m.osShares, profile.KindOf(sp.txn.Type), ph, n)
+	}
+	if sp.ts != nil {
+		sp.ts.AddInstr(ph, n)
+	}
+}
+
+// block marks the process's running chunk as ending in a wait of the
+// given kind (lock class for lock waits): the span tracer classifies the
+// gap before its next chunk as that wait, and a non-nil delay-center
+// station records the arrival, completed at the next chunk start.
+func (m *machine) block(sp *serverProc, kind txtrace.Kind, class uint8, st *qstats.Station) {
+	if sp.ts != nil {
+		sp.ts.SetBlock(kind, class)
+	}
+	if st != nil {
+		st.Arrive()
+		sp.qsSt = st
+	}
 }
 
 // readDone installs a completed disk read and wakes every waiter.
@@ -759,40 +735,43 @@ func (m *machine) evictWrite() {
 	}
 }
 
-// commit records a completed transaction and arms the measurement reset
-// at the end of warm-up.
-func (m *machine) commit() {
+// commit completes the process's transaction: it closes the flight
+// recorder's and the span tracer's latency windows, counts the commit,
+// arms the measurement reset at the end of warm-up, and recycles the
+// transaction.
+func (m *machine) commit(sp *serverProc) {
+	// Latency at chunk granularity: both endpoints are chunk start times,
+	// so the commit chunk's own cycles are excluded symmetrically with the
+	// generating chunk's.
+	if m.rec != nil {
+		us := float64(m.eng.Now()-sp.startAt) * 1e3 / m.cyclesPerMS
+		m.rec.ObserveSpan(sp.txn.Type.String(), uint64(us))
+		m.rec.NoteCommit(m.measuring)
+	}
+	if sp.ts != nil {
+		m.spans.End(sp.ts, m.eng.Now(), m.measuring)
+	}
 	m.totalTxns++
 	if m.measuring {
 		m.txns++
 	} else if m.totalTxns >= uint64(m.cfg.WarmupTxns) {
 		m.wantReset = true
 	}
-	if m.rec != nil {
-		m.rec.NoteCommit(m.measuring)
-	}
+	m.gen.Recycle(sp.txn)
+	sp.txn = nil
+	sp.opIdx = 0
 }
 
 // reset starts the measurement period: every component's statistics are
 // zeroed while all state (caches, buffer pool, queues) is preserved.
 func (m *machine) reset() {
 	m.measuring = true
-	if m.onReset != nil {
-		m.onReset()
-	}
 	m.resetAt = m.eng.Now()
-	if m.rec != nil {
-		m.rec.MarkPhase(telemetry.PhaseMeasure, float64(m.resetAt)/m.cfg.Machine.FreqHz)
-	}
-	if m.qs != nil {
-		// Reset the stations before the scheduler: osker's ResetStats
-		// re-arrives mid-episode processes into the fresh window.
-		m.qs.ResetStations()
-		// Clear in-flight block marks so no completion lands in the
-		// measurement window without its arrival.
-		for _, sp := range m.procs {
-			sp.qsSt = nil
-		}
+	// Observer hooks run before the components reset: osker's ResetStats
+	// re-arrives mid-episode processes into the queueing stations, which
+	// must already be fresh.
+	for _, h := range m.atReset {
+		h()
 	}
 	m.bc.ResetStats()
 	m.disks.ResetStats()
@@ -813,9 +792,6 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, Instr: userInstr, Blocks: blocks})
 		userCycles = m.eventCycles(userInstr, ev) * smt
 		m.ctr.note(userInstr, userCycles, ev)
-		if m.rec != nil {
-			m.flUserInstr += userInstr
-		}
 		if m.measuring {
 			m.user.add(userInstr, userCycles, ev.TCMiss, ev.L2Miss, ev.L3Miss, ev.CoherMiss, ev.TLBMiss, ev.Mispred, ev.BusLatency)
 			if m.prof != nil {
@@ -827,9 +803,7 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, OS: true, Instr: osInstr, Blocks: blocks})
 		osCycles = m.eventCycles(osInstr, ev) * smt
 		m.ctr.note(osInstr, osCycles, ev)
-		if m.rec != nil {
-			m.flOSInstr += osInstr
-		}
+		m.ctr.osInstr += osInstr
 		if m.measuring {
 			m.os.add(osInstr, osCycles, ev.TCMiss, ev.L2Miss, ev.L3Miss, ev.CoherMiss, ev.TLBMiss, ev.Mispred, ev.BusLatency)
 			if m.prof != nil {

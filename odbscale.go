@@ -65,7 +65,9 @@ type (
 
 // Option attaches an optional observer (trace capture, flight recorder,
 // EMON sampler, cycle profiler, span tracer, queueing observatory) to a
-// Run.
+// Run. Metrics are bit-identical with any combination of WithTrace,
+// WithRecorder, WithProfiler, WithSpans and WithQueueStats attached;
+// WithEMON extends the run until its sampling schedule completes.
 type Option = system.Option
 
 // Run executes one configuration through warm-up and measurement. It is
