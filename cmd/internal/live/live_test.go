@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"odbscale/internal/campaign"
+	"odbscale/internal/cpu"
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
 	"odbscale/internal/system"
@@ -134,7 +135,7 @@ func TestProfileEndpoint(t *testing.T) {
 	col.SetMeta(profile.Meta{Label: "W=10,P=1", Scale: 1})
 	col.AddChunk(profile.User,
 		[]profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}},
-		1000, 2500, profile.Events{L3Miss: 4})
+		1000, 2500, cpu.Events{L3Miss: 4})
 	st.Put("W=10,P=1", col.Profile())
 	ts := httptest.NewServer(NewMux(telemetry.NewCampaignRecorder(telemetry.Config{}),
 		Endpoint{Path: "/profile", Write: st.WriteJSON}))

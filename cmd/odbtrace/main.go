@@ -110,7 +110,7 @@ func replaySweep(o options) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		geo := cache.XeonGeometry(1)
+		geo := cache.XeonGeometry()
 		geo.L3Size = mb << 20
 		geo = workload.ScaledGeometry(geo, scale)
 		stats, err := trace.Replay(r, cache.NewDomain(geo, o.p, true))

@@ -23,13 +23,10 @@ type Config struct {
 	Payloads  bool // allocate real pages
 }
 
-// Stats counts cache events.
+// Stats counts cache lookups. Gets also clocks the DB writer's aging.
 type Stats struct {
-	Gets       uint64
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64 // dirty blocks handed to the DB writer or evicted dirty
+	Gets uint64
+	Hits uint64
 }
 
 // HitRatio returns hits per get.
@@ -53,9 +50,6 @@ type Entry struct {
 	dirtyPrev, dirtyNext *Entry // dirty chain (aged order)
 	inDirty              bool
 }
-
-// Dirty reports whether the entry has unwritten modifications.
-func (e *Entry) Dirty() bool { return e.dirty }
 
 // Cache is the buffer cache.
 type Cache struct {
@@ -117,17 +111,6 @@ func (c *Cache) lruPushFront(e *Entry) {
 	}
 }
 
-func (c *Cache) lruPushBack(e *Entry) {
-	e.prev, e.next = c.tail, nil
-	if c.tail != nil {
-		c.tail.next = e
-	}
-	c.tail = e
-	if c.head == nil {
-		c.head = e
-	}
-}
-
 // --- dirty list (append new at head; tail is the oldest) ---
 
 func (c *Cache) dirtyRemove(e *Entry) {
@@ -171,7 +154,6 @@ func (c *Cache) Lookup(id BlockID) *Entry {
 	c.stats.Gets++
 	e, ok := c.table[id]
 	if !ok {
-		c.stats.Misses++
 		return nil
 	}
 	c.stats.Hits++
@@ -204,22 +186,6 @@ type Evicted struct {
 // incoming block, so a warmed-up cache installs without allocating. The
 // victim's payload page (if any) is handed off in Evicted, never reused.
 func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
-	return c.install(id, false)
-}
-
-// InstallScan inserts a block read by a sequential scan — a stock-level
-// sweep, an engine's compaction pass — at the cold (LRU) end of the
-// chain instead of the MRU position, the midpoint/NOCACHE discipline
-// real servers apply to large scans. One-touch scan blocks then become
-// the next victims and churn among themselves, so a scan longer than
-// the cache cannot flush the transactional working set; a block the
-// workload re-reads is promoted to MRU by the Lookup hit as usual.
-// Everything else (pinning, eviction, entry pooling) matches Install.
-func (c *Cache) InstallScan(id BlockID) (*Entry, Evicted) {
-	return c.install(id, true)
-}
-
-func (c *Cache) install(id BlockID, scan bool) (*Entry, Evicted) {
 	if _, ok := c.table[id]; ok {
 		panic(fmt.Sprintf("buffercache: Install of resident block %d", id))
 	}
@@ -234,13 +200,11 @@ func (c *Cache) install(id BlockID, scan bool) (*Entry, Evicted) {
 		}
 		ev = Evicted{ID: victim.ID, Dirty: victim.dirty, Valid: true, Data: victim.Data}
 		if victim.dirty {
-			c.stats.Writebacks++
 			c.dirtyRemove(victim)
 		}
 		c.lruRemove(victim)
 		delete(c.table, victim.ID)
 		c.size--
-		c.stats.Evictions++
 		victim.Data = nil
 		victim.next = c.free
 		c.free = victim
@@ -258,11 +222,7 @@ func (c *Cache) install(id BlockID, scan bool) (*Entry, Evicted) {
 		e.Data = make([]byte, c.cfg.BlockSize)
 	}
 	c.table[id] = e
-	if scan {
-		c.lruPushBack(e)
-	} else {
-		c.lruPushFront(e)
-	}
+	c.lruPushFront(e)
 	c.size++
 	return e, ev
 }
@@ -286,22 +246,13 @@ func (c *Cache) Release(e *Entry) {
 	e.pins--
 }
 
-// CleanBatch cleans up to max dirty unpinned blocks in oldest-dirtied
-// order, returning their IDs for the DB writer. It is equivalent to
-// CleanAged with no age requirement.
-func (c *Cache) CleanBatch(max int) []BlockID { return c.CleanAged(max, 0) }
-
-// CleanAged implements the DB writer's aging policy: walking the dirty
-// list oldest-first, it cleans blocks that have not been touched for at
-// least minAge gets. Hot blocks being re-dirtied stay dirty in memory
-// instead of being written over and over, as with Oracle's LRU-W writer;
-// only aged (cooled-off) dirty blocks reach the disk.
-func (c *Cache) CleanAged(max int, minAge uint64) []BlockID {
-	return c.CleanAgedInto(nil, max, minAge)
-}
-
-// CleanAgedInto is CleanAged appending into dst, so a periodic caller (the
-// DB writer tick) can reuse one scratch buffer across calls.
+// CleanAgedInto implements the DB writer's aging policy: walking the
+// dirty list oldest-first, it cleans up to max unpinned blocks that have
+// not been touched for at least minAge gets and appends their IDs to dst,
+// so a periodic caller (the DB writer tick) can reuse one scratch buffer
+// across calls. Hot blocks being re-dirtied stay dirty in memory instead
+// of being written over and over, as with Oracle's LRU-W writer; only
+// aged (cooled-off) dirty blocks reach the disk.
 func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 	start := len(dst)
 	e := c.dirtyTail
@@ -310,7 +261,6 @@ func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 		if e.pins == 0 && c.stats.Gets-e.touch >= minAge {
 			e.dirty = false
 			c.dirtyRemove(e)
-			c.stats.Writebacks++
 			dst = append(dst, e.ID)
 		}
 		e = prev
@@ -328,7 +278,6 @@ func (c *Cache) CleanAllDirty() []BlockID {
 		if e.pins == 0 {
 			e.dirty = false
 			c.dirtyRemove(e)
-			c.stats.Writebacks++
 			out = append(out, e.ID)
 		}
 		e = prev
@@ -338,9 +287,6 @@ func (c *Cache) CleanAllDirty() []BlockID {
 
 // DirtyCount returns the number of dirty blocks.
 func (c *Cache) DirtyCount() int { return c.dirtyCount }
-
-// Len returns the number of resident blocks.
-func (c *Cache) Len() int { return c.size }
 
 // Capacity returns the configured capacity in blocks.
 func (c *Cache) Capacity() int { return c.cfg.Blocks }

@@ -26,7 +26,7 @@ func TestMissThenHit(t *testing.T) {
 	}
 	c.Release(e)
 	s := c.Stats()
-	if s.Gets != 2 || s.Hits != 1 || s.Misses != 1 {
+	if s.Gets != 2 || s.Hits != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -87,11 +87,15 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c.MarkDirty(e)
 	c.Release(e)
 	_, ev := c.Install(2)
-	if !ev.Valid || !ev.Dirty {
-		t.Fatalf("eviction = %+v, want dirty", ev)
+	if !ev.Valid || !ev.Dirty || ev.ID != 1 {
+		t.Fatalf("eviction = %+v, want dirty block 1", ev)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
+	// The caller writes the victim back; the DB writer must not see it.
+	if c.DirtyCount() != 0 {
+		t.Fatalf("DirtyCount after dirty eviction = %d", c.DirtyCount())
+	}
+	if batch := c.CleanAgedInto(nil, 10, 0); len(batch) != 0 {
+		t.Fatalf("evicted block handed to the DB writer too: %v", batch)
 	}
 }
 
@@ -105,7 +109,7 @@ func TestCleanBatchOldestFirst(t *testing.T) {
 	if c.DirtyCount() != 3 {
 		t.Fatalf("DirtyCount = %d", c.DirtyCount())
 	}
-	batch := c.CleanBatch(2)
+	batch := c.CleanAgedInto(nil, 2, 0)
 	if len(batch) != 2 || batch[0] != 1 || batch[1] != 2 {
 		t.Fatalf("batch = %v, want oldest first [1 2]", batch)
 	}
@@ -113,7 +117,7 @@ func TestCleanBatchOldestFirst(t *testing.T) {
 		t.Fatalf("DirtyCount after clean = %d", c.DirtyCount())
 	}
 	// Cleaned blocks remain resident.
-	if e := c.Lookup(1); e == nil || e.Dirty() {
+	if e := c.Lookup(1); e == nil || e.dirty {
 		t.Fatal("cleaned block evicted or still dirty")
 	}
 }
@@ -122,13 +126,34 @@ func TestCleanBatchSkipsPinned(t *testing.T) {
 	c := newTest(4)
 	e, _ := c.Install(1)
 	c.MarkDirty(e) // still pinned
-	batch := c.CleanBatch(10)
+	batch := c.CleanAgedInto(nil, 10, 0)
 	if len(batch) != 0 {
 		t.Fatalf("pinned dirty block cleaned: %v", batch)
 	}
 	c.Release(e)
-	if batch = c.CleanBatch(10); len(batch) != 1 {
+	if batch = c.CleanAgedInto(nil, 10, 0); len(batch) != 1 {
 		t.Fatalf("batch after release = %v", batch)
+	}
+}
+
+// TestCleanAgedIntoWaitsForAge: a dirty block is cleaned only once minAge
+// gets have passed since its last touch, and the batch appends to dst.
+func TestCleanAgedIntoWaitsForAge(t *testing.T) {
+	c := newTest(4)
+	e, _ := c.Install(1)
+	c.MarkDirty(e)
+	c.Release(e)
+	c.Lookup(2) // misses count as gets too
+	if batch := c.CleanAgedInto(nil, 10, 2); len(batch) != 0 {
+		t.Fatalf("block touched 1 get ago cleaned at minAge 2: %v", batch)
+	}
+	c.Lookup(3)
+	dst := []BlockID{99}
+	if batch := c.CleanAgedInto(dst, 10, 2); len(batch) != 2 || batch[0] != 99 || batch[1] != 1 {
+		t.Fatalf("batch = %v, want [99 1]", batch)
+	}
+	if c.DirtyCount() != 0 {
+		t.Fatalf("DirtyCount = %d", c.DirtyCount())
 	}
 }
 
@@ -213,17 +238,20 @@ func TestHitRatio(t *testing.T) {
 }
 
 // Property: under random workloads, residency never exceeds capacity,
-// hits+misses = gets, and the dirty count matches a reference count.
+// hits plus the observed misses equal gets, and the dirty count matches a
+// reference count.
 func TestInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := newTest(16)
 		dirtyRef := map[BlockID]bool{}
 		resident := map[BlockID]bool{}
+		var misses uint64
 		for i := 0; i < 3000; i++ {
 			id := BlockID(rng.Intn(64))
 			e := c.Lookup(id)
 			if e == nil {
+				misses++
 				var ev Evicted
 				e, ev = c.Install(id)
 				resident[id] = true
@@ -238,19 +266,19 @@ func TestInvariantsQuick(t *testing.T) {
 			}
 			c.Release(e)
 			if rng.Intn(20) == 0 {
-				for _, cleaned := range c.CleanBatch(3) {
+				for _, cleaned := range c.CleanAgedInto(nil, 3, 0) {
 					delete(dirtyRef, cleaned)
 				}
 			}
 		}
-		if c.Len() > c.Capacity() || c.Len() != len(resident) {
+		if c.size > c.Capacity() || c.size != len(resident) {
 			return false
 		}
 		if c.DirtyCount() != len(dirtyRef) {
 			return false
 		}
 		s := c.Stats()
-		return s.Hits+s.Misses == s.Gets
+		return s.Hits+misses == s.Gets
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -299,8 +327,6 @@ func TestResetStatsPreservesContents(t *testing.T) {
 	}
 }
 
-// --- scan resistance ---
-
 // warmHotSet installs blocks [0, n) and touches each a few times so they
 // sit at the warm end of the LRU chain.
 func warmHotSet(c *Cache, n int) {
@@ -319,38 +345,8 @@ func warmHotSet(c *Cache, n int) {
 	}
 }
 
-// TestInstallScanPreservesHotSet is the scan-resistance guarantee: a
-// sequential scan several times the cache size, installed with
-// InstallScan, must not evict any member of the transactional hot set.
-func TestInstallScanPreservesHotSet(t *testing.T) {
-	const hot, capacity = 32, 64
-	c := newTest(capacity)
-	warmHotSet(c, hot)
-	// A compaction-style sweep 8x the cache size in mixed mode: hot
-	// lookups interleave with the scan's one-touch installs.
-	for i := 0; i < 8*capacity; i++ {
-		e, _ := c.InstallScan(BlockID(10_000 + i))
-		c.Release(e)
-		if i%7 == 0 { // the OLTP side keeps running
-			h := c.Lookup(BlockID(i % hot))
-			if h == nil {
-				t.Fatalf("hot block %d evicted mid-scan after %d scan installs", i%hot, i+1)
-			}
-			c.Release(h)
-		}
-	}
-	for i := 0; i < hot; i++ {
-		e := c.Lookup(BlockID(i))
-		if e == nil {
-			t.Fatalf("hot block %d evicted by scan", i)
-		}
-		c.Release(e)
-	}
-}
-
-// TestPlainInstallHasNoScanResistance pins the contrast: the same sweep
-// through MRU-inserting Install flushes the hot set — which is exactly
-// why the scan path must use InstallScan.
+// TestPlainInstallHasNoScanResistance pins plain LRU: a one-touch sweep
+// 8x the cache, installed at the MRU end, flushes the warm hot set.
 func TestPlainInstallHasNoScanResistance(t *testing.T) {
 	const hot, capacity = 32, 64
 	c := newTest(capacity)
@@ -364,71 +360,5 @@ func TestPlainInstallHasNoScanResistance(t *testing.T) {
 			c.Release(e)
 			t.Fatalf("hot block %d survived an MRU-inserted sweep 8x the cache", i)
 		}
-	}
-}
-
-// TestInstallScanChurnsAmongItself checks the victims of a long scan are
-// the scan's own earlier blocks, not the warm set: cold-end insertion
-// makes the scan self-evicting.
-func TestInstallScanChurnsAmongItself(t *testing.T) {
-	const hot, capacity = 32, 64
-	c := newTest(capacity)
-	warmHotSet(c, hot)
-	fill := capacity - hot // cold slots available before eviction starts
-	for i := 0; i < 4*capacity; i++ {
-		e, ev := c.InstallScan(BlockID(10_000 + i))
-		c.Release(e)
-		if i >= fill {
-			if !ev.Valid {
-				t.Fatalf("scan install %d evicted nothing with a full cache", i)
-			}
-			if ev.ID < 10_000 {
-				t.Fatalf("scan install %d evicted workload block %d", i, ev.ID)
-			}
-		}
-	}
-}
-
-// TestScanBlockPromotedOnReRead: a scanned block the workload re-reads
-// is promoted to MRU by the hit and gains normal residence.
-func TestScanBlockPromotedOnReRead(t *testing.T) {
-	const capacity = 16
-	c := newTest(capacity)
-	e, _ := c.InstallScan(500)
-	c.Release(e)
-	// The workload touches the scanned block: promoted to MRU.
-	e = c.Lookup(500)
-	if e == nil {
-		t.Fatal("scanned block missing immediately after install")
-	}
-	c.Release(e)
-	// A follow-on scan as large as the cache cannot displace it now.
-	for i := 0; i < capacity; i++ {
-		s, _ := c.InstallScan(BlockID(600 + i))
-		c.Release(s)
-	}
-	if e = c.Lookup(500); e == nil {
-		t.Fatal("promoted block evicted by a subsequent scan")
-	}
-	c.Release(e)
-}
-
-// TestInstallScanDirtyEviction: dirty blocks displaced by a scan still
-// surface through Evicted so the caller writes them back — cold-end
-// insertion must not break the writeback contract.
-func TestInstallScanDirtyEviction(t *testing.T) {
-	c := newTest(2)
-	a, _ := c.Install(1)
-	c.MarkDirty(a)
-	c.Release(a)
-	b, _ := c.Install(2)
-	c.MarkDirty(b)
-	c.Release(b)
-	_, ev := c.InstallScan(3)
-	if !ev.Valid || !ev.Dirty {
-		t.Fatalf("dirty victim not reported: %+v", ev)
-	}
-	if got := c.Stats().Writebacks; got != 1 {
-		t.Fatalf("writebacks = %d, want 1", got)
 	}
 }

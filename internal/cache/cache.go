@@ -5,11 +5,9 @@
 // 16 KB-equivalent TC, 256 KB L2 and 1 MB L3), and a snooping coherence
 // domain connecting the L3s of all processors.
 //
-// For simulation speed the hierarchy supports line-hash sampling: only
-// lines whose address hash falls in 1/Sample of the space are simulated,
-// against caches scaled down by the same factor, which is the standard
-// set-sampling technique and leaves miss ratios unbiased for the skewed
-// reference streams OLTP produces.
+// The caches count nothing themselves: each access reports its outcome
+// in an AccessResult, and the caller (the workload synthesizer, the trace
+// replayer) counts the events it needs.
 package cache
 
 import "fmt"
@@ -42,25 +40,6 @@ func (s State) String() string {
 	return "?"
 }
 
-// Stats counts the events observed by one cache.
-type Stats struct {
-	Accesses    uint64
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Writebacks  uint64 // evictions of Modified lines
-	Invalidates uint64 // lines killed by remote writes
-	CoherMisses uint64 // misses to lines previously invalidated remotely
-}
-
-// MissRatio returns misses per access.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type way struct {
 	tag   uint64 // full line address (not just the tag bits) for simplicity
 	state State
@@ -69,13 +48,11 @@ type way struct {
 
 // Cache is a single set-associative cache with LRU replacement.
 type Cache struct {
-	name     string
 	lines    []way // set-major: set s holds lines[s*ways : (s+1)*ways]
 	ways     int
 	lineBits uint
 	setMask  uint64
 	tick     uint64
-	stats    Stats
 	// invalidated remembers lines removed by remote writes so the next
 	// miss on them can be classified as a coherence miss. Entries are
 	// consumed on the classifying miss.
@@ -101,7 +78,6 @@ func NewCache(name string, size, ways, lineSize int) *Cache {
 		lineBits++
 	}
 	return &Cache{
-		name:        name,
 		lines:       make([]way, nsets*ways),
 		ways:        ways,
 		lineBits:    lineBits,
@@ -138,15 +114,6 @@ func (c *Cache) find(line uint64) (at, victim int) {
 	return -1, base + victim
 }
 
-// Probe reports whether line is present and in what state, without
-// touching LRU or statistics.
-func (c *Cache) Probe(line uint64) (State, bool) {
-	if at, _ := c.find(line); at >= 0 {
-		return c.lines[at].state, true
-	}
-	return Invalid, false
-}
-
 // Evicted describes a line displaced by an insertion.
 type Evicted struct {
 	Line  uint64
@@ -154,7 +121,7 @@ type Evicted struct {
 	Valid bool // false when the insertion used an empty way
 }
 
-// Access looks up a line, updating LRU and hit/miss statistics. On a miss
+// Access looks up a line, updating LRU. On a miss
 // the line is inserted in the given state and the victim (if any) is
 // returned. write upgrades the final state to Modified.
 // coherMiss reports that the miss hit a line previously invalidated by a
@@ -169,11 +136,9 @@ func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, vict
 	return false, victim, coherMiss
 }
 
-// hit counts an access that found its line in way at and makes the way
-// most recently used; write upgrades it to Modified.
+// hit makes way at, which holds the accessed line, most recently used;
+// write upgrades it to Modified.
 func (c *Cache) hit(at int, write bool) {
-	c.stats.Accesses++
-	c.stats.Hits++
 	c.tick++
 	w := &c.lines[at]
 	w.touch = c.tick
@@ -182,28 +147,21 @@ func (c *Cache) hit(at int, write bool) {
 	}
 }
 
-// fill counts an access that missed and installs line in way at, which
-// find chose as the victim, in fillState (Modified for a write).
+// fill installs a missed line in way at, which find chose as the victim,
+// in fillState (Modified for a write).
 func (c *Cache) fill(at int, line uint64, write bool, fillState State) (victim Evicted, coherMiss bool) {
-	c.stats.Accesses++
-	c.stats.Misses++
 	c.tick++
 	// The empty-map guard keeps the single-processor (and low-sharing)
 	// fast path free of a per-miss map probe.
 	if len(c.invalidated) != 0 {
 		if _, ok := c.invalidated[line]; ok {
 			delete(c.invalidated, line)
-			c.stats.CoherMisses++
 			coherMiss = true
 		}
 	}
 	w := &c.lines[at]
 	if w.state != Invalid {
 		victim = Evicted{Line: w.tag, Dirty: w.state == Modified, Valid: true}
-		c.stats.Evictions++
-		if victim.Dirty {
-			c.stats.Writebacks++
-		}
 	}
 	if write {
 		fillState = Modified
@@ -233,7 +191,6 @@ func (c *Cache) drop(line uint64) (present, dirty bool) {
 	w := &c.lines[at]
 	dirty = w.state == Modified
 	w.state = Invalid
-	c.stats.Invalidates++
 	return true, dirty
 }
 
@@ -260,13 +217,3 @@ func (c *Cache) SetState(line uint64, st State) bool {
 	c.lines[at].state = st
 	return true
 }
-
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents, used
-// at the end of the warm-up period.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -15,7 +16,6 @@ type refCache struct {
 	lineBits    uint
 	setMask     uint64
 	tick        uint64
-	stats       Stats
 	invalidated map[uint64]struct{}
 }
 
@@ -45,13 +45,11 @@ func (c *refCache) Probe(line uint64) (State, bool) {
 }
 
 func (c *refCache) Access(line uint64, write bool, fillState State) (hit bool, victim Evicted, coherMiss bool) {
-	c.stats.Accesses++
 	c.tick++
 	set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.state != Invalid && w.tag == line {
-			c.stats.Hits++
 			w.touch = c.tick
 			if write {
 				w.state = Modified
@@ -59,11 +57,9 @@ func (c *refCache) Access(line uint64, write bool, fillState State) (hit bool, v
 			return true, Evicted{}, false
 		}
 	}
-	c.stats.Misses++
 	if len(c.invalidated) != 0 {
 		if _, ok := c.invalidated[line]; ok {
 			delete(c.invalidated, line)
-			c.stats.CoherMisses++
 			coherMiss = true
 		}
 	}
@@ -78,10 +74,6 @@ func (c *refCache) Access(line uint64, write bool, fillState State) (hit bool, v
 		}
 	}
 	victim = Evicted{Line: set[victimIdx].tag, Dirty: set[victimIdx].state == Modified, Valid: true}
-	c.stats.Evictions++
-	if victim.Dirty {
-		c.stats.Writebacks++
-	}
 fill:
 	st := fillState
 	if write {
@@ -98,7 +90,6 @@ func (c *refCache) Invalidate(line uint64) (present, dirty bool) {
 		if w.state != Invalid && w.tag == line {
 			dirty = w.state == Modified
 			w.state = Invalid
-			c.stats.Invalidates++
 			c.invalidated[line] = struct{}{}
 			return true, dirty
 		}
@@ -135,20 +126,16 @@ type refHierarchy struct{ tc, l2, l3 *refCache }
 
 type refDomain struct {
 	coherent bool
-	sample   uint64
 	cpus     []*refHierarchy
 }
 
 func newRefDomain(g Geometry, n int, coherent bool) *refDomain {
-	if g.Sample == 0 {
-		g.Sample = 1
-	}
-	d := &refDomain{coherent: coherent, sample: g.Sample}
+	d := &refDomain{coherent: coherent}
 	for i := 0; i < n; i++ {
 		d.cpus = append(d.cpus, &refHierarchy{
-			tc: newRefCache(g.scale(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
-			l2: newRefCache(g.scale(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
-			l3: newRefCache(g.scale(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
+			tc: newRefCache(g.capacity(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
+			l2: newRefCache(g.capacity(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
+			l3: newRefCache(g.capacity(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
 		})
 	}
 	return d
@@ -157,14 +144,7 @@ func newRefDomain(g Geometry, n int, coherent bool) *refDomain {
 func (d *refDomain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	h := d.cpus[cpu]
 	line := uint64(addr) >> h.l3.lineBits
-	if d.sample != 1 {
-		z := line * 0x9e3779b97f4a7c15
-		z ^= z >> 29
-		if z%d.sample != 0 {
-			return AccessResult{}
-		}
-	}
-	res := AccessResult{Sampled: true}
+	var res AccessResult
 	write := kind == Store
 	if kind == Fetch {
 		hit, _, _ := h.tc.Access(line, false, Exclusive)
@@ -273,49 +253,40 @@ func sameContents(c *Cache, r *refCache) bool {
 // TestDomainAccessMatchesReference drives both hierarchies with the same
 // random reference stream, over a small address range so lines are
 // shared, evicted and invalidated often, and compares every AccessResult,
-// then every level's contents and the L3 statistics. L2 and trace-cache
-// statistics must match except for CoherMisses, which only L3 records.
+// then every level's contents and the L3's pending coherence-miss
+// records (only L3 classifies coherence misses).
 func TestDomainAccessMatchesReference(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, coherent := range []bool{true, false} {
-			for _, sample := range []uint64{1, 3} {
-				f := func(seed int64) bool {
-					g := testGeometry()
-					g.Sample = sample
-					d, ref := NewDomain(g, p, coherent), newRefDomain(g, p, coherent)
-					rng := rand.New(rand.NewSource(seed))
-					lines := 64 + rng.Intn(4096)
-					for i := 0; i < 20_000; i++ {
-						cpu := rng.Intn(p)
-						addr := Addr(rng.Intn(lines)*64 + rng.Intn(64))
-						kind := Kind(rng.Intn(3))
-						if got, want := d.Access(cpu, addr, kind), ref.Access(cpu, addr, kind); got != want {
-							t.Logf("P=%d coherent=%v sample=%d seed=%d ref %d: got %+v, reference %+v", p, coherent, sample, seed, i, got, want)
-							return false
-						}
+			f := func(seed int64) bool {
+				g := testGeometry()
+				d, ref := NewDomain(g, p, coherent), newRefDomain(g, p, coherent)
+				rng := rand.New(rand.NewSource(seed))
+				lines := 64 + rng.Intn(4096)
+				for i := 0; i < 20_000; i++ {
+					cpu := rng.Intn(p)
+					addr := Addr(rng.Intn(lines)*64 + rng.Intn(64))
+					kind := Kind(rng.Intn(3))
+					if got, want := d.Access(cpu, addr, kind), ref.Access(cpu, addr, kind); got != want {
+						t.Logf("P=%d coherent=%v seed=%d ref %d: got %+v, reference %+v", p, coherent, seed, i, got, want)
+						return false
 					}
-					for i, h := range d.CPUs {
-						r := ref.cpus[i]
-						if !sameContents(h.l3, r.l3) || !sameContents(h.l2, r.l2) || !sameContents(h.tc, r.tc) {
-							t.Logf("P=%d coherent=%v seed=%d: CPU %d contents differ", p, coherent, seed, i)
-							return false
-						}
-						if h.l3.Stats() != r.l3.stats {
-							t.Logf("CPU %d L3 stats %+v, reference %+v", i, h.l3.Stats(), r.l3.stats)
-							return false
-						}
-						l2, tc := r.l2.stats, r.tc.stats
-						l2.CoherMisses, tc.CoherMisses = 0, 0
-						if h.l2.Stats() != l2 || h.tc.Stats() != tc {
-							t.Logf("CPU %d L2/TC stats differ", i)
-							return false
-						}
+				}
+				for i, h := range d.CPUs {
+					r := ref.cpus[i]
+					if !sameContents(h.l3, r.l3) || !sameContents(h.l2, r.l2) || !sameContents(h.tc, r.tc) {
+						t.Logf("P=%d coherent=%v seed=%d: CPU %d contents differ", p, coherent, seed, i)
+						return false
 					}
-					return true
+					if !reflect.DeepEqual(h.l3.invalidated, r.l3.invalidated) {
+						t.Logf("P=%d coherent=%v seed=%d: CPU %d L3 holds %d invalidation records, reference %d", p, coherent, seed, i, len(h.l3.invalidated), len(r.l3.invalidated))
+						return false
+					}
 				}
-				if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-					t.Fatalf("P=%d coherent=%v sample=%d: %v", p, coherent, sample, err)
-				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+				t.Fatalf("P=%d coherent=%v: %v", p, coherent, err)
 			}
 		}
 	}
@@ -325,7 +296,7 @@ func TestDomainAccessMatchesReference(t *testing.T) {
 // fetches, loads and stores over four CPUs, through a coherent domain of
 // the Xeon geometry scaled by 64, the synthesizer's default.
 func BenchmarkDomainAccess(b *testing.B) {
-	g := XeonGeometry(1)
+	g := XeonGeometry()
 	g.TCSize, g.L2Size, g.L3Size = g.TCSize/64, g.L2Size/64, g.L3Size/64
 	rng := rand.New(rand.NewSource(1))
 	z := rand.NewZipf(rng, 1.1, 1, 1<<14)

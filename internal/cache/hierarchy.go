@@ -20,20 +20,19 @@ type Geometry struct {
 	L2Ways   int
 	L3Size   int
 	L3Ways   int
-	Sample   uint64 // line-hash sampling factor; 1 simulates every line
 }
 
 // XeonGeometry models the paper's Intel Xeon MP: an execution trace cache
 // (modelled as a 16 KB instruction cache), 256 KB L2 and 1 MB L3, 64-byte
 // lines.
-func XeonGeometry(sample uint64) Geometry {
-	return Geometry{LineSize: 64, TCSize: 16 << 10, TCWays: 8, L2Size: 256 << 10, L2Ways: 8, L3Size: 1 << 20, L3Ways: 8, Sample: sample}
+func XeonGeometry() Geometry {
+	return Geometry{LineSize: 64, TCSize: 16 << 10, TCWays: 8, L2Size: 256 << 10, L2Ways: 8, L3Size: 1 << 20, L3Ways: 8}
 }
 
 // Itanium2Geometry models the follow-on validation machine in the paper's
 // Section 6.3: same front end, 3 MB L3.
-func Itanium2Geometry(sample uint64) Geometry {
-	g := XeonGeometry(sample)
+func Itanium2Geometry() Geometry {
+	g := XeonGeometry()
 	g.L3Size = 3 << 20
 	// 3 MB with 8 ways and 64 B lines has a non-power-of-two set count;
 	// use 12 ways (the real Itanium2 L3 is 12-way).
@@ -41,26 +40,19 @@ func Itanium2Geometry(sample uint64) Geometry {
 	return g
 }
 
-// scale divides a capacity by the sampling factor, keeping at least one
-// set per way group.
-func (g Geometry) scale(size, ways int) int {
-	s := size / int(g.Sample)
-	min := ways * g.LineSize
-	// Round down to a power-of-two number of sets, at least one.
-	nsets := s / (ways * g.LineSize)
+// capacity rounds size down to a power-of-two number of sets, keeping at
+// least one set.
+func (g Geometry) capacity(size, ways int) int {
+	set := ways * g.LineSize
 	p := 1
-	for p*2 <= nsets {
+	for p*2 <= size/set {
 		p *= 2
 	}
-	if nsets < 1 {
-		return min
-	}
-	return p * ways * g.LineSize
+	return p * set
 }
 
 // AccessResult reports which levels missed for one reference.
 type AccessResult struct {
-	Sampled   bool // false when the line hash fell outside the sample
 	TCMiss    bool // only meaningful for Fetch references
 	L2Miss    bool
 	L3Miss    bool
@@ -77,37 +69,24 @@ type Hierarchy struct {
 	domain *Domain
 }
 
-// TC, L2 and L3 expose the individual levels for statistics.
-func (h *Hierarchy) TC() *Cache { return h.tc }
-
-// L2 returns the second-level cache.
-func (h *Hierarchy) L2() *Cache { return h.l2 }
-
-// L3 returns the third-level cache.
-func (h *Hierarchy) L3() *Cache { return h.l3 }
-
 // Domain couples the L3 caches of all CPUs with MESI snooping. Coherence
 // may be disabled to ablate its cost (every fill is then Exclusive and no
 // remote copies are invalidated).
 type Domain struct {
-	Geometry  Geometry
-	Coherent  bool
-	CPUs      []*Hierarchy
-	sampleMod uint64
+	Geometry Geometry
+	Coherent bool
+	CPUs     []*Hierarchy
 }
 
 // NewDomain builds hierarchies for n CPUs sharing one coherence domain.
 func NewDomain(g Geometry, n int, coherent bool) *Domain {
-	if g.Sample == 0 {
-		g.Sample = 1
-	}
-	d := &Domain{Geometry: g, Coherent: coherent, sampleMod: g.Sample}
+	d := &Domain{Geometry: g, Coherent: coherent}
 	for i := 0; i < n; i++ {
 		h := &Hierarchy{
 			CPU:    i,
-			tc:     NewCache("tc", g.scale(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
-			l2:     NewCache("l2", g.scale(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
-			l3:     NewCache("l3", g.scale(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
+			tc:     NewCache("tc", g.capacity(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
+			l2:     NewCache("l2", g.capacity(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
+			l3:     NewCache("l3", g.capacity(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
 			domain: d,
 		}
 		d.CPUs = append(d.CPUs, h)
@@ -115,29 +94,15 @@ func NewDomain(g Geometry, n int, coherent bool) *Domain {
 	return d
 }
 
-// sampled reports whether a line is inside the simulated sample. The hash
-// spreads consecutive lines so that any dense region is sampled evenly.
-func (d *Domain) sampled(line uint64) bool {
-	if d.sampleMod == 1 {
-		return true
-	}
-	z := line * 0x9e3779b97f4a7c15
-	z ^= z >> 29
-	return z%d.sampleMod == 0
-}
-
 // Access sends one reference through cpu's hierarchy. Addresses are byte
-// addresses; the hierarchy handles line extraction and sampling. Each
-// level's set is scanned once: the scan finds the line or the way its
-// fill will replace, and nothing between the scan and the fill touches
-// this CPU's set at that level.
+// addresses; the hierarchy handles line extraction. Each level's set is
+// scanned once: the scan finds the line or the way its fill will
+// replace, and nothing between the scan and the fill touches this CPU's
+// set at that level.
 func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	h := d.CPUs[cpu]
 	line := h.l3.Line(addr)
-	if !d.sampled(line) {
-		return AccessResult{}
-	}
-	res := AccessResult{Sampled: true}
+	var res AccessResult
 	write := kind == Store
 
 	if kind == Fetch {
@@ -237,16 +202,3 @@ func (d *Domain) invalidateOthers(cpu int, line uint64) {
 		}
 	}
 }
-
-// ResetStats zeroes every cache's counters across the domain.
-func (d *Domain) ResetStats() {
-	for _, h := range d.CPUs {
-		h.tc.ResetStats()
-		h.l2.ResetStats()
-		h.l3.ResetStats()
-	}
-}
-
-// SampleFactor returns the line-sampling divisor; observed event counts
-// represent SampleFactor times as many unsampled events.
-func (d *Domain) SampleFactor() uint64 { return d.sampleMod }

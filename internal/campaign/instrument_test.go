@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"odbscale/internal/cpu"
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
@@ -68,10 +69,10 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 					{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: uint64(w) * 1000},
 					{Kind: profile.KindOf(odb.Payment), Phase: odb.PhaseBuffer, Instr: 500},
 				},
-				uint64(w)*1000+500, float64(w)*2500.25, profile.Events{L3Miss: uint64(w), BusLatency: float64(w) * 3})
+				uint64(w)*1000+500, float64(w)*2500.25, cpu.Events{L3Miss: uint64(w), BusLatency: float64(w) * 3})
 			col.AddChunk(profile.OS,
 				[]profile.Share{{Kind: profile.KindKernel, Phase: odb.PhaseSched, Instr: 200}},
-				200, 900, profile.Events{Mispred: 4})
+				200, 900, cpu.Events{Mispred: 4})
 			col.Finalize(float64(w)/10, 10)
 		case *spansRun:
 			tr := a.col

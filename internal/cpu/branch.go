@@ -16,9 +16,6 @@ type BranchPredictor struct {
 	histMask uint64 // low histBits bits
 	idxMask  uint64 // table length minus one, 2^bits - 1
 	table    []uint8
-
-	predictions uint64
-	mispredicts uint64
 }
 
 // nextCounter is the 2-bit saturating counter's transition table, indexed
@@ -48,8 +45,8 @@ func NewBranchPredictor(bits, histBits uint) *BranchPredictor {
 
 // Record feeds one resolved branch (identified by its PC) with its actual
 // outcome and reports whether the predictor had predicted it correctly.
-// The counter update and the miss count are table reads and arithmetic,
-// with no branch on the outcome.
+// The counter update and the prediction check are table reads and
+// arithmetic, with no branch on the outcome.
 func (b *BranchPredictor) Record(pc uint64, taken bool) bool {
 	var t uint8
 	if taken {
@@ -59,24 +56,5 @@ func (b *BranchPredictor) Record(pc uint64, taken bool) bool {
 	ctr := b.table[idx]
 	b.table[idx] = nextCounter[(ctr<<1|t)&7]
 	b.history = b.history<<1 | uint64(t)
-	miss := ctr>>1 ^ t // the prediction is the counter's high bit
-	b.predictions++
-	b.mispredicts += uint64(miss)
-	return miss == 0
+	return ctr>>1 == t // the prediction is the counter's high bit
 }
-
-// MispredictRate returns mispredictions per prediction.
-func (b *BranchPredictor) MispredictRate() float64 {
-	if b.predictions == 0 {
-		return 0
-	}
-	return float64(b.mispredicts) / float64(b.predictions)
-}
-
-// Counts returns total predictions and mispredictions.
-func (b *BranchPredictor) Counts() (predictions, mispredicts uint64) {
-	return b.predictions, b.mispredicts
-}
-
-// ResetStats clears the counters, preserving predictor state.
-func (b *BranchPredictor) ResetStats() { b.predictions, b.mispredicts = 0, 0 }

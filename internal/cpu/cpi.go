@@ -31,6 +31,31 @@ func Table3Costs() StallCosts {
 	}
 }
 
+// Events are the microarchitectural event counts of one measurement
+// interval, the counts StallCosts price and EventRates normalise. The
+// workload synthesizer produces them per executed chunk; the system
+// layer's user/OS totals, EMON counters and profile frames sum them.
+type Events struct {
+	TCMiss     uint64
+	L2Miss     uint64 // all references missing L2
+	L3Miss     uint64
+	CoherMiss  uint64 // L3 misses caused by a remote invalidation
+	TLBMiss    uint64
+	Mispred    uint64
+	BusLatency float64 // summed IOQ latency over the L3 misses
+}
+
+// Add accumulates o into e.
+func (e *Events) Add(o Events) {
+	e.TCMiss += o.TCMiss
+	e.L2Miss += o.L2Miss
+	e.L3Miss += o.L3Miss
+	e.CoherMiss += o.CoherMiss
+	e.TLBMiss += o.TLBMiss
+	e.Mispred += o.Mispred
+	e.BusLatency += o.BusLatency
+}
+
 // EventRates are per-instruction event frequencies measured over an
 // interval — the inputs to the Table 4 formulas.
 type EventRates struct {

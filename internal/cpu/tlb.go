@@ -8,9 +8,6 @@ type TLB struct {
 	mask    uint64
 	tick    uint64
 	shift   uint
-
-	accesses uint64
-	misses   uint64
 }
 
 // tlbEntry is one translation. touch is the tick of its last use and 0
@@ -42,7 +39,6 @@ func NewTLB(entries, ways, pageSize int) *TLB {
 // scan of the set finds the page or, failing that, the victim: the first
 // empty entry (touch 0), else the least recently used.
 func (t *TLB) Access(addr uint64) bool {
-	t.accesses++
 	t.tick++
 	page := addr >> t.shift
 	base := int(page&t.mask) * t.ways
@@ -58,7 +54,6 @@ func (t *TLB) Access(addr uint64) bool {
 			victim, oldest = i, e.touch
 		}
 	}
-	t.misses++
 	set[victim] = tlbEntry{page: page, touch: t.tick}
 	return false
 }
@@ -70,17 +65,3 @@ func (t *TLB) Flush() {
 		t.entries[i].touch = 0
 	}
 }
-
-// MissRate returns misses per access.
-func (t *TLB) MissRate() float64 {
-	if t.accesses == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(t.accesses)
-}
-
-// Counts returns accesses and misses.
-func (t *TLB) Counts() (accesses, misses uint64) { return t.accesses, t.misses }
-
-// ResetStats clears counters without flushing translations.
-func (t *TLB) ResetStats() { t.accesses, t.misses = 0, 0 }

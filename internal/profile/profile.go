@@ -77,19 +77,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Events are the scaled microarchitectural event counts of one chunk,
-// as the workload synthesizer reports them (real counts are these
-// multiplied by the scale factor).
-type Events struct {
-	TCMiss     uint64
-	L2Miss     uint64
-	L3Miss     uint64
-	CoherMiss  uint64
-	TLBMiss    uint64
-	Mispred    uint64
-	BusLatency float64
-}
-
 // Share is one frame's instruction share of a chunk.
 type Share struct {
 	Kind  Kind
@@ -101,7 +88,7 @@ type Share struct {
 type acc struct {
 	instr  uint64
 	cycles float64
-	ev     Events
+	ev     cpu.Events
 }
 
 // Meta describes the run a profile was captured from.
@@ -152,8 +139,9 @@ func (c *Collector) SetMeta(m Meta) {
 // proportionally to the instruction shares with cumulative rounding, so
 // the per-frame pieces sum exactly to the chunk totals (integer counts
 // exactly, floats by telescoping). Shares are processed in slice order,
-// which the caller keeps deterministic.
-func (c *Collector) AddChunk(mode Mode, shares []Share, totalInstr uint64, cycles float64, ev Events) {
+// which the caller keeps deterministic. The events are scaled, as the
+// workload synthesizer reports them.
+func (c *Collector) AddChunk(mode Mode, shares []Share, totalInstr uint64, cycles float64, ev cpu.Events) {
 	if totalInstr == 0 || len(shares) == 0 {
 		return
 	}

@@ -26,7 +26,7 @@ func TestAddChunkConserves(t *testing.T) {
 	for _, s := range shares {
 		total += s.Instr
 	}
-	ev := Events{TCMiss: 7, L2Miss: 13, L3Miss: 5, CoherMiss: 1, TLBMiss: 3, Mispred: 11, BusLatency: 1234.5}
+	ev := cpu.Events{TCMiss: 7, L2Miss: 13, L3Miss: 5, CoherMiss: 1, TLBMiss: 3, Mispred: 11, BusLatency: 1234.5}
 	c.AddChunk(User, shares, total, 98765.4321, ev)
 	p := c.Profile()
 
@@ -59,7 +59,7 @@ func TestAddChunkConserves(t *testing.T) {
 func TestProfileScalesEvents(t *testing.T) {
 	c := NewCollector()
 	c.SetMeta(Meta{Scale: 64})
-	c.AddChunk(OS, []Share{{Kind: KindKernel, Phase: odb.PhaseSched, Instr: 100}}, 100, 50, Events{L3Miss: 3, BusLatency: 10})
+	c.AddChunk(OS, []Share{{Kind: KindKernel, Phase: odb.PhaseSched, Instr: 100}}, 100, 50, cpu.Events{L3Miss: 3, BusLatency: 10})
 	p := c.Profile()
 	if len(p.Frames) != 1 {
 		t.Fatalf("frames = %+v", p.Frames)
@@ -77,7 +77,7 @@ func TestProfileScalesEvents(t *testing.T) {
 // the CPI accounting.
 func TestIdleFrame(t *testing.T) {
 	c := NewCollector()
-	c.AddChunk(User, []Share{{Kind: KindOf(odb.Payment), Phase: odb.PhaseBuffer, Instr: 10}}, 10, 40, Events{})
+	c.AddChunk(User, []Share{{Kind: KindOf(odb.Payment), Phase: odb.PhaseBuffer, Instr: 10}}, 10, 40, cpu.Events{})
 	c.SetIdle(1e6)
 	p := c.Profile()
 	var idle *FrameCounters
@@ -100,8 +100,8 @@ func TestIdleFrame(t *testing.T) {
 func sampleProfile(cyclesA, cyclesB float64) *Profile {
 	c := NewCollector()
 	c.SetMeta(Meta{Label: "sample", Scale: 1, Stall: cpu.Table3Costs(), OtherCPI: 0.35})
-	c.AddChunk(User, []Share{{Kind: KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}}, 1000, cyclesA, Events{L2Miss: 8, L3Miss: 4, BusLatency: 500})
-	c.AddChunk(OS, []Share{{Kind: KindOf(odb.NewOrder), Phase: odb.PhaseLogCommit, Instr: 500}}, 500, cyclesB, Events{Mispred: 2})
+	c.AddChunk(User, []Share{{Kind: KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}}, 1000, cyclesA, cpu.Events{L2Miss: 8, L3Miss: 4, BusLatency: 500})
+	c.AddChunk(OS, []Share{{Kind: KindOf(odb.NewOrder), Phase: odb.PhaseLogCommit, Instr: 500}}, 500, cyclesB, cpu.Events{Mispred: 2})
 	c.Finalize(1.5, 10)
 	return c.Profile()
 }

@@ -14,8 +14,8 @@ import (
 func storeProfile(cyclesA, cyclesB float64) *profile.Profile {
 	c := profile.NewCollector()
 	c.SetMeta(profile.Meta{Label: "sample", Scale: 1, Stall: cpu.Table3Costs(), OtherCPI: 0.35})
-	c.AddChunk(profile.User, []profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}}, 1000, cyclesA, profile.Events{L2Miss: 8, L3Miss: 4, BusLatency: 500})
-	c.AddChunk(profile.OS, []profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseLogCommit, Instr: 500}}, 500, cyclesB, profile.Events{Mispred: 2})
+	c.AddChunk(profile.User, []profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}}, 1000, cyclesA, cpu.Events{L2Miss: 8, L3Miss: 4, BusLatency: 500})
+	c.AddChunk(profile.OS, []profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseLogCommit, Instr: 500}}, 500, cyclesB, cpu.Events{Mispred: 2})
 	c.Finalize(1.5, 10)
 	return c.Profile()
 }

@@ -9,8 +9,8 @@
 // (when, seq), with a free list recycling fired slots. Cancel marks nodes
 // lazily — no reheapify — and canceled nodes are discarded when they reach
 // the heap head. Hot callers avoid per-event closure captures with the
-// typed-callback forms AtCall/AfterCall, which carry a static func(any)
-// plus one payload word.
+// typed-callback form AfterCall, which carries a static func(any) plus
+// one payload word.
 package sim
 
 import "fmt"
@@ -35,10 +35,9 @@ type node struct {
 // each pooled slot carries a generation counter that invalidates stale
 // handles when the slot is recycled.
 type Event struct {
-	eng  *Engine
-	idx  int32
-	gen  uint32
-	when Time
+	eng *Engine
+	idx int32
+	gen uint32
 }
 
 // Cancel prevents a pending event from running. Canceling an event that
@@ -58,11 +57,7 @@ func (e Event) Cancel() {
 	// Drop captured references now; the slot itself is reclaimed when the
 	// heap pops it.
 	nd.fn0, nd.fn1, nd.arg = nil, nil, nil
-	eng.live--
 }
-
-// When returns the time the event is scheduled for.
-func (e Event) When() Time { return e.when }
 
 // Engine is a discrete-event simulator instance.
 type Engine struct {
@@ -71,7 +66,6 @@ type Engine struct {
 	nodes []node  // index-addressed event arena
 	heap  []int32 // 4-ary heap of node indices ordered by (when, seq)
 	free  []int32 // recycled node slots
-	live  int     // queued, non-canceled events
 }
 
 // New returns an empty engine at time zero.
@@ -169,8 +163,7 @@ func (e *Engine) schedule(t Time, fn0 func(), fn1 func(any), arg any) Event {
 	e.seq++
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
-	e.live++
-	return Event{eng: e, idx: idx, gen: nd.gen, when: t}
+	return Event{eng: e, idx: idx, gen: nd.gen}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -180,15 +173,10 @@ func (e *Engine) At(t Time, fn func()) Event { return e.schedule(t, fn, nil, nil
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn func()) Event { return e.schedule(e.now+d, fn, nil, nil) }
 
-// AtCall schedules fn(arg) at absolute time t. Unlike At, the callback is
-// a static function plus one payload word, so hot paths schedule without
-// allocating a closure; pointer-shaped args (and integers under 256) do
-// not allocate when boxed.
-func (e *Engine) AtCall(t Time, fn func(any), arg any) Event {
-	return e.schedule(t, nil, fn, arg)
-}
-
-// AfterCall schedules fn(arg) to run d cycles from now, closure-free.
+// AfterCall schedules fn(arg) to run d cycles from now. Unlike After, the
+// callback is a static function plus one payload word, so hot paths
+// schedule without allocating a closure; pointer-shaped args (and
+// integers under 256) do not allocate when boxed.
 func (e *Engine) AfterCall(d Time, fn func(any), arg any) Event {
 	return e.schedule(e.now+d, nil, fn, arg)
 }
@@ -206,7 +194,6 @@ func (e *Engine) Step() bool {
 		}
 		e.now = nd.when
 		fn0, fn1, arg := nd.fn0, nd.fn1, nd.arg
-		e.live--
 		e.release(idx)
 		if fn1 != nil {
 			fn1(arg)
@@ -243,7 +230,3 @@ func (e *Engine) RunUntil(deadline Time) int {
 	}
 	return n
 }
-
-// Pending returns the number of queued, non-canceled events. Canceled
-// events awaiting lazy discard are not counted.
-func (e *Engine) Pending() int { return e.live }

@@ -93,8 +93,8 @@ func TestRunUntil(t *testing.T) {
 	if n != 2 || count != 5 {
 		t.Fatalf("second RunUntil dispatched %d, want 2", n)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if e.Step() {
+		t.Fatal("queue not empty after RunUntil past the last event")
 	}
 }
 
@@ -133,33 +133,19 @@ func TestMonotonicDispatchQuick(t *testing.T) {
 	}
 }
 
-func TestEventWhen(t *testing.T) {
-	e := New()
-	ev := e.At(42, func() {})
-	if ev.When() != 42 {
-		t.Fatalf("When = %d", ev.When())
-	}
-}
-
+// Canceled-but-queued events are not pending: they never dispatch, and
+// canceling twice, or after the event fired, changes nothing.
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := New()
-	keep := e.At(10, func() {})
-	drop := e.At(20, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
+	ran := 0
+	keep := e.At(10, func() { ran++ })
+	drop := e.At(20, func() { t.Fatal("canceled event ran") })
 	drop.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1 (canceled-but-queued must not count)", e.Pending())
-	}
 	drop.Cancel() // double cancel is a no-op
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after double cancel = %d, want 1", e.Pending())
+	if !e.Step() || ran != 1 {
+		t.Fatalf("Step ran %d events, want the one live event", ran)
 	}
-	keep.Cancel()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", e.Pending())
-	}
+	keep.Cancel() // already fired: a no-op
 	if e.Step() {
 		t.Fatal("Step dispatched a canceled event")
 	}
@@ -209,10 +195,10 @@ func TestTypedCallbacks(t *testing.T) {
 	e := New()
 	var got []int
 	fn := func(arg any) { got = append(got, arg.(int)) }
-	e.AtCall(20, fn, 2)
-	e.AtCall(10, fn, 1)
+	e.AfterCall(20, fn, 2)
+	e.AfterCall(10, fn, 1)
 	e.AfterCall(30, fn, 3)
-	ev := e.AtCall(15, fn, 99)
+	ev := e.AfterCall(15, fn, 99)
 	ev.Cancel()
 	for e.Step() {
 	}
@@ -257,9 +243,6 @@ func TestLazyCancelKeepsOrdering(t *testing.T) {
 	}
 	for i := 0; i < len(evs); i += 2 {
 		evs[i].Cancel()
-	}
-	if e.Pending() != 250 {
-		t.Fatalf("Pending = %d, want 250", e.Pending())
 	}
 	for e.Step() {
 	}

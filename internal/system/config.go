@@ -44,7 +44,7 @@ func XeonQuad() MachineConfig {
 	return MachineConfig{
 		Name:          "xeon-quad",
 		FreqHz:        1.6e9,
-		Geometry:      cache.XeonGeometry(1),
+		Geometry:      cache.XeonGeometry(),
 		Bus:           bus.DefaultConfig(),
 		Disks:         storage.DefaultConfig(),
 		BufferCacheMB: 2867, // 2.8 GB
@@ -60,7 +60,7 @@ func Itanium2Quad() MachineConfig {
 	m := XeonQuad()
 	m.Name = "itanium2-quad"
 	m.FreqHz = 1.5e9
-	m.Geometry = cache.Itanium2Geometry(1)
+	m.Geometry = cache.Itanium2Geometry()
 	m.Bus.BandwidthScale = 1.5
 	m.Disks.DataDisks = 32
 	m.Disks.LogDisks = 2

@@ -1,34 +1,27 @@
 package system
 
 import (
+	"odbscale/internal/cpu"
 	"odbscale/internal/perfmon"
-	"odbscale/internal/workload"
 )
 
 // counters are the machine's free-running event counters — the hardware
-// counters EMON samples. They accumulate from simulation start (scaled
-// events are expanded to real counts) and are never reset, exactly like
-// the Xeon's counters; the sampler differences successive readings.
+// counters EMON samples. They accumulate from simulation start and are
+// never reset, exactly like the Xeon's counters; the sampler differences
+// successive readings. Events stay scaled: readers multiply by scale,
+// which is exact in uint64 arithmetic.
 type counters struct {
 	scale        uint64
 	instructions uint64
 	osInstr      uint64 // OS-mode share of instructions (the recorder's user/OS IPX split)
 	cycles       uint64
-	mispred      uint64
-	tlbMiss      uint64
-	tcMiss       uint64
-	l2Miss       uint64
-	l3Miss       uint64
+	ev           cpu.Events
 }
 
-func (c *counters) note(instr uint64, cycles float64, ev workload.Events) {
+func (c *counters) note(instr uint64, cycles float64, ev cpu.Events) {
 	c.instructions += instr
 	c.cycles += uint64(cycles)
-	c.mispred += ev.Mispred * c.scale
-	c.tlbMiss += ev.TLBMiss * c.scale
-	c.tcMiss += ev.TCMiss * c.scale
-	c.l2Miss += ev.L2Miss * c.scale
-	c.l3Miss += ev.L3Miss * c.scale
+	c.ev.Add(ev)
 }
 
 // CounterSource adapts the machine's counters to the perfmon sampler.
@@ -40,15 +33,15 @@ func (m *machine) counterSource() perfmon.Source {
 		case perfmon.Instructions:
 			return m.ctr.instructions
 		case perfmon.BranchMispredictions:
-			return m.ctr.mispred
+			return m.ctr.ev.Mispred * m.ctr.scale
 		case perfmon.TLBMiss:
-			return m.ctr.tlbMiss
+			return m.ctr.ev.TLBMiss * m.ctr.scale
 		case perfmon.TCMiss:
-			return m.ctr.tcMiss
+			return m.ctr.ev.TCMiss * m.ctr.scale
 		case perfmon.L2Miss:
-			return m.ctr.l2Miss
+			return m.ctr.ev.L2Miss * m.ctr.scale
 		case perfmon.L3Miss:
-			return m.ctr.l3Miss
+			return m.ctr.ev.L3Miss * m.ctr.scale
 		case perfmon.ClockCycles:
 			return m.ctr.cycles
 		case perfmon.BusUtilization:

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"odbscale/internal/cpu"
 	"odbscale/internal/odb"
 	"odbscale/internal/qstats"
 	"odbscale/internal/sim"
@@ -15,8 +16,7 @@ type flightSnap struct {
 	txns      uint64
 	instr     uint64
 	cycles    uint64
-	l2Miss    uint64
-	l3Miss    uint64
+	ev        cpu.Events // scaled, as the counters hold them
 	userInstr uint64
 	osInstr   uint64
 	bcGets    uint64
@@ -43,8 +43,7 @@ func (m *machine) snapFlight() flightSnap {
 		txns:      m.totalTxns,
 		instr:     m.ctr.instructions,
 		cycles:    m.ctr.cycles,
-		l2Miss:    m.ctr.l2Miss,
-		l3Miss:    m.ctr.l3Miss,
+		ev:        m.ctr.ev,
 		userInstr: m.ctr.instructions - m.ctr.osInstr,
 		osInstr:   m.ctr.osInstr,
 		bcGets:    bc.Gets,
@@ -98,8 +97,9 @@ func (m *machine) flightSample(last, cur flightSnap) telemetry.Sample {
 	}
 	if dInstr > 0 {
 		s.CPI = float64(dCycles) / float64(dInstr)
-		s.L2MPI = float64(deltaU64(cur.l2Miss, last.l2Miss)) / float64(dInstr)
-		s.L3MPI = float64(deltaU64(cur.l3Miss, last.l3Miss)) / float64(dInstr)
+		scale := m.ctr.scale
+		s.L2MPI = float64(deltaU64(cur.ev.L2Miss, last.ev.L2Miss)*scale) / float64(dInstr)
+		s.L3MPI = float64(deltaU64(cur.ev.L3Miss, last.ev.L3Miss)*scale) / float64(dInstr)
 	}
 	if dTxns > 0 {
 		s.UserIPX = float64(deltaU64(cur.userInstr, last.userInstr)) / float64(dTxns)

@@ -78,27 +78,13 @@ func (m Metrics) String() string {
 type modeAccum struct {
 	instr  uint64
 	cycles float64
-
-	// Scaled event counts (multiply by Scale for real counts).
-	tcMiss  uint64
-	l2Miss  uint64
-	l3Miss  uint64
-	coher   uint64
-	tlbMiss uint64
-	mispred uint64
-	busLat  float64
+	ev     cpu.Events // scaled (multiply by Scale for real counts)
 }
 
-func (a *modeAccum) add(instr uint64, cycles float64, tc, l2, l3, coher, tlb, mis uint64, busLat float64) {
+func (a *modeAccum) add(instr uint64, cycles float64, ev cpu.Events) {
 	a.instr += instr
 	a.cycles += cycles
-	a.tcMiss += tc
-	a.l2Miss += l2
-	a.l3Miss += l3
-	a.coher += coher
-	a.tlbMiss += tlb
-	a.mispred += mis
-	a.busLat += busLat
+	a.ev.Add(ev)
 }
 
 // cpi returns cycles per instruction for the mode.

@@ -3,7 +3,6 @@ package system
 import (
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
-	"odbscale/internal/workload"
 )
 
 // addShare appends an instruction share, coalescing runs of the same
@@ -17,17 +16,4 @@ func addShare(shares []profile.Share, k profile.Kind, ph odb.Phase, instr uint64
 		return shares
 	}
 	return append(shares, profile.Share{Kind: k, Phase: ph, Instr: instr})
-}
-
-// profEvents converts the synthesizer's event counts for the collector.
-func profEvents(ev workload.Events) profile.Events {
-	return profile.Events{
-		TCMiss:     ev.TCMiss,
-		L2Miss:     ev.L2Miss,
-		L3Miss:     ev.L3Miss,
-		CoherMiss:  ev.CoherMiss,
-		TLBMiss:    ev.TLBMiss,
-		Mispred:    ev.Mispred,
-		BusLatency: ev.BusLatency,
-	}
 }

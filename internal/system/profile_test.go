@@ -80,7 +80,8 @@ func TestRunProfiledDeterministic(t *testing.T) {
 // TestProfileAccountsWholeRun checks conservation on a small run: the
 // profile's instruction total and CPI must reproduce the measured
 // metrics (the apportionment telescopes, so only float summation order
-// separates them).
+// separates them), and its frames' summed events the measured event
+// rates.
 func TestProfileAccountsWholeRun(t *testing.T) {
 	cfg := flightCfg()
 	col := profile.NewCollector()
@@ -102,6 +103,36 @@ func TestProfileAccountsWholeRun(t *testing.T) {
 	}
 	if p.Meta.ElapsedSeconds != m.ElapsedSeconds {
 		t.Errorf("profile elapsed %f != metrics %f", p.Meta.ElapsedSeconds, m.ElapsedSeconds)
+	}
+
+	// The frames' summed events are the run's event totals: per
+	// instruction they reproduce Metrics' rates and MPI, and their
+	// coherence/L3 ratio its coherence share.
+	var sum profile.FrameCounters
+	for _, f := range p.Frames {
+		sum.TCMiss += f.TCMiss
+		sum.L2Miss += f.L2Miss
+		sum.L3Miss += f.L3Miss
+		sum.CoherMiss += f.CoherMiss
+		sum.TLBMiss += f.TLBMiss
+		sum.Mispred += f.Mispred
+	}
+	instr := float64(p.TotalInstr())
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"TCMissPI", float64(sum.TCMiss) / instr, m.Rates.TCMissPI},
+		{"L2MissPI", float64(sum.L2Miss) / instr, m.Rates.L2MissPI},
+		{"L3MissPI", float64(sum.L3Miss) / instr, m.Rates.L3MissPI},
+		{"MPI", float64(sum.L3Miss) / instr, m.MPI},
+		{"TLBMissPI", float64(sum.TLBMiss) / instr, m.Rates.TLBMissPI},
+		{"BranchMispredPI", float64(sum.Mispred) / instr, m.Rates.BranchMispredPI},
+		{"CoherenceShare", float64(sum.CoherMiss) / float64(sum.L3Miss), m.CoherenceShare},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12*math.Abs(c.want) {
+			t.Errorf("profile %s = %.15g, metrics %.15g", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -161,12 +161,16 @@ func Validate(cfg Config) error {
 		return fmt.Errorf("system: %w", ErrNoTxns)
 	}
 	// Fields that would otherwise panic (a zero buffer cache, disk set,
-	// cache line size or associativity, scale or OS quantum) or never
+	// cache line size or associativity, scale or OS quantum; a negative
+	// disk time, OtherCPI or busy wait schedules an event in the past; a
+	// negative footprint asks for an unbounded Zipf table) or never
 	// finish (a zero clock leaves no simulated-time cap; a negative
-	// warm-up never ends; a zero chunk or DB-writer interval stops
-	// simulated time from advancing; a zero memtable or a fanout below
-	// two makes the LSM compact without end).
-	m, t := cfg.Machine, cfg.Tuning
+	// warm-up never ends; a zero chunk or a DB-writer tick under one
+	// cycle stops simulated time from advancing; a negative, NaN or
+	// huge reference rate or mixture fraction makes one chunk issue
+	// billions of references; a zero memtable or a fanout below two
+	// makes the LSM compact without end).
+	m, t, sy := cfg.Machine, cfg.Tuning, cfg.Tuning.Synth
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
 		return badField("Machine.FreqHz", m.FreqHz)
@@ -176,6 +180,16 @@ func Validate(cfg Config) error {
 		return badField("Machine.Disks.DataDisks", m.Disks.DataDisks)
 	case m.Disks.LogDisks < 1:
 		return badField("Machine.Disks.LogDisks", m.Disks.LogDisks)
+	case !(m.Disks.AccessMS >= 0):
+		return badField("Machine.Disks.AccessMS", m.Disks.AccessMS)
+	case !(m.Disks.WriteMS >= 0):
+		return badField("Machine.Disks.WriteMS", m.Disks.WriteMS)
+	case !(m.Disks.LogMS >= 0):
+		return badField("Machine.Disks.LogMS", m.Disks.LogMS)
+	case !(m.Disks.TransferMS >= 0):
+		return badField("Machine.Disks.TransferMS", m.Disks.TransferMS)
+	case !unit(m.Disks.Jitter):
+		return badField("Machine.Disks.Jitter", m.Disks.Jitter)
 	case m.Geometry.LineSize < 1:
 		return badField("Machine.Geometry.LineSize", m.Geometry.LineSize)
 	case m.Geometry.TCWays < 1:
@@ -190,8 +204,37 @@ func Validate(cfg Config) error {
 		return badField("Tuning.QuantumInstr", t.QuantumInstr)
 	case t.ChunkInstr == 0:
 		return badField("Tuning.ChunkInstr", t.ChunkInstr)
-	case !(t.DBWriterIntervalMS > 0):
-		return badField("Tuning.DBWriterIntervalMS", t.DBWriterIntervalMS)
+	case !(t.DBWriterIntervalMS*(m.FreqHz/1e3) >= 1):
+		return fmt.Errorf("system: %w: Tuning.DBWriterIntervalMS = %v at Machine.FreqHz = %v is a DB-writer tick under one cycle",
+			ErrBadConfig, t.DBWriterIntervalMS, m.FreqHz)
+	case !(t.OtherCPI >= 0):
+		return badField("Tuning.OtherCPI", t.OtherCPI)
+	case !(t.BusyWaitMS >= 0):
+		return badField("Tuning.BusyWaitMS", t.BusyWaitMS)
+	case t.HotBytesPerWhs < 0:
+		return badField("Tuning.HotBytesPerWhs", t.HotBytesPerWhs)
+	case sy.UserCodeBytes < 0:
+		return badField("Tuning.Synth.UserCodeBytes", sy.UserCodeBytes)
+	case sy.OSCodeBytes < 0:
+		return badField("Tuning.Synth.OSCodeBytes", sy.OSCodeBytes)
+	case sy.MetaBytes < 0:
+		return badField("Tuning.Synth.MetaBytes", sy.MetaBytes)
+	case sy.KernelBytes < 0:
+		return badField("Tuning.Synth.KernelBytes", sy.KernelBytes)
+	case sy.PGABytes < 0:
+		return badField("Tuning.Synth.PGABytes", sy.PGABytes)
+	case !unit(sy.DataRefsPerInstr):
+		return badField("Tuning.Synth.DataRefsPerInstr", sy.DataRefsPerInstr)
+	case !unit(sy.FetchLinesPerInstr):
+		return badField("Tuning.Synth.FetchLinesPerInstr", sy.FetchLinesPerInstr)
+	case !unit(sy.BranchesPerInstr):
+		return badField("Tuning.Synth.BranchesPerInstr", sy.BranchesPerInstr)
+	case !unit(sy.PBlock):
+		return badField("Tuning.Synth.PBlock", sy.PBlock)
+	case !unit(sy.PMeta):
+		return badField("Tuning.Synth.PMeta", sy.PMeta)
+	case !unit(sy.TailFrac):
+		return badField("Tuning.Synth.TailFrac", sy.TailFrac)
 	case cfg.WarmupTxns < 0:
 		return badField("WarmupTxns", cfg.WarmupTxns)
 	case cfg.Engine == "lsm" && t.LSM.MemtableMB < 1:
@@ -204,6 +247,10 @@ func Validate(cfg Config) error {
 	}
 	return nil
 }
+
+// unit reports whether x is in [0, 1]: a probability, a mixture fraction
+// or an event rate of at most one per instruction.
+func unit(x float64) bool { return x >= 0 && x <= 1 }
 
 // badField reports the configuration field at path as ErrBadConfig.
 func badField(path string, v any) error {
@@ -776,7 +823,6 @@ func (m *machine) reset() {
 	m.bc.ResetStats()
 	m.disks.ResetStats()
 	m.fsb.ResetStats(m.eng.Now())
-	m.domain.ResetStats()
 	m.sched.ResetStats()
 	m.lm.ResetStats()
 	m.se.ResetStats()
@@ -790,24 +836,24 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 	var userCycles, osCycles float64
 	if userInstr > 0 {
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, Instr: userInstr, Blocks: blocks})
-		userCycles = m.eventCycles(userInstr, ev) * smt
-		m.ctr.note(userInstr, userCycles, ev)
+		userCycles = m.eventCycles(userInstr, ev.Events) * smt
+		m.ctr.note(userInstr, userCycles, ev.Events)
 		if m.measuring {
-			m.user.add(userInstr, userCycles, ev.TCMiss, ev.L2Miss, ev.L3Miss, ev.CoherMiss, ev.TLBMiss, ev.Mispred, ev.BusLatency)
+			m.user.add(userInstr, userCycles, ev.Events)
 			if m.prof != nil {
-				m.prof.AddChunk(profile.User, m.userShares, userInstr, userCycles, profEvents(ev))
+				m.prof.AddChunk(profile.User, m.userShares, userInstr, userCycles, ev.Events)
 			}
 		}
 	}
 	if osInstr > 0 {
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, OS: true, Instr: osInstr, Blocks: blocks})
-		osCycles = m.eventCycles(osInstr, ev) * smt
-		m.ctr.note(osInstr, osCycles, ev)
+		osCycles = m.eventCycles(osInstr, ev.Events) * smt
+		m.ctr.note(osInstr, osCycles, ev.Events)
 		m.ctr.osInstr += osInstr
 		if m.measuring {
-			m.os.add(osInstr, osCycles, ev.TCMiss, ev.L2Miss, ev.L3Miss, ev.CoherMiss, ev.TLBMiss, ev.Mispred, ev.BusLatency)
+			m.os.add(osInstr, osCycles, ev.Events)
 			if m.prof != nil {
-				m.prof.AddChunk(profile.OS, m.osShares, osInstr, osCycles, profEvents(ev))
+				m.prof.AddChunk(profile.OS, m.osShares, osInstr, osCycles, ev.Events)
 			}
 		}
 	}
@@ -821,7 +867,7 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 }
 
 // eventCycles applies the stall-cost model to one chunk's scaled events.
-func (m *machine) eventCycles(instr uint64, ev workload.Events) float64 {
+func (m *machine) eventCycles(instr uint64, ev cpu.Events) float64 {
 	c := m.cfg.Machine.Stall
 	s := float64(m.cfg.Tuning.Scale)
 	l2NotL3 := float64(0)
@@ -871,27 +917,22 @@ func (m *machine) metrics() Metrics {
 	out.OSCPI = m.os.cpi()
 
 	scale := t.Scale
-	combined := modeAccum{instr: totalInstr}
-	combined.tcMiss = m.user.tcMiss + m.os.tcMiss
-	combined.l2Miss = m.user.l2Miss + m.os.l2Miss
-	combined.l3Miss = m.user.l3Miss + m.os.l3Miss
-	combined.coher = m.user.coher + m.os.coher
-	combined.tlbMiss = m.user.tlbMiss + m.os.tlbMiss
-	combined.mispred = m.user.mispred + m.os.mispred
+	combined := modeAccum{instr: totalInstr, ev: m.user.ev}
+	combined.ev.Add(m.os.ev)
 
-	out.MPI = combined.ratePI(combined.l3Miss, scale)
-	out.UserMPI = m.user.ratePI(m.user.l3Miss, scale)
-	out.OSMPI = m.os.ratePI(m.os.l3Miss, scale)
+	out.MPI = combined.ratePI(combined.ev.L3Miss, scale)
+	out.UserMPI = m.user.ratePI(m.user.ev.L3Miss, scale)
+	out.OSMPI = m.os.ratePI(m.os.ev.L3Miss, scale)
 
 	busStats := m.fsb.StatsAt(m.eng.Now())
 	out.BusTime = busStats.MeanLatency()
 	out.BusUtil = busStats.Utilization()
 
 	out.Rates = cpu.EventRates{
-		BranchMispredPI: combined.ratePI(combined.mispred, scale),
-		TLBMissPI:       combined.ratePI(combined.tlbMiss, scale),
-		TCMissPI:        combined.ratePI(combined.tcMiss, scale),
-		L2MissPI:        combined.ratePI(combined.l2Miss, scale),
+		BranchMispredPI: combined.ratePI(combined.ev.Mispred, scale),
+		TLBMissPI:       combined.ratePI(combined.ev.TLBMiss, scale),
+		TCMissPI:        combined.ratePI(combined.ev.TCMiss, scale),
+		L2MissPI:        combined.ratePI(combined.ev.L2Miss, scale),
 		L3MissPI:        out.MPI,
 		BusTime:         out.BusTime,
 		OtherPI:         t.OtherCPI,
@@ -913,8 +954,8 @@ func (m *machine) metrics() Metrics {
 	out.CtxSwitchPerTxn = float64(m.sched.Stats().ContextSwitches) / txns
 	out.BlocksPerTxn = float64(m.sched.Stats().Blocks) / txns
 	out.BusyWaitsPerTxn = float64(m.busyWaits) / txns
-	if combined.l3Miss > 0 {
-		out.CoherenceShare = float64(combined.coher) / float64(combined.l3Miss)
+	if combined.ev.L3Miss > 0 {
+		out.CoherenceShare = float64(combined.ev.CoherMiss) / float64(combined.ev.L3Miss)
 	}
 	out.BufferHitRatio = m.bc.Stats().HitRatio()
 	out.LockConflicts = float64(m.lm.Stats().Conflicts) / txns

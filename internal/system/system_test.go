@@ -44,10 +44,11 @@ func TestBadConfigRejected(t *testing.T) {
 }
 
 // TestDegenerateConfigsRejected runs configs that used to panic
-// (buffer cache, disks, cache geometry, scale, quantum) or run until the context
-// deadline or out of memory (clock, warm-up, chunk, DB-writer interval,
-// LSM memtable and fanout) through Run with a background context: each
-// must return ErrBadConfig naming the field, promptly.
+// (buffer cache, disks, disk times, cache geometry, scale, quantum, other
+// CPI, busy wait, footprints) or run until the context deadline or out of
+// memory (clock, warm-up, chunk, DB-writer interval, reference rates and
+// mixture, LSM memtable and fanout) through Run with a background
+// context: each must return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -68,6 +69,26 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Tuning.QuantumInstr", func(c *Config) { c.Tuning.QuantumInstr = 0 }},
 		{"Tuning.ChunkInstr", func(c *Config) { c.Tuning.ChunkInstr = 0 }},
 		{"Tuning.DBWriterIntervalMS", func(c *Config) { c.Tuning.DBWriterIntervalMS = 0 }},
+		{"Machine.Disks.AccessMS", func(c *Config) { c.Machine.Disks.AccessMS = -1 }},
+		{"Machine.Disks.WriteMS", func(c *Config) { c.Machine.Disks.WriteMS = -1 }},
+		{"Machine.Disks.LogMS", func(c *Config) { c.Machine.Disks.LogMS = -1 }},
+		{"Machine.Disks.TransferMS", func(c *Config) { c.Machine.Disks.TransferMS = math.NaN() }},
+		{"Machine.Disks.Jitter", func(c *Config) { c.Machine.Disks.Jitter = 5 }},
+		{"Tuning.OtherCPI", func(c *Config) { c.Tuning.OtherCPI = -1 }},
+		{"Tuning.BusyWaitMS", func(c *Config) { c.Tuning.BusyWaitMS = -1 }},
+		{"Tuning.HotBytesPerWhs", func(c *Config) { c.Tuning.HotBytesPerWhs = -1 }},
+		{"Tuning.Synth.UserCodeBytes", func(c *Config) { c.Tuning.Synth.UserCodeBytes = -1 }},
+		{"Tuning.Synth.OSCodeBytes", func(c *Config) { c.Tuning.Synth.OSCodeBytes = -1 }},
+		{"Tuning.Synth.MetaBytes", func(c *Config) { c.Tuning.Synth.MetaBytes = -1 }},
+		{"Tuning.Synth.KernelBytes", func(c *Config) { c.Tuning.Synth.KernelBytes = -1 }},
+		{"Tuning.Synth.PGABytes", func(c *Config) { c.Tuning.Synth.PGABytes = -1 }},
+		{"Tuning.Synth.DataRefsPerInstr", func(c *Config) { c.Tuning.Synth.DataRefsPerInstr = -1 }},
+		{"Tuning.Synth.FetchLinesPerInstr", func(c *Config) { c.Tuning.Synth.FetchLinesPerInstr = math.NaN() }},
+		{"Tuning.Synth.BranchesPerInstr", func(c *Config) { c.Tuning.Synth.BranchesPerInstr = 1e6 }},
+		{"Tuning.Synth.PBlock", func(c *Config) { c.Tuning.Synth.PBlock = -1 }},
+		{"Tuning.Synth.TailFrac", func(c *Config) { c.Tuning.Synth.TailFrac = -1 }},
+		{"Tuning.Synth.PMeta", func(c *Config) { c.Tuning.Synth.PMeta = math.NaN() }},
+		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 1 }}, // DB-writer tick rounds to zero cycles
 		{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},

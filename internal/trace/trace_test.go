@@ -116,7 +116,7 @@ func TestTruncatedRecord(t *testing.T) {
 func captureTrace(t *testing.T, n int) []byte {
 	t.Helper()
 	const scale = 64
-	g := workload.ScaledGeometry(cache.XeonGeometry(1), scale)
+	g := workload.ScaledGeometry(cache.XeonGeometry(), scale)
 	d := cache.NewDomain(g, 2, true)
 	b := bus.New(bus.DefaultConfig(), scale)
 	synth := workload.New(workload.DefaultConfig(scale), d, b, xrand.New(9))
@@ -147,7 +147,7 @@ func TestReplayAgainstGeometries(t *testing.T) {
 	data := captureTrace(t, 600)
 
 	replay := func(l3 int) ReplayStats {
-		g := workload.ScaledGeometry(cache.XeonGeometry(1), 64)
+		g := workload.ScaledGeometry(cache.XeonGeometry(), 64)
 		g.L3Size = l3
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -174,7 +174,7 @@ func TestReplayAgainstGeometries(t *testing.T) {
 
 func TestReplayCPUOutOfRange(t *testing.T) {
 	data := captureTrace(t, 50)
-	g := workload.ScaledGeometry(cache.XeonGeometry(1), 64)
+	g := workload.ScaledGeometry(cache.XeonGeometry(), 64)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestReplayCPUOutOfRange(t *testing.T) {
 func TestReplayDeterministic(t *testing.T) {
 	data := captureTrace(t, 100)
 	run := func() ReplayStats {
-		g := workload.ScaledGeometry(cache.XeonGeometry(1), 64)
+		g := workload.ScaledGeometry(cache.XeonGeometry(), 64)
 		r, _ := NewReader(bytes.NewReader(data))
 		s, err := Replay(r, cache.NewDomain(g, 2, true))
 		if err != nil {

@@ -170,7 +170,7 @@ func TestRunMatchesPerReferenceDraws(t *testing.T) {
 				cfg := DefaultConfig(testScale)
 				mix.set(&cfg)
 				build := func() (*Synth, *[]tapRecord) {
-					g := ScaledGeometry(cache.XeonGeometry(1), testScale)
+					g := ScaledGeometry(cache.XeonGeometry(), testScale)
 					d := cache.NewDomain(g, cpus, true)
 					b := bus.New(bus.DefaultConfig(), float64(testScale))
 					s := New(cfg, d, b, xrand.New(42))
@@ -198,17 +198,29 @@ func TestRunMatchesPerReferenceDraws(t *testing.T) {
 						t.Fatalf("tap record %d: got %+v, want %+v", i, (*gotTaps)[i], (*wantTaps)[i])
 					}
 				}
+				// Every TLB and predictor holds the same state: probed with
+				// the same hot lines and branches, they answer alike.
+				probe := xrand.New(44)
+				hits := 0
 				for c := 0; c < cpus; c++ {
-					ga, gm := got.TLBs()[c].Counts()
-					wa, wm := want.TLBs()[c].Counts()
-					if ga != wa || gm != wm {
-						t.Fatalf("cpu %d TLB counts (%d, %d), want (%d, %d)", c, ga, gm, wa, wm)
+					for i := 0; i < 256; i++ {
+						base := [...]uint64{baseBlocks, baseMeta, basePGA, baseKernel}[i%4]
+						addr := base + uint64(i/4)*64
+						g, w := got.tlbs[c].Access(addr), want.tlbs[c].Access(addr)
+						if g != w {
+							t.Fatalf("cpu %d TLB probe %d (%#x): hit %v, want %v", c, i, addr, g, w)
+						}
+						if g {
+							hits++
+						}
+						site, taken := probe.Uint64()%512, probe.Bernoulli(0.5)
+						if g, w := got.bps[c].Record(site, taken), want.bps[c].Record(site, taken); g != w {
+							t.Fatalf("cpu %d predictor probe %d (site %d): correct %v, want %v", c, i, site, g, w)
+						}
 					}
-					gp, gx := got.Predictors()[c].Counts()
-					wp, wx := want.Predictors()[c].Counts()
-					if gp != wp || gx != wx {
-						t.Fatalf("cpu %d predictor counts (%d, %d), want (%d, %d)", c, gp, gx, wp, wx)
-					}
+				}
+				if hits == 0 {
+					t.Fatal("TLB probes never hit, so they compare no state")
 				}
 				// Every stream stands where per-reference drawing leaves it.
 				if g, w := got.rng.Uint64(), want.rng.Uint64(); g != w {

@@ -128,7 +128,6 @@ func ScaledGeometry(g cache.Geometry, scale uint64) cache.Geometry {
 		return p * ways * g.LineSize
 	}
 	out := g
-	out.Sample = 1 // addresses are pre-scaled; no hash filtering
 	out.TCSize = shrink(g.TCSize, g.TCWays)
 	out.L2Size = shrink(g.L2Size, g.L2Ways)
 	out.L3Size = shrink(g.L3Size, g.L3Ways)
@@ -145,20 +144,14 @@ type ChunkSpec struct {
 	Blocks []odb.BlockID // payload blocks this chunk touched
 }
 
-// Events are the scaled event counts of one chunk. Real counts are these
-// multiplied by the scale factor.
+// Events are the scaled event counts of one chunk: the priced events
+// and the reference and branch counts they were drawn from. Real counts
+// are these multiplied by the scale factor.
 type Events struct {
-	FetchRefs  uint64
-	DataRefs   uint64
-	TCMiss     uint64
-	L2Miss     uint64
-	L3Miss     uint64
-	CoherMiss  uint64
-	Writebacks uint64
-	TLBMiss    uint64
-	Branches   uint64
-	Mispred    uint64
-	BusLatency float64 // summed IOQ latency over the chunk's L3 misses
+	cpu.Events
+	FetchRefs uint64
+	DataRefs  uint64
+	Branches  uint64
 }
 
 // Synth drives the microarchitectural models for one machine.
@@ -495,19 +488,9 @@ func (s *Synth) record(ev *Events, now sim.Time, res cache.AccessResult) {
 		ev.BusLatency += s.fsb.Transaction(now)
 	}
 	if res.Writeback {
-		ev.Writebacks++
 		s.fsb.Posted(now, float64(s.cfg.Scale))
 	}
 }
 
-// Scale returns the configured scale factor.
-func (s *Synth) Scale() uint64 { return s.cfg.Scale }
-
 // FlushTLB flushes one CPU's TLB (address-space switch).
 func (s *Synth) FlushTLB(cpuID int) { s.tlbs[cpuID].Flush() }
-
-// TLBs and Predictors expose per-CPU models for statistics.
-func (s *Synth) TLBs() []*cpu.TLB { return s.tlbs }
-
-// Predictors returns the per-CPU branch predictors.
-func (s *Synth) Predictors() []*cpu.BranchPredictor { return s.bps }

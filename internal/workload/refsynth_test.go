@@ -12,7 +12,7 @@ import (
 const testScale = 64
 
 func testSynth(cpus int, seed int64) *Synth {
-	g := ScaledGeometry(cache.XeonGeometry(1), testScale)
+	g := ScaledGeometry(cache.XeonGeometry(), testScale)
 	d := cache.NewDomain(g, cpus, true)
 	b := bus.New(bus.DefaultConfig(), float64(testScale))
 	return New(DefaultConfig(testScale), d, b, xrand.New(seed))
@@ -27,20 +27,17 @@ func blocks(ids ...uint64) []odb.BlockID {
 }
 
 func TestScaledGeometry(t *testing.T) {
-	g := ScaledGeometry(cache.XeonGeometry(1), 64)
+	g := ScaledGeometry(cache.XeonGeometry(), 64)
 	if g.L3Size != (1<<20)/64 {
 		t.Fatalf("scaled L3 = %d", g.L3Size)
 	}
 	if g.L2Size != (256<<10)/64 {
 		t.Fatalf("scaled L2 = %d", g.L2Size)
 	}
-	if g.Sample != 1 {
-		t.Fatal("scaled geometry must not hash-filter")
-	}
 	// Must construct without panicking, including the tiny TC.
 	cache.NewDomain(g, 4, true)
 
-	it := ScaledGeometry(cache.Itanium2Geometry(1), 64)
+	it := ScaledGeometry(cache.Itanium2Geometry(), 64)
 	if it.L3Size != 3<<20>>6 {
 		t.Fatalf("scaled Itanium L3 = %d", it.L3Size)
 	}
@@ -84,7 +81,7 @@ func TestMPIGrowsWithHotSet(t *testing.T) {
 	// grows with the warehouse count; once it exceeds the L3 capacity the
 	// miss ratio climbs, then saturates.
 	missRate := func(hotSetBytes int, seed int64) float64 {
-		g := ScaledGeometry(cache.XeonGeometry(1), testScale)
+		g := ScaledGeometry(cache.XeonGeometry(), testScale)
 		d := cache.NewDomain(g, 1, true)
 		b := bus.New(bus.DefaultConfig(), float64(testScale))
 		cfg := DefaultConfig(testScale)
@@ -177,7 +174,7 @@ func TestTLBFlushIncreasesMisses(t *testing.T) {
 }
 
 func TestBusSeesL3Misses(t *testing.T) {
-	g := ScaledGeometry(cache.XeonGeometry(1), testScale)
+	g := ScaledGeometry(cache.XeonGeometry(), testScale)
 	d := cache.NewDomain(g, 1, true)
 	b := bus.New(bus.DefaultConfig(), float64(testScale))
 	s := New(DefaultConfig(testScale), d, b, xrand.New(9))
@@ -228,17 +225,17 @@ func TestZeroScalePanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	g := ScaledGeometry(cache.XeonGeometry(1), 64)
+	g := ScaledGeometry(cache.XeonGeometry(), 64)
 	d := cache.NewDomain(g, 1, true)
 	New(Config{}, d, bus.New(bus.DefaultConfig(), 1), xrand.New(1))
 }
 
 func TestAccessorCoverage(t *testing.T) {
 	s := testSynth(2, 12)
-	if s.Scale() != testScale {
-		t.Fatalf("Scale = %d", s.Scale())
+	if s.cfg.Scale != testScale {
+		t.Fatalf("Scale = %d", s.cfg.Scale)
 	}
-	if len(s.TLBs()) != 2 || len(s.Predictors()) != 2 {
+	if len(s.tlbs) != 2 || len(s.bps) != 2 {
 		t.Fatal("per-CPU model counts wrong")
 	}
 }
