@@ -430,20 +430,6 @@ func BenchmarkAblationSwitchCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSMT enables the Hyper-Threading configuration the
-// paper left unexplored: two hardware threads per core sharing the cache
-// hierarchy and splitting core bandwidth when co-resident.
-func BenchmarkAblationSMT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		off := runAblation(b, nil)
-		on := runAblation(b, func(c *system.Config) { c.Machine.SMT = 2 })
-		if i == 0 {
-			b.ReportMetric(on.TPS/off.TPS, "TPS-gain-HT")
-			b.ReportMetric(on.MPI/off.MPI, "MPI-ratio-HT")
-		}
-	}
-}
-
 // BenchmarkSingleConfiguration measures the simulator's own speed on one
 // mid-sized configuration — the cost of one data point.
 func BenchmarkSingleConfiguration(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -511,8 +512,12 @@ func TestCampaignLiveKillResume(t *testing.T) {
 	}
 
 	// The run manifest sits next to the checkpoint and reloads.
-	man, err := telemetry.LoadManifest(telemetry.ManifestPath(path))
+	data, err := os.ReadFile(telemetry.ManifestPath(path))
 	if err != nil {
+		t.Fatalf("campaign manifest: %v", err)
+	}
+	var man telemetry.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatalf("campaign manifest: %v", err)
 	}
 	if man.Tool != "odbscale-campaign" || man.Seed != specB.Seed {

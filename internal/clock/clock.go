@@ -22,6 +22,3 @@ func (c Clock) Now() time.Time { return c() }
 // Since returns the elapsed time between t and the clock's current
 // time.
 func (c Clock) Since(t time.Time) time.Duration { return c().Sub(t) }
-
-// Fixed returns a clock frozen at t — the simplest test fake.
-func Fixed(t time.Time) Clock { return func() time.Time { return t } }

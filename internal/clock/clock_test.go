@@ -1,25 +1,11 @@
 package clock
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestWallAdvances(t *testing.T) {
 	c := Wall()
 	t0 := c.Now()
 	if since := c.Since(t0); since < 0 {
 		t.Fatalf("wall clock ran backwards: %v", since)
-	}
-}
-
-func TestFixedIsFrozen(t *testing.T) {
-	at := time.Date(2003, 12, 3, 0, 0, 0, 0, time.UTC) // MICRO-36
-	c := Fixed(at)
-	if !c.Now().Equal(at) {
-		t.Fatalf("Fixed clock reads %v, want %v", c.Now(), at)
-	}
-	if d := c.Since(at.Add(-time.Hour)); d != time.Hour {
-		t.Fatalf("Since on a fixed clock = %v, want 1h", d)
 	}
 }

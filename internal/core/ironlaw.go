@@ -48,9 +48,6 @@ func (l IronLaw) TPS() float64 {
 	return u * float64(l.Processors) * l.FrequencyHz / (l.IPX * l.CPI)
 }
 
-// CyclesPerTxn returns the per-processor cycle cost of one transaction.
-func (l IronLaw) CyclesPerTxn() float64 { return l.IPX * l.CPI }
-
 func (l IronLaw) String() string {
 	return fmt.Sprintf("TPS = %.0f  (P=%d F=%.2gGHz IPX=%.3gM CPI=%.3g util=%.2f)",
 		l.TPS(), l.Processors, l.FrequencyHz/1e9, l.IPX/1e6, l.CPI, l.Utilization)

@@ -15,9 +15,6 @@ func TestIronLawTPS(t *testing.T) {
 	if math.Abs(l.TPS()-want) > 1e-9 {
 		t.Fatalf("TPS = %v, want %v", l.TPS(), want)
 	}
-	if l.CyclesPerTxn() != 4.8e6 {
-		t.Fatalf("CyclesPerTxn = %v", l.CyclesPerTxn())
-	}
 	if l.String() == "" {
 		t.Fatal("empty String")
 	}

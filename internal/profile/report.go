@@ -10,9 +10,9 @@ import (
 )
 
 // ComponentCycles decomposes a frame's cycles into the Table 3/4 event
-// contributions, in real cycles. Residual is what the event model does
-// not explain — SMT expansion and apportionment rounding — so the
-// eight components always sum exactly to the frame's cycles.
+// contributions, in real cycles. Residual absorbs the apportionment
+// rounding the event model does not explain, so the eight components
+// always sum exactly to the frame's cycles.
 type ComponentCycles struct {
 	Inst     float64 `json:"inst"`
 	Branch   float64 `json:"branch"`

@@ -218,16 +218,6 @@ func (a *Array) LogWrite(blocks int, done func()) {
 	}
 }
 
-// QueueDepth returns the current total outstanding operations on the data
-// disks, a saturation signal.
-func (a *Array) QueueDepth() int {
-	n := 0
-	for i := range a.data {
-		n += a.data[i].queueLen
-	}
-	return n
-}
-
 // ResetStats starts a new measurement period.
 func (a *Array) ResetStats() {
 	a.stats = Stats{}

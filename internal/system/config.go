@@ -25,16 +25,6 @@ type MachineConfig struct {
 	// uses 2.8 GB of the 4 GB system for it on the Xeon platform).
 	BufferCacheMB int
 	Stall         cpu.StallCosts
-
-	// SMT is the number of hardware threads per processor. The paper runs
-	// with Hyper-Threading disabled (1); setting 2 enables the NetBurst
-	// HT configuration it leaves unexplored: threads share the cache
-	// hierarchy and split core bandwidth when co-resident.
-	SMT int
-	// SMTSlowdown is the per-thread cycle multiplier when both threads of
-	// a core are busy (1.55 means each runs at ~65% speed, an aggregate
-	// ~1.3x over one thread).
-	SMTSlowdown float64
 }
 
 // XeonQuad returns the paper's experimental platform: a 4-way 1.6 GHz
@@ -49,8 +39,6 @@ func XeonQuad() MachineConfig {
 		Disks:         storage.DefaultConfig(),
 		BufferCacheMB: 2867, // 2.8 GB
 		Stall:         cpu.Table3Costs(),
-		SMT:           1,
-		SMTSlowdown:   1.55,
 	}
 }
 

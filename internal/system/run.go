@@ -184,7 +184,7 @@ func WithQueueStats(c *qstats.Collector) Option {
 		m.qsLock = c.Station(qstats.LockMgr)
 		m.qsBusy = c.Station(qstats.BufferPool)
 		m.qsEngine = c.Station(qstats.Engine)
-		c.SetServers(qstats.CPU, m.cfg.Processors*m.smt)
+		c.SetServers(qstats.CPU, m.cfg.Processors)
 		c.SetServers(qstats.Bus, 1)
 		c.SetServers(qstats.Disk, m.disks.DataDisks())
 		c.SetServers(qstats.Log, m.cfg.Machine.Disks.LogDisks)

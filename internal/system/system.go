@@ -68,7 +68,6 @@ type machine struct {
 	sched  *osker.Scheduler
 
 	cyclesPerMS float64
-	smt         int
 
 	ctr counters
 
@@ -278,23 +277,13 @@ func build(cfg Config) *machine {
 	diskCfg.CyclesPerMS = cfg.Machine.FreqHz / 1e3
 	disks := storage.New(diskCfg, eng, rng.Split(2))
 
-	smt := cfg.Machine.SMT
-	if smt < 1 {
-		smt = 1
-	}
-	logical := cfg.Processors * smt
-
 	fsb := bus.New(cfg.Machine.Bus, float64(t.Scale))
 	geo := workload.ScaledGeometry(cfg.Machine.Geometry, t.Scale)
 	domain := cache.NewDomain(geo, cfg.Processors, cfg.Coherent)
 	synthCfg := t.Synth
 	synthCfg.Scale = t.Scale
 	synthCfg.HotSetBytes = t.HotBytesPerWhs * cfg.Warehouses
-	synthCfg.LogicalCPUs = logical
 	synth := workload.New(synthCfg, domain, fsb, rng.Split(3))
-	if smt > 1 {
-		synth.SetCPUMap(func(l int) int { return l / smt })
-	}
 
 	m := &machine{
 		cfg:         cfg,
@@ -311,9 +300,8 @@ func build(cfg Config) *machine {
 		cyclesPerMS: cfg.Machine.FreqHz / 1e3,
 	}
 	m.ctr.scale = t.Scale
-	m.smt = smt
 	m.inflight = make(map[odb.BlockID][]ioWaiter)
-	m.sched = osker.New(eng, osker.Config{CPUs: logical, QuantumInstr: t.QuantumInstr},
+	m.sched = osker.New(eng, osker.Config{CPUs: cfg.Processors, QuantumInstr: t.QuantumInstr},
 		m.runChunk, m.contextSwitch)
 
 	// The storage engine, constructed last so its RNG splits (5 and 6)
@@ -342,27 +330,6 @@ func build(cfg Config) *machine {
 	})
 	gen.SetPlanner(m.se.Planner(rng.Split(6)))
 	return m
-}
-
-// smtFactor returns the per-thread cycle multiplier for a chunk running
-// on the given logical CPU: hardware threads sharing a core split its
-// issue bandwidth while both are busy.
-func (m *machine) smtFactor(cpuID int) float64 {
-	if m.smt < 2 {
-		return 1
-	}
-	core := cpuID / m.smt
-	for t := 0; t < m.smt; t++ {
-		sibling := core*m.smt + t
-		if sibling != cpuID && m.sched.Busy(sibling) {
-			slow := m.cfg.Machine.SMTSlowdown
-			if slow < 1 {
-				slow = 1
-			}
-			return slow
-		}
-	}
-	return 1
 }
 
 // contentionProb returns the probability that a hot-block access finds the
@@ -832,11 +799,10 @@ func (m *machine) reset() {
 // counts into cycles using the Table 3/4 stall model.
 func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []odb.BlockID) sim.Time {
 	now := m.eng.Now()
-	smt := m.smtFactor(cpuID)
 	var userCycles, osCycles float64
 	if userInstr > 0 {
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, Instr: userInstr, Blocks: blocks})
-		userCycles = m.eventCycles(userInstr, ev.Events) * smt
+		userCycles = m.eventCycles(userInstr, ev.Events)
 		m.ctr.note(userInstr, userCycles, ev.Events)
 		if m.measuring {
 			m.user.add(userInstr, userCycles, ev.Events)
@@ -847,7 +813,7 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 	}
 	if osInstr > 0 {
 		ev := m.synth.Run(workload.ChunkSpec{Now: now, CPU: cpuID, ProcID: procID, OS: true, Instr: osInstr, Blocks: blocks})
-		osCycles = m.eventCycles(osInstr, ev.Events) * smt
+		osCycles = m.eventCycles(osInstr, ev.Events)
 		m.ctr.note(osInstr, osCycles, ev.Events)
 		m.ctr.osInstr += osInstr
 		if m.measuring {

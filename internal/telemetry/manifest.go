@@ -122,19 +122,3 @@ func (m *Manifest) Save(path string) error {
 func ManifestPath(checkpointPath string) string {
 	return checkpointPath + ".manifest.json"
 }
-
-// LoadManifest reads a manifest file.
-func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("telemetry: corrupt manifest %s: %w", path, err)
-	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("telemetry: manifest %s has version %d, want %d", path, m.Version, ManifestVersion)
-	}
-	return &m, nil
-}

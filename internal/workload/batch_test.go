@@ -24,14 +24,13 @@ func (s *Synth) refRun(spec ChunkSpec) Events {
 	if spec.OS {
 		codeBase, codeZ = baseOSCode, s.osCodeZ
 	}
-	phys := s.cpuMap(spec.CPU)
 	tlb := s.tlbs[spec.CPU]
 	for i := uint64(0); i < ev.FetchRefs; i++ {
 		addr := cache.Addr(codeBase + codeZ.Next()*64)
 		if s.tap != nil {
-			s.tap(phys, addr, cache.Fetch)
+			s.tap(spec.CPU, addr, cache.Fetch)
 		}
-		s.record(&ev, spec.Now, s.domain.Access(phys, addr, cache.Fetch))
+		s.record(&ev, spec.Now, s.domain.Access(spec.CPU, addr, cache.Fetch))
 	}
 
 	dataAccess := func(addr cache.Addr, store bool) {
@@ -43,9 +42,9 @@ func (s *Synth) refRun(spec ChunkSpec) Events {
 			ev.TLBMiss++
 		}
 		if s.tap != nil {
-			s.tap(phys, addr, kind)
+			s.tap(spec.CPU, addr, kind)
 		}
-		s.record(&ev, spec.Now, s.domain.Access(phys, addr, kind))
+		s.record(&ev, spec.Now, s.domain.Access(spec.CPU, addr, kind))
 	}
 	if spec.OS || len(spec.Blocks) == 0 {
 		for i := uint64(0); i < ev.DataRefs; i++ {

@@ -76,9 +76,9 @@ type Config struct {
 	PMeta    float64
 	TailFrac float64
 
-	// LogicalCPUs sizes the per-thread models (TLBs, branch predictors)
-	// when hardware threads share a physical cache hierarchy; zero means
-	// one thread per hierarchy.
+	// Deprecated: LogicalCPUs is ignored; the synthesizer builds one TLB
+	// and branch predictor per CPU of the cache domain. It remains only
+	// because simbench's drivers still set it.
 	LogicalCPUs int
 
 	// Store fractions per class. The structural set (index upper levels,
@@ -161,7 +161,6 @@ type Synth struct {
 
 	domain *cache.Domain
 	fsb    *bus.Bus
-	cpuMap func(logical int) int // logical CPU -> cache hierarchy
 	tap    func(cpu int, addr cache.Addr, kind cache.Kind)
 	tlbs   []*cpu.TLB
 	bps    []*cpu.BranchPredictor
@@ -207,12 +206,8 @@ func New(cfg Config, domain *cache.Domain, fsb *bus.Bus, rng *xrand.Rand) *Synth
 	if cfg.Scale == 0 {
 		panic("workload: zero scale")
 	}
-	s := &Synth{cfg: cfg, rng: rng, domain: domain, fsb: fsb, cpuMap: func(l int) int { return l }}
-	n := len(domain.CPUs)
-	if cfg.LogicalCPUs > n {
-		n = cfg.LogicalCPUs
-	}
-	for i := 0; i < n; i++ {
+	s := &Synth{cfg: cfg, rng: rng, domain: domain, fsb: fsb}
+	for range domain.CPUs {
 		s.tlbs = append(s.tlbs, cpu.NewTLB(64, 4, 64)) // page = one scaled line
 		s.bps = append(s.bps, cpu.NewBranchPredictor(13, 2))
 	}
@@ -252,13 +247,8 @@ func (s *Synth) count(instr uint64, rate float64) uint64 {
 	return n
 }
 
-// SetCPUMap installs the logical-to-physical CPU mapping used when
-// hardware threads share a cache hierarchy (SMT). The default is the
-// identity.
-func (s *Synth) SetCPUMap(f func(logical int) int) { s.cpuMap = f }
-
 // SetTap installs a per-reference callback (trace capture). The tap sees
-// the physical CPU and the scaled address of every simulated reference.
+// the CPU and the scaled address of every simulated reference.
 func (s *Synth) SetTap(f func(cpu int, addr cache.Addr, kind cache.Kind)) { s.tap = f }
 
 // drawBlock is the number of references Run synthesizes per batch.
@@ -266,10 +256,10 @@ const drawBlock = 256
 
 // chunk is the state of one Run that the reference loops share.
 type chunk struct {
-	ev   Events
-	now  sim.Time
-	phys int // physical CPU (cache hierarchy)
-	tlb  *cpu.TLB
+	ev    Events
+	now   sim.Time
+	cpuID int // the CPU whose cache hierarchy the references go to
+	tlb   *cpu.TLB
 }
 
 // Run synthesizes the activity of one chunk and returns its scaled event
@@ -284,7 +274,7 @@ type chunk struct {
 // consume and no draw is buffered across calls, so the streams stand
 // where per-reference drawing would leave them when Run returns.
 func (s *Synth) Run(spec ChunkSpec) Events {
-	c := chunk{now: spec.Now, phys: s.cpuMap(spec.CPU), tlb: s.tlbs[spec.CPU]}
+	c := chunk{now: spec.Now, cpuID: spec.CPU, tlb: s.tlbs[spec.CPU]}
 	ev := &c.ev
 	ev.FetchRefs = s.count(spec.Instr, s.cfg.FetchLinesPerInstr)
 	ev.DataRefs = s.count(spec.Instr, s.cfg.DataRefsPerInstr)
@@ -302,9 +292,9 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 		for _, l := range lines {
 			addr := cache.Addr(codeBase + l*64)
 			if s.tap != nil {
-				s.tap(c.phys, addr, cache.Fetch)
+				s.tap(c.cpuID, addr, cache.Fetch)
 			}
-			s.record(ev, c.now, s.domain.Access(c.phys, addr, cache.Fetch))
+			s.record(ev, c.now, s.domain.Access(c.cpuID, addr, cache.Fetch))
 		}
 	}
 
@@ -418,9 +408,9 @@ func (s *Synth) dataAccess(c *chunk, addr cache.Addr, store bool) {
 		c.ev.TLBMiss++
 	}
 	if s.tap != nil {
-		s.tap(c.phys, addr, kind)
+		s.tap(c.cpuID, addr, kind)
 	}
-	s.record(&c.ev, c.now, s.domain.Access(c.phys, addr, kind))
+	s.record(&c.ev, c.now, s.domain.Access(c.cpuID, addr, kind))
 }
 
 // branchBias gives each branch site a stable taken-probability: most

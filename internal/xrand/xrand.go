@@ -263,10 +263,3 @@ func (r *Rand) Bernoulli(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Normal returns a normal draw with the given mean and standard deviation,
-// truncated below at min to keep simulated quantities physical.
-func (r *Rand) Normal(mean, stddev, min float64) float64 {
-	x := mean + r.NormFloat64()*stddev
-	return math.Max(x, min)
-}

@@ -172,12 +172,3 @@ func TestBernoulli(t *testing.T) {
 		t.Fatalf("Bernoulli(0.3) rate = %v", p)
 	}
 }
-
-func TestNormalTruncation(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 10000; i++ {
-		if v := r.Normal(1, 10, 0.5); v < 0.5 {
-			t.Fatalf("Normal below floor: %v", v)
-		}
-	}
-}
