@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -77,20 +78,30 @@ func TestRunProfiledDeterministic(t *testing.T) {
 	}
 }
 
-// TestProfileAccountsWholeRun checks conservation on a small run: the
-// profile's instruction total and CPI must reproduce the measured
-// metrics (the apportionment telescopes, so only float summation order
-// separates them), and its frames' summed events the measured event
-// rates.
+// TestProfileAccountsWholeRun checks conservation on small runs at
+// P ∈ {1, 2, 4}: the profile's instruction total must equal the measured
+// one exactly and its CPI reproduce the measured CPI (the apportionment
+// telescopes, so only float summation order separates them), and its
+// frames' summed events the measured event rates. At P ≥ 2 a context
+// switch is priced inside a running chunk whenever that chunk wakes a
+// process onto an idle CPU; the switch must not take the chunk's shares.
 func TestProfileAccountsWholeRun(t *testing.T) {
-	cfg := flightCfg()
-	col := profile.NewCollector()
-	m, err := Run(context.Background(), cfg, WithProfiler(col))
-	if err != nil {
-		t.Fatal(err)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("P=%d", procs), func(t *testing.T) {
+			cfg := flightCfg()
+			cfg.Processors = procs
+			col := profile.NewCollector()
+			m, err := Run(context.Background(), cfg, WithProfiler(col))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkProfileAccounts(t, col.Profile(), m)
+		})
 	}
-	p := col.Profile()
+}
 
+func checkProfileAccounts(t *testing.T, p *profile.Profile, m Metrics) {
+	t.Helper()
 	wantInstr := uint64(math.Round(m.IPX * float64(m.Txns)))
 	if got := p.TotalInstr(); got != wantInstr {
 		t.Errorf("profile instructions = %d, metrics imply %d", got, wantInstr)

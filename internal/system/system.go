@@ -83,10 +83,13 @@ type machine struct {
 	// Flight recorder (nil unless WithRecorder).
 	rec *telemetry.Recorder
 
-	// Cycle-attribution profiler (nil unless WithProfiler). The chunk
-	// execution paths append per-frame instruction shares to the scratch
-	// lists; price apportions the chunk's cycles and events over them and
-	// truncates. Purely observational: no randomness, no scheduling.
+	// Cycle-attribution profiler (nil unless WithProfiler). runChunk
+	// appends its per-frame instruction shares to the scratch lists and
+	// hands them to price, which apportions the chunk's cycles and events
+	// over them; runChunk then truncates them. The maintenance process and
+	// the context switch pass their own one-share lists, so a switch
+	// priced inside a running chunk leaves that chunk's shares intact.
+	// Purely observational: no randomness, no scheduling.
 	prof       *profile.Collector
 	userShares []profile.Share
 	osShares   []profile.Share
@@ -657,8 +660,12 @@ loop:
 
 	osInstr := sp.pendingOS
 	sp.pendingOS = 0
-	cycles := m.price(cpuID, p.ID, userInstr, osInstr, blocks)
+	cycles := m.price(cpuID, p.ID, userInstr, osInstr, blocks, m.userShares, m.osShares)
 	sp.blocksBuf = blocks[:0] // price consumed the list synchronously
+	// The shares are per chunk; truncate whether or not they flushed (the
+	// warm-up period collects and discards).
+	m.userShares = m.userShares[:0]
+	m.osShares = m.osShares[:0]
 	if ts != nil {
 		ts.EndChunk(m.eng.Now(), cycles, userInstr+osInstr)
 	}
@@ -735,10 +742,8 @@ func (m *machine) runMaint(p *osker.Proc, cpuID int) osker.Outcome {
 	if res.Blocks != nil {
 		m.dbwScratch = res.Blocks
 	}
-	if m.prof != nil {
-		m.osShares = addShare(m.osShares, profile.KindDBWriter, res.Phase, res.OSInstr)
-	}
-	cycles := m.price(cpuID, p.ID, 0, res.OSInstr, res.Blocks)
+	share := [1]profile.Share{{Kind: profile.KindDBWriter, Phase: res.Phase, Instr: res.OSInstr}}
+	cycles := m.price(cpuID, p.ID, 0, res.OSInstr, res.Blocks, nil, share[:])
 	return osker.Outcome{Cycles: cycles, Instr: res.OSInstr, Block: true}
 }
 
@@ -796,8 +801,9 @@ func (m *machine) reset() {
 }
 
 // price synthesizes the chunk's reference activity and converts the event
-// counts into cycles using the Table 3/4 stall model.
-func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []odb.BlockID) sim.Time {
+// counts into cycles using the Table 3/4 stall model. The profiler, when
+// attached, apportions the user and OS cycles over the caller's shares.
+func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []odb.BlockID, userShares, osShares []profile.Share) sim.Time {
 	now := m.eng.Now()
 	var userCycles, osCycles float64
 	if userInstr > 0 {
@@ -807,7 +813,7 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 		if m.measuring {
 			m.user.add(userInstr, userCycles, ev.Events)
 			if m.prof != nil {
-				m.prof.AddChunk(profile.User, m.userShares, userInstr, userCycles, ev.Events)
+				m.prof.AddChunk(profile.User, userShares, userInstr, userCycles, ev.Events)
 			}
 		}
 	}
@@ -819,15 +825,9 @@ func (m *machine) price(cpuID, procID int, userInstr, osInstr uint64, blocks []o
 		if m.measuring {
 			m.os.add(osInstr, osCycles, ev.Events)
 			if m.prof != nil {
-				m.prof.AddChunk(profile.OS, m.osShares, osInstr, osCycles, ev.Events)
+				m.prof.AddChunk(profile.OS, osShares, osInstr, osCycles, ev.Events)
 			}
 		}
-	}
-	if m.prof != nil {
-		// Shares are per chunk; truncate whether or not they flushed (the
-		// warm-up period collects and discards).
-		m.userShares = m.userShares[:0]
-		m.osShares = m.osShares[:0]
 	}
 	return sim.Time(userCycles + osCycles)
 }
@@ -851,10 +851,9 @@ func (m *machine) eventCycles(instr uint64, ev cpu.Events) float64 {
 // contextSwitch prices the OS switch path and flushes the TLB.
 func (m *machine) contextSwitch(p *osker.Proc, cpuID int) sim.Time {
 	m.synth.FlushTLB(cpuID)
-	if m.prof != nil {
-		m.osShares = addShare(m.osShares, profile.KindKernel, odb.PhaseSched, m.cfg.Tuning.CtxSwitchInstr)
-	}
-	return m.price(cpuID, p.ID, 0, m.cfg.Tuning.CtxSwitchInstr, nil)
+	n := m.cfg.Tuning.CtxSwitchInstr
+	share := [1]profile.Share{{Kind: profile.KindKernel, Phase: odb.PhaseSched, Instr: n}}
+	return m.price(cpuID, p.ID, 0, n, nil, nil, share[:])
 }
 
 // metrics assembles the final measurements.
