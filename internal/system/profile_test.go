@@ -1,9 +1,12 @@
 package system
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"odbscale/internal/profile"
@@ -95,55 +98,82 @@ func TestProfileAccountsWholeRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkProfileAccounts(t, col.Profile(), m)
+			p := col.Profile()
+
+			wantInstr := uint64(math.Round(m.IPX * float64(m.Txns)))
+			if got := p.TotalInstr(); got != wantInstr {
+				t.Errorf("profile instructions = %d, metrics imply %d", got, wantInstr)
+			}
+			if rel := math.Abs(p.CPI()-m.CPI) / m.CPI; rel > 1e-9 {
+				t.Errorf("profile CPI %.12f vs metrics CPI %.12f (rel %.3g)", p.CPI(), m.CPI, rel)
+			}
+			if p.Meta.Txns != m.Txns {
+				t.Errorf("profile txns %d != metrics %d", p.Meta.Txns, m.Txns)
+			}
+			if p.Meta.ElapsedSeconds != m.ElapsedSeconds {
+				t.Errorf("profile elapsed %f != metrics %f", p.Meta.ElapsedSeconds, m.ElapsedSeconds)
+			}
+
+			// The frames' summed events are the run's event totals: per
+			// instruction they reproduce Metrics' rates and MPI, and their
+			// coherence/L3 ratio its coherence share.
+			var sum profile.FrameCounters
+			for _, f := range p.Frames {
+				sum.TCMiss += f.TCMiss
+				sum.L2Miss += f.L2Miss
+				sum.L3Miss += f.L3Miss
+				sum.CoherMiss += f.CoherMiss
+				sum.TLBMiss += f.TLBMiss
+				sum.Mispred += f.Mispred
+			}
+			instr := float64(p.TotalInstr())
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"TCMissPI", float64(sum.TCMiss) / instr, m.Rates.TCMissPI},
+				{"L2MissPI", float64(sum.L2Miss) / instr, m.Rates.L2MissPI},
+				{"L3MissPI", float64(sum.L3Miss) / instr, m.Rates.L3MissPI},
+				{"MPI", float64(sum.L3Miss) / instr, m.MPI},
+				{"TLBMissPI", float64(sum.TLBMiss) / instr, m.Rates.TLBMissPI},
+				{"BranchMispredPI", float64(sum.Mispred) / instr, m.Rates.BranchMispredPI},
+				{"CoherenceShare", float64(sum.CoherMiss) / float64(sum.L3Miss), m.CoherenceShare},
+			} {
+				if math.Abs(c.got-c.want) > 1e-12*math.Abs(c.want) {
+					t.Errorf("profile %s = %.15g, metrics %.15g", c.name, c.got, c.want)
+				}
+			}
 		})
 	}
 }
 
-func checkProfileAccounts(t *testing.T, p *profile.Profile, m Metrics) {
-	t.Helper()
-	wantInstr := uint64(math.Round(m.IPX * float64(m.Txns)))
-	if got := p.TotalInstr(); got != wantInstr {
-		t.Errorf("profile instructions = %d, metrics imply %d", got, wantInstr)
+// TestGoldenProfile pins the committed golden profile byte for byte: the
+// configuration CI's profiling smoke captures with odbrun (W=10, C=8,
+// P=1, 300 measured and 100 warm-up transactions, seed 1), encoded as
+// odbrun writes it, must reproduce testdata/golden/profile-w10-p1.json.
+func TestGoldenProfile(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "profile-w10-p1.json"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
 	}
-	if rel := math.Abs(p.CPI()-m.CPI) / m.CPI; rel > 1e-9 {
-		t.Errorf("profile CPI %.12f vs metrics CPI %.12f (rel %.3g)", p.CPI(), m.CPI, rel)
+	cfg := DefaultConfig(10, 8, 1)
+	cfg.Seed = 1
+	cfg.MeasureTxns = 300
+	cfg.WarmupTxns = 100
+	col := profile.NewCollector()
+	if _, err := Run(context.Background(), cfg, WithProfiler(col)); err != nil {
+		t.Fatal(err)
 	}
-	if p.Meta.Txns != m.Txns {
-		t.Errorf("profile txns %d != metrics %d", p.Meta.Txns, m.Txns)
+	p := col.Profile()
+	p.Meta.Label = "W=10,C=8,P=1"
+	var got bytes.Buffer
+	if err := p.Encode(&got); err != nil {
+		t.Fatal(err)
 	}
-	if p.Meta.ElapsedSeconds != m.ElapsedSeconds {
-		t.Errorf("profile elapsed %f != metrics %f", p.Meta.ElapsedSeconds, m.ElapsedSeconds)
-	}
-
-	// The frames' summed events are the run's event totals: per
-	// instruction they reproduce Metrics' rates and MPI, and their
-	// coherence/L3 ratio its coherence share.
-	var sum profile.FrameCounters
-	for _, f := range p.Frames {
-		sum.TCMiss += f.TCMiss
-		sum.L2Miss += f.L2Miss
-		sum.L3Miss += f.L3Miss
-		sum.CoherMiss += f.CoherMiss
-		sum.TLBMiss += f.TLBMiss
-		sum.Mispred += f.Mispred
-	}
-	instr := float64(p.TotalInstr())
-	for _, c := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"TCMissPI", float64(sum.TCMiss) / instr, m.Rates.TCMissPI},
-		{"L2MissPI", float64(sum.L2Miss) / instr, m.Rates.L2MissPI},
-		{"L3MissPI", float64(sum.L3Miss) / instr, m.Rates.L3MissPI},
-		{"MPI", float64(sum.L3Miss) / instr, m.MPI},
-		{"TLBMissPI", float64(sum.TLBMiss) / instr, m.Rates.TLBMissPI},
-		{"BranchMispredPI", float64(sum.Mispred) / instr, m.Rates.BranchMispredPI},
-		{"CoherenceShare", float64(sum.CoherMiss) / float64(sum.L3Miss), m.CoherenceShare},
-	} {
-		if math.Abs(c.got-c.want) > 1e-12*math.Abs(c.want) {
-			t.Errorf("profile %s = %.15g, metrics %.15g", c.name, c.got, c.want)
-		}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("profile differs from the golden (%d bytes, golden %d); a deliberate change re-records it with:\n"+
+			"  go run ./cmd/odbrun -w 10 -c 8 -p 1 -txns 300 -warmup 100 -seed 1 -profile testdata/golden/profile-w10-p1.json",
+			got.Len(), len(want))
 	}
 }
 

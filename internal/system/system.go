@@ -164,14 +164,17 @@ func Validate(cfg Config) error {
 	}
 	// Fields that would otherwise panic (a zero buffer cache, disk set,
 	// cache line size or associativity, scale or OS quantum; a negative
-	// disk time, OtherCPI or busy wait schedules an event in the past; a
-	// negative footprint asks for an unbounded Zipf table) or never
-	// finish (a zero clock leaves no simulated-time cap; a negative
+	// disk time, OtherCPI, busy wait or stall cost schedules an event in
+	// the past; a negative footprint asks for an unbounded Zipf table),
+	// never finish (a zero clock leaves no simulated-time cap; a negative
 	// warm-up never ends; a zero chunk or a DB-writer tick under one
 	// cycle stops simulated time from advancing; a negative, NaN or
 	// huge reference rate or mixture fraction makes one chunk issue
 	// billions of references; a zero memtable or a fanout below two
-	// makes the LSM compact without end).
+	// makes the LSM compact without end), finish with no transactions (a
+	// NaN or negative stall or bus cost, or a NaN bandwidth scale) or
+	// have no physical meaning (a store fraction outside [0, 1], an L3
+	// miss that costs less than its own bus transaction).
 	m, t, sy := cfg.Machine, cfg.Tuning, cfg.Tuning.Synth
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
@@ -192,6 +195,31 @@ func Validate(cfg Config) error {
 		return badField("Machine.Disks.TransferMS", m.Disks.TransferMS)
 	case !unit(m.Disks.Jitter):
 		return badField("Machine.Disks.Jitter", m.Disks.Jitter)
+	case !cost(m.Stall.InstBase):
+		return badField("Machine.Stall.InstBase", m.Stall.InstBase)
+	case !cost(m.Stall.BranchMispred):
+		return badField("Machine.Stall.BranchMispred", m.Stall.BranchMispred)
+	case !cost(m.Stall.TLBMiss):
+		return badField("Machine.Stall.TLBMiss", m.Stall.TLBMiss)
+	case !cost(m.Stall.TCMiss):
+		return badField("Machine.Stall.TCMiss", m.Stall.TCMiss)
+	case !cost(m.Stall.L2Miss):
+		return badField("Machine.Stall.L2Miss", m.Stall.L2Miss)
+	case !cost(m.Stall.L3Miss):
+		return badField("Machine.Stall.L3Miss", m.Stall.L3Miss)
+	case !cost(m.Stall.BusTime1P):
+		return badField("Machine.Stall.BusTime1P", m.Stall.BusTime1P)
+	case m.Stall.L3Miss < m.Stall.BusTime1P:
+		return fmt.Errorf("system: %w: Machine.Stall.L3Miss = %v is below Machine.Stall.BusTime1P = %v",
+			ErrBadConfig, m.Stall.L3Miss, m.Stall.BusTime1P)
+	case !cost(m.Bus.OccupancyCycles):
+		return badField("Machine.Bus.OccupancyCycles", m.Bus.OccupancyCycles)
+	case !cost(m.Bus.BaseLatency):
+		return badField("Machine.Bus.BaseLatency", m.Bus.BaseLatency)
+	case !cost(m.Bus.QueueFactor):
+		return badField("Machine.Bus.QueueFactor", m.Bus.QueueFactor)
+	case !(m.Bus.BandwidthScale > 0):
+		return badField("Machine.Bus.BandwidthScale", m.Bus.BandwidthScale)
 	case m.Geometry.LineSize < 1:
 		return badField("Machine.Geometry.LineSize", m.Geometry.LineSize)
 	case m.Geometry.TCWays < 1:
@@ -237,6 +265,14 @@ func Validate(cfg Config) error {
 		return badField("Tuning.Synth.PMeta", sy.PMeta)
 	case !unit(sy.TailFrac):
 		return badField("Tuning.Synth.TailFrac", sy.TailFrac)
+	case !unit(sy.StructStoreFrac):
+		return badField("Tuning.Synth.StructStoreFrac", sy.StructStoreFrac)
+	case !unit(sy.BlockStoreFrac):
+		return badField("Tuning.Synth.BlockStoreFrac", sy.BlockStoreFrac)
+	case !unit(sy.MetaStoreFrac):
+		return badField("Tuning.Synth.MetaStoreFrac", sy.MetaStoreFrac)
+	case !unit(sy.PGAStoreFrac):
+		return badField("Tuning.Synth.PGAStoreFrac", sy.PGAStoreFrac)
 	case cfg.WarmupTxns < 0:
 		return badField("WarmupTxns", cfg.WarmupTxns)
 	case cfg.Engine == "lsm" && t.LSM.MemtableMB < 1:
@@ -253,6 +289,9 @@ func Validate(cfg Config) error {
 // unit reports whether x is in [0, 1]: a probability, a mixture fraction
 // or an event rate of at most one per instruction.
 func unit(x float64) bool { return x >= 0 && x <= 1 }
+
+// cost reports whether x is a finite, non-negative cycle cost.
+func cost(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // badField reports the configuration field at path as ErrBadConfig.
 func badField(path string, v any) error {

@@ -45,9 +45,11 @@ func TestBadConfigRejected(t *testing.T) {
 
 // TestDegenerateConfigsRejected runs configs that used to panic
 // (buffer cache, disks, disk times, cache geometry, scale, quantum, other
-// CPI, busy wait, footprints) or run until the context deadline or out of
-// memory (clock, warm-up, chunk, DB-writer interval, reference rates and
-// mixture, LSM memtable and fanout) through Run with a background
+// CPI, busy wait, footprints, stall costs), run until the context
+// deadline or out of memory (clock, warm-up, chunk, DB-writer interval,
+// reference rates and mixture, LSM memtable and fanout), finish with no
+// transactions (stall and bus costs, bandwidth scale) or ran without
+// physical meaning (store fractions) through Run with a background
 // context: each must return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range []struct {
@@ -92,6 +94,23 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},
+		{"Machine.Stall.InstBase", func(c *Config) { c.Machine.Stall.InstBase = -1 }},
+		{"Machine.Stall.BranchMispred", func(c *Config) { c.Machine.Stall.BranchMispred = -50 }},
+		{"Machine.Stall.TLBMiss", func(c *Config) { c.Machine.Stall.TLBMiss = math.NaN() }},
+		{"Machine.Stall.TCMiss", func(c *Config) { c.Machine.Stall.TCMiss = math.Inf(1) }},
+		{"Machine.Stall.L2Miss", func(c *Config) { c.Machine.Stall.L2Miss = -1 }},
+		{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = -1000 }},
+		{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = c.Machine.Stall.BusTime1P - 1 }},
+		{"Machine.Stall.BusTime1P", func(c *Config) { c.Machine.Stall.BusTime1P = math.NaN() }},
+		{"Machine.Bus.OccupancyCycles", func(c *Config) { c.Machine.Bus.OccupancyCycles = math.NaN() }},
+		{"Machine.Bus.BaseLatency", func(c *Config) { c.Machine.Bus.BaseLatency = -500 }},
+		{"Machine.Bus.QueueFactor", func(c *Config) { c.Machine.Bus.QueueFactor = math.Inf(1) }},
+		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = math.NaN() }},
+		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = 0 }},
+		{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
+		{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
+		{"Tuning.Synth.MetaStoreFrac", func(c *Config) { c.Tuning.Synth.MetaStoreFrac = -1 }},
+		{"Tuning.Synth.PGAStoreFrac", func(c *Config) { c.Tuning.Synth.PGAStoreFrac = 1.5 }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := fastConfig(10, 8, 1)
