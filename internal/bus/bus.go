@@ -32,7 +32,8 @@ type Config struct {
 	// WindowCycles is the utilization-averaging window.
 	WindowCycles sim.Time
 	// BandwidthScale multiplies effective bandwidth (divides occupancy);
-	// the Itanium2 validation platform has ~1.5x the bus bandwidth.
+	// the Itanium2 validation platform has ~1.5x the bus bandwidth. It
+	// must be positive.
 	BandwidthScale float64
 }
 
@@ -97,9 +98,6 @@ type Bus struct {
 // the cache domain simulates 1/N of all lines, every reported transaction
 // represents N real ones for utilization purposes.
 func New(cfg Config, sampleMult float64) *Bus {
-	if cfg.BandwidthScale <= 0 {
-		cfg.BandwidthScale = 1
-	}
 	if sampleMult <= 0 {
 		sampleMult = 1
 	}
