@@ -9,9 +9,19 @@
 // The cache operates on block identities; in payload mode it also owns an
 // 8 KB page per cached block so a functional storage engine can read and
 // write real bytes (used by the small-scale examples and recovery tests).
+//
+// Entries live in one arena of exactly Blocks entries, linked into the
+// LRU and dirty chains by int32 arena indices. Blocks are found through
+// an open-addressed table of int32 arena indices with linear probing and
+// backward-shift deletion, so the cache holds no pointers for the
+// garbage collector to scan beyond the payload pages.
 package buffercache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // BlockID names a database block.
 type BlockID uint64
@@ -37,28 +47,35 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
+const (
+	none     = -1 // chain end
+	notDirty = -2 // dirtyNext of an entry outside the dirty chain
+)
+
 // Entry is a cached block. Callers receive entries pinned and must
 // Release them.
 type Entry struct {
 	ID    BlockID
 	Data  []byte // nil unless payload mode
-	dirty bool
-	pins  int
 	touch uint64 // get-counter value at the last Lookup/Install
+	pins  int32
+	self  int32 // this entry's arena index
 
-	prev, next           *Entry // LRU chain
-	dirtyPrev, dirtyNext *Entry // dirty chain (aged order)
-	inDirty              bool
+	prev, next           int32 // LRU chain
+	dirtyPrev, dirtyNext int32 // dirty chain (aged order)
 }
+
+func (e *Entry) dirty() bool { return e.dirtyNext != notDirty }
 
 // Cache is the buffer cache.
 type Cache struct {
 	cfg   Config
-	table map[BlockID]*Entry
+	arena []Entry // arena[:size] hold the resident blocks
+	slots []int32 // arena index + 1 per slot, 0 = empty
+	shift uint    // 64 − log2(len(slots))
 
-	head, tail           *Entry // head = MRU, tail = LRU
-	dirtyHead, dirtyTail *Entry // dirtyTail = oldest dirty
-	free                 *Entry // recycled entries, chained through next
+	head, tail           int32 // head = MRU, tail = LRU
+	dirtyHead, dirtyTail int32 // dirtyTail = oldest dirty
 	size                 int
 	dirtyCount           int
 
@@ -70,81 +87,120 @@ func New(cfg Config) *Cache {
 	if cfg.Blocks <= 0 {
 		panic("buffercache: non-positive capacity")
 	}
+	if cfg.Blocks >= math.MaxInt32 {
+		panic("buffercache: capacity exceeds an int32 arena index")
+	}
 	if cfg.Payloads && cfg.BlockSize <= 0 {
 		panic("buffercache: payload mode needs a block size")
 	}
-	c := &Cache{cfg: cfg, table: make(map[BlockID]*Entry, cfg.Blocks)}
-	// The cache runs at capacity in steady state, so carve all entries out
-	// of one arena up front and hand them out through the free list.
-	arena := make([]Entry, cfg.Blocks)
-	for i := range arena {
-		arena[i].next = c.free
-		c.free = &arena[i]
+	// At least two slots per block keeps the load factor at or under 1/2,
+	// so linear probe sequences stay short.
+	n := 2
+	for n < 2*cfg.Blocks {
+		n <<= 1
 	}
-	return c
+	return &Cache{
+		cfg:       cfg,
+		arena:     make([]Entry, cfg.Blocks),
+		slots:     make([]int32, n),
+		shift:     uint(64 - bits.TrailingZeros(uint(n))),
+		head:      none,
+		tail:      none,
+		dirtyHead: none,
+		dirtyTail: none,
+	}
 }
 
-// --- intrusive LRU list ---
+// --- open-addressed index ---
+
+// home returns id's home slot (Fibonacci hashing).
+func (c *Cache) home(id BlockID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> c.shift)
+}
+
+// find returns id's slot and arena index, or the empty slot that ends
+// id's probe sequence and −1.
+func (c *Cache) find(id BlockID) (slot int, i int32) {
+	mask := len(c.slots) - 1
+	for s := c.home(id); ; s = (s + 1) & mask {
+		v := c.slots[s]
+		if v == 0 {
+			return s, none
+		}
+		if c.arena[v-1].ID == id {
+			return s, v - 1
+		}
+	}
+}
+
+// unindex empties slot hole by backward shift: walking the rest of the
+// probe cluster, each entry whose home is not cyclically in (hole, its
+// slot] moves into the hole and leaves a new one behind, so no probe
+// sequence is broken and no tombstones accumulate. It returns the final
+// hole, the only slot that changed from full to empty.
+func (c *Cache) unindex(hole int) int {
+	mask := len(c.slots) - 1
+	for j := (hole + 1) & mask; c.slots[j] != 0; j = (j + 1) & mask {
+		v := c.slots[j]
+		if (j-c.home(c.arena[v-1].ID))&mask >= (j-hole)&mask {
+			c.slots[hole] = v
+			hole = j
+		}
+	}
+	c.slots[hole] = 0
+	return hole
+}
+
+// --- intrusive LRU chain ---
 
 func (c *Cache) lruRemove(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+	if e.prev != none {
+		c.arena[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		c.arena[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
 func (c *Cache) lruPushFront(e *Entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
+	e.prev, e.next = none, c.head
+	if c.head != none {
+		c.arena[c.head].prev = e.self
+	} else {
+		c.tail = e.self
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+	c.head = e.self
 }
 
-// --- dirty list (append new at head; tail is the oldest) ---
+// --- dirty chain (append new at head; tail is the oldest) ---
 
 func (c *Cache) dirtyRemove(e *Entry) {
-	if !e.inDirty {
-		return
-	}
-	if e.dirtyPrev != nil {
-		e.dirtyPrev.dirtyNext = e.dirtyNext
+	if e.dirtyPrev != none {
+		c.arena[e.dirtyPrev].dirtyNext = e.dirtyNext
 	} else {
 		c.dirtyHead = e.dirtyNext
 	}
-	if e.dirtyNext != nil {
-		e.dirtyNext.dirtyPrev = e.dirtyPrev
+	if e.dirtyNext != none {
+		c.arena[e.dirtyNext].dirtyPrev = e.dirtyPrev
 	} else {
 		c.dirtyTail = e.dirtyPrev
 	}
-	e.dirtyPrev, e.dirtyNext = nil, nil
-	e.inDirty = false
+	e.dirtyPrev, e.dirtyNext = notDirty, notDirty
 	c.dirtyCount--
 }
 
 func (c *Cache) dirtyPushFront(e *Entry) {
-	if e.inDirty {
-		return
+	e.dirtyPrev, e.dirtyNext = none, c.dirtyHead
+	if c.dirtyHead != none {
+		c.arena[c.dirtyHead].dirtyPrev = e.self
+	} else {
+		c.dirtyTail = e.self
 	}
-	e.dirtyPrev, e.dirtyNext = nil, c.dirtyHead
-	if c.dirtyHead != nil {
-		c.dirtyHead.dirtyPrev = e
-	}
-	c.dirtyHead = e
-	if c.dirtyTail == nil {
-		c.dirtyTail = e
-	}
-	e.inDirty = true
+	c.dirtyHead = e.self
 	c.dirtyCount++
 }
 
@@ -152,13 +208,16 @@ func (c *Cache) dirtyPushFront(e *Entry) {
 // the block to the MRU position.
 func (c *Cache) Lookup(id BlockID) *Entry {
 	c.stats.Gets++
-	e, ok := c.table[id]
-	if !ok {
+	_, i := c.find(id)
+	if i == none {
 		return nil
 	}
 	c.stats.Hits++
-	c.lruRemove(e)
-	c.lruPushFront(e)
+	e := &c.arena[i]
+	if i != c.head {
+		c.lruRemove(e)
+		c.lruPushFront(e)
+	}
 	e.touch = c.stats.Gets
 	e.pins++
 	return e
@@ -182,48 +241,48 @@ type Evicted struct {
 // The second return reports the eviction, if one happened; a dirty victim
 // must be written back by the caller (eviction write).
 //
-// Entry structs are pooled: an evicted block's entry is recycled for the
-// incoming block, so a warmed-up cache installs without allocating. The
-// victim's payload page (if any) is handed off in Evicted, never reused.
+// A full cache installs into the victim's arena entry, so installing
+// never allocates outside payload mode. The victim's payload page (if
+// any) is handed off in Evicted, never reused.
 func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
-	if _, ok := c.table[id]; ok {
+	// One probe both checks residency and finds the insert slot.
+	s, i := c.find(id)
+	if i != none {
 		panic(fmt.Sprintf("buffercache: Install of resident block %d", id))
 	}
 	var ev Evicted
-	if c.size >= c.cfg.Blocks {
-		victim := c.tail
-		for victim != nil && victim.pins > 0 {
-			victim = victim.prev
+	if c.size < len(c.arena) {
+		i = int32(c.size)
+		c.size++
+	} else {
+		i = c.tail
+		for i != none && c.arena[i].pins > 0 {
+			i = c.arena[i].prev
 		}
-		if victim == nil {
+		if i == none {
 			panic("buffercache: all blocks pinned, cannot install")
 		}
-		ev = Evicted{ID: victim.ID, Dirty: victim.dirty, Valid: true, Data: victim.Data}
-		if victim.dirty {
+		victim := &c.arena[i]
+		ev = Evicted{ID: victim.ID, Dirty: victim.dirty(), Valid: true, Data: victim.Data}
+		if ev.Dirty {
 			c.dirtyRemove(victim)
 		}
 		c.lruRemove(victim)
-		delete(c.table, victim.ID)
-		c.size--
-		victim.Data = nil
-		victim.next = c.free
-		c.free = victim
+		vs, _ := c.find(victim.ID)
+		// The shift's final hole is the one slot that became empty; it
+		// ends id's probe sequence instead of s if it comes first.
+		mask, h := len(c.slots)-1, c.home(id)
+		if hole := c.unindex(vs); (hole-h)&mask < (s-h)&mask {
+			s = hole
+		}
 	}
-	var e *Entry
-	if c.free != nil {
-		e = c.free
-		c.free = e.next
-		*e = Entry{ID: id, pins: 1, touch: c.stats.Gets}
-	} else {
-		//lint:ignore hotalloc arena-miss fallback: allocates only until the entry free list covers capacity, steady state reuses
-		e = &Entry{ID: id, pins: 1, touch: c.stats.Gets}
-	}
+	e := &c.arena[i]
+	*e = Entry{ID: id, touch: c.stats.Gets, pins: 1, self: i, dirtyPrev: notDirty, dirtyNext: notDirty}
 	if c.cfg.Payloads {
 		e.Data = make([]byte, c.cfg.BlockSize)
 	}
-	c.table[id] = e
+	c.slots[s] = i + 1
 	c.lruPushFront(e)
-	c.size++
 	return e, ev
 }
 
@@ -232,8 +291,7 @@ func (c *Cache) MarkDirty(e *Entry) {
 	if e.pins <= 0 {
 		panic("buffercache: MarkDirty on unpinned entry")
 	}
-	if !e.dirty {
-		e.dirty = true
+	if !e.dirty() {
 		c.dirtyPushFront(e)
 	}
 }
@@ -255,15 +313,13 @@ func (c *Cache) Release(e *Entry) {
 // aged (cooled-off) dirty blocks reach the disk.
 func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 	start := len(dst)
-	e := c.dirtyTail
-	for e != nil && len(dst)-start < max {
-		prev := e.dirtyPrev
+	for i := c.dirtyTail; i != none && len(dst)-start < max; {
+		e := &c.arena[i]
+		i = e.dirtyPrev
 		if e.pins == 0 && c.stats.Gets-e.touch >= minAge {
-			e.dirty = false
 			c.dirtyRemove(e)
 			dst = append(dst, e.ID)
 		}
-		e = prev
 	}
 	return dst
 }
@@ -272,15 +328,13 @@ func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 // (a checkpoint) and returns their IDs.
 func (c *Cache) CleanAllDirty() []BlockID {
 	var out []BlockID
-	e := c.dirtyTail
-	for e != nil {
-		prev := e.dirtyPrev
+	for i := c.dirtyTail; i != none; {
+		e := &c.arena[i]
+		i = e.dirtyPrev
 		if e.pins == 0 {
-			e.dirty = false
 			c.dirtyRemove(e)
 			out = append(out, e.ID)
 		}
-		e = prev
 	}
 	return out
 }

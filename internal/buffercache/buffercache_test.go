@@ -2,6 +2,7 @@ package buffercache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -117,7 +118,7 @@ func TestCleanBatchOldestFirst(t *testing.T) {
 		t.Fatalf("DirtyCount after clean = %d", c.DirtyCount())
 	}
 	// Cleaned blocks remain resident.
-	if e := c.Lookup(1); e == nil || e.dirty {
+	if e := c.Lookup(1); e == nil || e.dirty() {
 		t.Fatal("cleaned block evicted or still dirty")
 	}
 }
@@ -360,5 +361,13 @@ func TestPlainInstallHasNoScanResistance(t *testing.T) {
 			c.Release(e)
 			t.Fatalf("hot block %d survived an MRU-inserted sweep 8x the cache", i)
 		}
+	}
+}
+
+// TestEntryFitsOneCacheLine pins the arena entry at 64 bytes, so a
+// lookup that lands on an entry touches one cache line.
+func TestEntryFitsOneCacheLine(t *testing.T) {
+	if size := reflect.TypeOf(Entry{}).Size(); size > 64 {
+		t.Fatalf("Entry is %d bytes, want at most 64", size)
 	}
 }
