@@ -111,18 +111,25 @@ func New(cfg Config, sampleMult float64) *Bus {
 // zero-load base — the M/G/1 queueing term.
 func (b *Bus) SetStation(st *qstats.Station) { b.qs = st }
 
+// roll closes every window that ended by now. Only the first of them
+// saw the busy cycles collected so far; any later one was idle, so util
+// is that first window's (capped) utilization when exactly one window
+// ended and 0 otherwise.
 func (b *Bus) roll(now sim.Time) {
-	if b.cfg.WindowCycles == 0 {
+	w := b.cfg.WindowCycles
+	if w == 0 || now < b.windowStart+w {
 		return
 	}
-	for now >= b.windowStart+b.cfg.WindowCycles {
-		b.util = b.windowBusy / float64(b.cfg.WindowCycles)
+	k := (now - b.windowStart) / w
+	b.util = 0
+	if k == 1 {
+		b.util = b.windowBusy / float64(w)
 		if b.util > 0.98 {
 			b.util = 0.98
 		}
-		b.windowBusy = 0
-		b.windowStart += b.cfg.WindowCycles
 	}
+	b.windowBusy = 0
+	b.windowStart += k * w
 }
 
 func (b *Bus) occupy(now sim.Time, cycles float64) {

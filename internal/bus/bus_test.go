@@ -2,6 +2,7 @@ package bus
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +152,53 @@ func TestUtilizationZeroElapsed(t *testing.T) {
 	s = Stats{BusyCycles: 500, ElapsedCycles: 100}
 	if s.Utilization() != 1 {
 		t.Fatalf("over-busy utilization = %v, want clamp to 1", s.Utilization())
+	}
+}
+
+// rollLoop is roll as first written: one iteration per elapsed window.
+func (b *Bus) rollLoop(now sim.Time) {
+	if b.cfg.WindowCycles == 0 {
+		return
+	}
+	for now >= b.windowStart+b.cfg.WindowCycles {
+		b.util = b.windowBusy / float64(b.cfg.WindowCycles)
+		if b.util > 0.98 {
+			b.util = 0.98
+		}
+		b.windowBusy = 0
+		b.windowStart += b.cfg.WindowCycles
+	}
+}
+
+// Property: the closed-form roll leaves the window state exactly where
+// the per-window loop does, over random time jumps (within a window, to
+// the next one, and across many) and window sizes down to one cycle.
+func TestRollMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, window := range []sim.Time{1, 2, 7, 100, 400_000} {
+		cfg := DefaultConfig()
+		cfg.WindowCycles = window
+		fast, slow := New(cfg, 1), New(cfg, 1)
+		var now sim.Time
+		for i := 0; i < 5000; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				now += sim.Time(rng.Int63n(int64(window)))
+			case 1:
+				now += window + sim.Time(rng.Int63n(int64(window)))
+			default:
+				now += sim.Time(rng.Int63n(int64(50 * window)))
+			}
+			busy := rng.Float64() * 2 * float64(window)
+			fast.roll(now)
+			fast.windowBusy += busy
+			slow.rollLoop(now)
+			slow.windowBusy += busy
+			if fast.util != slow.util || fast.windowBusy != slow.windowBusy || fast.windowStart != slow.windowStart {
+				t.Fatalf("window %d, step %d at %d: roll gives util %v busy %v start %d; loop gives %v %v %d",
+					window, i, now, fast.util, fast.windowBusy, fast.windowStart,
+					slow.util, slow.windowBusy, slow.windowStart)
+			}
+		}
 	}
 }

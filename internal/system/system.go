@@ -1,11 +1,12 @@
 package system
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"odbscale/internal/buffercache"
 	"odbscale/internal/bus"
@@ -170,11 +171,11 @@ func Validate(cfg Config) error {
 	// warm-up never ends; a zero chunk or a DB-writer tick under one
 	// cycle stops simulated time from advancing; a negative, NaN or
 	// huge reference rate or mixture fraction makes one chunk issue
-	// billions of references; a zero memtable or a fanout below two
-	// makes the LSM compact without end), finish with no transactions (a
-	// NaN or negative stall or bus cost, or a NaN bandwidth scale) or
-	// have no physical meaning (a store fraction outside [0, 1], an L3
-	// miss that costs less than its own bus transaction).
+	// billions of references), finish with no transactions (a NaN or
+	// negative stall or bus cost, or a NaN bandwidth scale) or have no
+	// physical meaning (a store fraction outside [0, 1], an L3 miss that
+	// costs less than its own bus transaction). validateLSM covers the
+	// LSM engine's knobs.
 	m, t, sy := cfg.Machine, cfg.Tuning, cfg.Tuning.Synth
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
@@ -275,13 +276,43 @@ func Validate(cfg Config) error {
 		return badField("Tuning.Synth.PGAStoreFrac", sy.PGAStoreFrac)
 	case cfg.WarmupTxns < 0:
 		return badField("WarmupTxns", cfg.WarmupTxns)
-	case cfg.Engine == "lsm" && t.LSM.MemtableMB < 1:
-		return badField("Tuning.LSM.MemtableMB", t.LSM.MemtableMB)
-	case cfg.Engine == "lsm" && t.LSM.Fanout < 2:
-		return badField("Tuning.LSM.Fanout", t.LSM.Fanout)
+	}
+	if cfg.Engine == "lsm" {
+		if err := validateLSM(t.LSM); err != nil {
+			return err
+		}
 	}
 	if _, ok := engine.Lookup(cfg.Engine); !ok {
 		return fmt.Errorf("system: %w: %q (have %v)", ErrBadEngine, cfg.Engine, engine.Names())
+	}
+	return nil
+}
+
+// validateLSM rejects LSM knobs that make the engine compact without end
+// (a zero memtable, a fanout below two, no L0 compaction trigger or a
+// negative key overhead), never compact (an empty compaction batch), or
+// have no meaning (a stall trigger under one run, a probability or
+// fraction outside [0, 1], a NaN or negative stall).
+func validateLSM(l engine.LSMTuning) error {
+	switch {
+	case l.MemtableMB < 1:
+		return badField("Tuning.LSM.MemtableMB", l.MemtableMB)
+	case l.Fanout < 2:
+		return badField("Tuning.LSM.Fanout", l.Fanout)
+	case l.L0CompactRuns < 1:
+		return badField("Tuning.LSM.L0CompactRuns", l.L0CompactRuns)
+	case l.L0StallRuns < 1:
+		return badField("Tuning.LSM.L0StallRuns", l.L0StallRuns)
+	case l.CompactBatch < 1:
+		return badField("Tuning.LSM.CompactBatch", l.CompactBatch)
+	case l.KeyBytes < 0:
+		return badField("Tuning.LSM.KeyBytes", l.KeyBytes)
+	case !unit(l.BloomFPRate):
+		return badField("Tuning.LSM.BloomFPRate", l.BloomFPRate)
+	case !unit(l.ObsoleteFrac):
+		return badField("Tuning.LSM.ObsoleteFrac", l.ObsoleteFrac)
+	case !cost(l.StallMS):
+		return badField("Tuning.LSM.StallMS", l.StallMS)
 	}
 	return nil
 }
@@ -433,11 +464,13 @@ func (m *machine) prefill() {
 	for b, f := range freq {
 		ranked = append(ranked, bf{b, f})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].f != ranked[j].f {
-			return ranked[i].f > ranked[j].f
+	// Hottest first, ties by block: a total order, so the install order
+	// does not depend on map iteration.
+	slices.SortFunc(ranked, func(x, y bf) int {
+		if c := cmp.Compare(y.f, x.f); c != 0 {
+			return c
 		}
-		return ranked[i].b < ranked[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	if uint64(len(ranked)) > capacity {
 		ranked = ranked[:capacity]

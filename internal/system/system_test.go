@@ -47,9 +47,11 @@ func TestBadConfigRejected(t *testing.T) {
 // (buffer cache, disks, disk times, cache geometry, scale, quantum, other
 // CPI, busy wait, footprints, stall costs), run until the context
 // deadline or out of memory (clock, warm-up, chunk, DB-writer interval,
-// reference rates and mixture, LSM memtable and fanout), finish with no
-// transactions (stall and bus costs, bandwidth scale) or ran without
-// physical meaning (store fractions) through Run with a background
+// reference rates and mixture, LSM memtable, fanout, compaction trigger
+// and key overhead), finish with no transactions (stall and bus costs,
+// bandwidth scale) or ran without physical meaning (store fractions, LSM
+// stall trigger, compaction batch, bloom rate, obsolete fraction and
+// stall time) through Run with a background
 // context: each must return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range []struct {
@@ -94,6 +96,13 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
 		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},
+		{"Tuning.LSM.L0CompactRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0CompactRuns = 0 }},
+		{"Tuning.LSM.L0StallRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0StallRuns = 0 }},
+		{"Tuning.LSM.CompactBatch", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.CompactBatch = 0 }},
+		{"Tuning.LSM.KeyBytes", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.KeyBytes = -1000 }},
+		{"Tuning.LSM.BloomFPRate", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.BloomFPRate = 2 }},
+		{"Tuning.LSM.ObsoleteFrac", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.ObsoleteFrac = math.NaN() }},
+		{"Tuning.LSM.StallMS", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.StallMS = -1 }},
 		{"Machine.Stall.InstBase", func(c *Config) { c.Machine.Stall.InstBase = -1 }},
 		{"Machine.Stall.BranchMispred", func(c *Config) { c.Machine.Stall.BranchMispred = -50 }},
 		{"Machine.Stall.TLBMiss", func(c *Config) { c.Machine.Stall.TLBMiss = math.NaN() }},
