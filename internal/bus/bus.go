@@ -29,7 +29,8 @@ type Config struct {
 	// QueueFactor scales the queueing delay term; larger values model
 	// extra arbitration and snoop-stall costs per unit of utilization.
 	QueueFactor float64
-	// WindowCycles is the utilization-averaging window.
+	// WindowCycles is the utilization-averaging window. It must be
+	// positive; a QueueFactor of 0 is the way to model no queueing.
 	WindowCycles sim.Time
 	// BandwidthScale multiplies effective bandwidth (divides occupancy);
 	// the Itanium2 validation platform has ~1.5x the bus bandwidth. It
@@ -117,7 +118,7 @@ func (b *Bus) SetStation(st *qstats.Station) { b.qs = st }
 // ended and 0 otherwise.
 func (b *Bus) roll(now sim.Time) {
 	w := b.cfg.WindowCycles
-	if w == 0 || now < b.windowStart+w {
+	if now < b.windowStart+w {
 		return
 	}
 	k := (now - b.windowStart) / w

@@ -157,9 +157,6 @@ func TestUtilizationZeroElapsed(t *testing.T) {
 
 // rollLoop is roll as first written: one iteration per elapsed window.
 func (b *Bus) rollLoop(now sim.Time) {
-	if b.cfg.WindowCycles == 0 {
-		return
-	}
 	for now >= b.windowStart+b.cfg.WindowCycles {
 		b.util = b.windowBusy / float64(b.cfg.WindowCycles)
 		if b.util > 0.98 {

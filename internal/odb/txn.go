@@ -1,6 +1,8 @@
 package odb
 
 import (
+	"sync"
+
 	"odbscale/internal/xrand"
 )
 
@@ -159,6 +161,13 @@ type Generator struct {
 	ob   opBuilder // builder scratch, rebound per Next so no builder escapes
 }
 
+// itemZipf is the item-popularity Zipf's table, built on first use and
+// shared read-only by every generator in the process: it depends only on
+// the skew and Items, both constants. It draws from no stream of its own.
+var itemZipf = sync.OnceValue(func() *xrand.Zipf {
+	return xrand.NewZipf(nil, 1.45, Items)
+})
+
 // NewGenerator builds a generator over layout l with its own RNG stream.
 // Transactions plan their accesses through the default B-tree planner
 // until SetPlanner installs an engine-specific one.
@@ -167,7 +176,7 @@ func NewGenerator(l *Layout, rng *xrand.Rand) *Generator {
 		L:              l,
 		rng:            rng,
 		planner:        NewBTreePlanner(l),
-		item:           xrand.NewZipf(rng.Split(101), 1.45, Items),
+		item:           itemZipf().WithRand(rng.Split(101)),
 		nextOrderID:    make([]int, l.Warehouses*DistrictsPerWarehouse),
 		StockLevelScan: 60,
 	}

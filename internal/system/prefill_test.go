@@ -1,0 +1,167 @@
+package system
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"testing"
+
+	"odbscale/internal/odb"
+	"odbscale/internal/xrand"
+)
+
+// refPrefillEach is prefillEach as it was before the map-free ranking: a
+// Go map of reference counts, a comparison sort and a map probe per
+// extent block. TestPrefillMatchesReference holds prefillEach to it. It
+// returns how many distinct blocks the sample touched, or −1 when the
+// whole image fits and nothing is sampled.
+func refPrefillEach(m *machine, install func(odb.BlockID)) int {
+	base, total := m.se.PrefillBlocks()
+	capacity := uint64(m.bc.Capacity())
+	if total <= capacity {
+		for b := uint64(0); b < total; b++ {
+			install(base + odb.BlockID(b))
+		}
+		return -1
+	}
+	sample := odb.NewGenerator(m.layout, xrand.New(m.cfg.Seed).Split(77))
+	sample.StockLevelScan = m.cfg.Tuning.StockLevelScan
+	sample.SetPlanner(m.se.Planner(xrand.New(m.cfg.Seed).Split(78)))
+	freq := make(map[odb.BlockID]uint32)
+	for i := 0; i < m.cfg.Tuning.PrefillSampleTxns; i++ {
+		txn := sample.Next(i % m.cfg.Clients)
+		for _, op := range txn.Ops {
+			if op.Kind == odb.OpRead || op.Kind == odb.OpWrite {
+				freq[op.Block]++
+			}
+		}
+		sample.Recycle(txn)
+	}
+	type bf struct {
+		b odb.BlockID
+		f uint32
+	}
+	ranked := make([]bf, 0, len(freq))
+	for b, f := range freq {
+		ranked = append(ranked, bf{b, f})
+	}
+	slices.SortFunc(ranked, func(x, y bf) int {
+		if c := cmp.Compare(y.f, x.f); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	if uint64(len(ranked)) > capacity {
+		ranked = ranked[:capacity]
+	}
+	if extra := capacity - uint64(len(ranked)); extra > 0 {
+		for b := uint64(0); b < total && extra > 0; b++ {
+			if _, seen := freq[base+odb.BlockID(b)]; !seen {
+				install(base + odb.BlockID(b))
+				extra--
+			}
+		}
+	}
+	for i := len(ranked) - 1; i >= 0; i-- {
+		install(ranked[i].b)
+	}
+	return len(freq)
+}
+
+// TestPrefillMatchesReference checks that prefill installs exactly the
+// reference's block sequence, order included, on both engines: at W=10
+// the image fits, at W=200 and 1200 the sample ranks blocks and unsampled
+// ones fill the rest, a 64 MB cache truncates the ranking, and a sample
+// of zero or one transaction ranks nothing or almost nothing.
+func TestPrefillMatchesReference(t *testing.T) {
+	type tc struct {
+		engine     string
+		w          int
+		seed       int64
+		cacheMB    int
+		sampleTxns int
+	}
+	var cases []tc
+	for _, eng := range []string{"btree", "lsm"} {
+		for _, w := range []int{10, 200, 1200} {
+			for _, seed := range []int64{1, 2} {
+				cases = append(cases, tc{eng, w, seed, 0, -1})
+			}
+		}
+		cases = append(cases,
+			tc{eng, 200, 1, 64, -1},
+			tc{eng, 200, 1, 0, 0},
+			tc{eng, 200, 1, 0, 1})
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("%s/W=%d/seed=%d/cache=%d/sample=%d", c.engine, c.w, c.seed, c.cacheMB, c.sampleTxns)
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig(c.w, 16, 4)
+			cfg.Engine, cfg.Seed = c.engine, c.seed
+			if c.cacheMB > 0 {
+				cfg.Machine.BufferCacheMB = c.cacheMB
+			}
+			if c.sampleTxns >= 0 {
+				cfg.Tuning.PrefillSampleTxns = c.sampleTxns
+			}
+			m := build(cfg)
+			var want, got []odb.BlockID
+			sampled := refPrefillEach(m, func(b odb.BlockID) { want = append(want, b) })
+			m.prefillEach(func(b odb.BlockID) { got = append(got, b) })
+			if len(got) != len(want) {
+				t.Fatalf("installed %d blocks, reference %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("install %d of %d is block %d, reference %d", i, len(want), got[i], want[i])
+				}
+			}
+			// Each case must reach the path it is named for.
+			capacity := m.bc.Capacity()
+			switch {
+			case c.w == 10 && sampled >= 0:
+				t.Fatalf("W=10 sampled %d blocks; want the image to fit", sampled)
+			case c.w > 10 && sampled < 0:
+				t.Fatal("the image fits; want the ranking to run")
+			case c.cacheMB > 0 && sampled <= capacity:
+				t.Fatalf("%d sampled blocks fit %d slots; want the ranking truncated", sampled, capacity)
+			case c.w > 10 && c.cacheMB == 0 && sampled >= capacity:
+				t.Fatalf("%d sampled blocks fill %d slots; want unsampled blocks to fill the rest", sampled, capacity)
+			}
+		})
+	}
+}
+
+// TestRadixSortOrder checks radixSort against a comparison sort on keys
+// that differ in every byte and on keys that share all but one.
+func TestRadixSortOrder(t *testing.T) {
+	rng := xrand.New(1)
+	for _, spread := range []uint64{1 << 63, 1 << 8, 3} {
+		s := make([]counted, 5000)
+		for i := range s {
+			s[i] = counted{odb.BlockID(rng.Uint64() % spread), uint32(rng.Intn(40) + 1)}
+		}
+		want := slices.Clone(s)
+		slices.SortStableFunc(want, func(x, y counted) int { return cmp.Compare(x.b, y.b) })
+		slices.SortStableFunc(want, func(x, y counted) int { return cmp.Compare(y.f, x.f) })
+		radixSort(s, make([]counted, len(s)), false)
+		radixSort(s, make([]counted, len(s)), true)
+		if !slices.Equal(s, want) {
+			t.Fatalf("spread %d: radix order differs from the comparison sort", spread)
+		}
+	}
+}
+
+// BenchmarkPrefill times prefill on simbench's scaled configuration
+// (W=1200, C=64, P=4); one op is one prefill of a freshly built machine,
+// whose construction is outside the timer.
+func BenchmarkPrefill(b *testing.B) {
+	cfg := DefaultConfig(1200, 64, 4)
+	cfg.Seed = 3
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := build(cfg)
+		b.StartTimer()
+		m.prefill()
+	}
+}

@@ -51,8 +51,11 @@ func TestBadConfigRejected(t *testing.T) {
 // and key overhead), finish with no transactions (stall and bus costs,
 // bandwidth scale) or ran without physical meaning (store fractions, LSM
 // stall trigger, compaction batch, bloom rate, obsolete fraction and
-// stall time) through Run with a background
-// context: each must return ErrBadConfig naming the field, promptly.
+// stall time, negative stock-level scan and prefill sample), or had a
+// second spelling of a meaning another knob owns (a zero bus window froze
+// the IOQ latency at its base, which QueueFactor = 0 already models)
+// through Run with a background context: each must return ErrBadConfig
+// naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -116,6 +119,9 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Machine.Bus.QueueFactor", func(c *Config) { c.Machine.Bus.QueueFactor = math.Inf(1) }},
 		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = math.NaN() }},
 		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = 0 }},
+		{"Machine.Bus.WindowCycles", func(c *Config) { c.Machine.Bus.WindowCycles = 0 }},
+		{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = -1 }},
+		{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = -1 }},
 		{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
 		{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
 		{"Tuning.Synth.MetaStoreFrac", func(c *Config) { c.Tuning.Synth.MetaStoreFrac = -1 }},

@@ -152,6 +152,8 @@ func threshold(p float64) uint64 {
 // The pmf matches math/rand's Zipf parameterization: s > 1 is required
 // there, so theta <= 1 maps to s = 1.0001 with a larger v flattening the
 // head to emulate sub-1 skew levels acceptably for cache modelling.
+// Construction draws nothing from r, so a table built only to be shared
+// through WithRand may pass a nil r.
 func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 	if n == 0 {
 		panic("xrand: Zipf over zero items")
@@ -213,6 +215,16 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		z.thresh[k] = acceptAll
 	}
 	return z
+}
+
+// WithRand returns a Zipf over z's tables that draws from r. The tables
+// are never written after NewZipf returns, so any number of Zipfs built
+// this way may share them, across goroutines too; each draws only from
+// its own stream.
+func (z *Zipf) WithRand(r *Rand) *Zipf {
+	c := *z
+	c.r = r
+	return &c
 }
 
 // Next returns the next draw. One 64-bit draw provides both the slot index
