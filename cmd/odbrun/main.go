@@ -1,8 +1,8 @@
 // Command odbrun executes one OLTP configuration on the simulated
 // platform and prints its metrics, iron-law decomposition and CPI
 // breakdown. It is the one capture path for a single run: each
-// observer rides along on demand and writes a file for its reader
-// command (odbprof, odbspan, odbq, odbtrace).
+// observer rides along on demand and writes a file for cmd/odbreport,
+// which tells the kinds apart by their contents.
 //
 // The flight recorder: -listen serves /metrics, /timeline and
 // /progress over HTTP while the run simulates (and until Ctrl-C
@@ -14,21 +14,21 @@
 // latency digests.
 //
 // The cycle-attribution profiler: -profile writes the run's per-phase
-// CPI attribution as JSON for cmd/odbprof.
+// CPI attribution as JSON.
 //
 // The span tracer: -spans captures a deterministic sample of
 // per-transaction span trees (head sampling plus the slowest per type)
-// and writes the trace dump as JSON for cmd/odbspan; with -listen it is
-// also served live on /traces.
+// and writes the trace dump as JSON; with -listen it is also served
+// live on /traces.
 //
 // The queueing observatory: -qstats collects per-resource
 // service-center metrics (arrivals, utilization, wait demand,
-// operational-law audit) and writes the report as JSON for cmd/odbq
-// ("-" prints the text report instead, so it cannot share stdout with
-// -json); with -listen the ranking is also served live on /bottlenecks.
+// operational-law audit) and writes the report as JSON (odbreport
+// report prints it as text); with -listen the ranking is also served
+// live on /bottlenecks.
 //
 // The reference trace: -trace writes every measured memory reference
-// in the trace format for cmd/odbtrace -replay.
+// in the trace format, for odbreport replay.
 //
 // The profile and span dumps are labelled "W=..,C=..,P=..".
 //
@@ -38,13 +38,12 @@
 //	       [-machine xeon|itanium2] [-engine btree|lsm] [-lsmmem mb]
 //	       [-txns n] [-warmup n] [-nocoherence] [-json] [-listen addr]
 //	       [-timeline file[.csv]] [-sample ms] [-profile file]
-//	       [-spans file] [-spanhead n] [-qstats file|-] [-trace file]
+//	       [-spans file] [-spanhead n] [-qstats file] [-trace file]
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -95,14 +94,9 @@ func main() {
 	profileOut := flag.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
 	spansOut := flag.String("spans", "", "trace transaction spans and write the dump as JSON to this file")
 	spanHead := flag.Int("spanhead", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables head sampling)")
-	qstatsOut := flag.String("qstats", "", "collect service-center metrics and write the report as JSON to this file (\"-\" prints the text report)")
+	qstatsOut := flag.String("qstats", "", "collect service-center metrics and write the report as JSON to this file")
 	traceOut := flag.String("trace", "", "write every measured memory reference to this file in the trace format")
 	flag.Parse()
-	if err := checkOutputs(*jsonOut, *qstatsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "odbrun: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	cfg := system.DefaultConfig(*w, *c, *p)
 	cfg.Seed = *seed
@@ -193,13 +187,7 @@ func main() {
 		if rep == nil {
 			log.Fatal("qstats: run finished without publishing a station report")
 		}
-		if *qstatsOut == "-" {
-			if err := rep.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			writeFile(*qstatsOut, rep.WriteJSON)
-		}
+		writeFile(*qstatsOut, rep.WriteJSON)
 	}
 
 	if *jsonOut {
@@ -252,16 +240,6 @@ func main() {
 		stop()
 		srv.Close()
 	}
-}
-
-// checkOutputs rejects output flags that would share stdout: -json
-// writes one JSON document there, and "-qstats -" would put the text
-// report in front of it.
-func checkOutputs(jsonOut bool, qstatsOut string) error {
-	if jsonOut && qstatsOut == "-" {
-		return errors.New("-json and -qstats - both write to stdout; give -qstats a file")
-	}
-	return nil
 }
 
 // writeFile creates path and writes one artifact into it.

@@ -27,21 +27,21 @@
 // -profile DIR turns on the cycle-attribution profiler: every point
 // runs under system.Run with WithProfiler, per-point profiles persist
 // in the checkpoint (when one is configured) and are written to DIR for
-// odbprof, profiles are served on /profile alongside -listen, and after
+// odbreport, profiles are served on /profile alongside -listen, and after
 // the campaign each processor lane prints the attribution shift across
 // the cached-to-scaled pivot — the smallest-W profile diffed against
 // the largest-W one.
 //
 // -spans DIR turns on the per-transaction span tracer the same way:
 // every point runs under system.Run with WithSpans, per-point trace
-// dumps persist in the checkpoint and are written to DIR for odbspan,
+// dumps persist in the checkpoint and are written to DIR for odbreport,
 // the store is served on /traces alongside -listen, and after the
 // campaign each processor lane prints the wait-state shift across the
 // pivot.
 //
 // -qstats DIR turns on the queueing observatory: every point runs under
 // system.Run with WithQueueStats, per-point station reports persist in
-// the checkpoint and are written to DIR for odbq, the store is served
+// the checkpoint and are written to DIR for odbreport, the store is served
 // on /bottlenecks alongside -listen, and after the campaign each
 // processor lane prints the bottleneck-shift table across the warehouse
 // sweep.

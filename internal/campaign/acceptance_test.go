@@ -26,7 +26,6 @@ func acceptanceSpec(path string) Spec {
 		MinClients:     8,
 		MaxClients:     64,
 		AutoTune:       true,
-		WarmStart:      true,
 		Parallelism:    2,
 		Warehouses:     []int{10, 25, 50, 100, 150, 200, 300, 400, 500, 650, 800},
 		Processors:     []int{1, 2, 4},
@@ -45,7 +44,7 @@ func acceptanceSpec(path string) Spec {
 //  2. The campaign (interrupted + resumed, so every executed run is
 //     counted) must perform strictly fewer simulator runs than the seed
 //     path — the same sweep with the cold-start search sweeps used
-//     before the campaign runner (WarmStart off).
+//     before the campaign runner (one campaign per warehouse count).
 //
 // Both counts come from the observer's event stream.
 func TestFullCampaignFewerRunsAndResume(t *testing.T) {
@@ -140,16 +139,10 @@ func TestFullCampaignFewerRunsAndResume(t *testing.T) {
 	// Phase C: the seed path — the identical sweep through the legacy
 	// cold-start search (every point's tuner climbs from MinClients, no
 	// cross-point warm start), as sweeps ran before the campaign
-	// runner existed.
-	specC := acceptanceSpec(filepath.Join(t.TempDir(), "seed.json"))
-	specC.WarmStart = false
-	recC := &recorder{}
-	specC.Observer = recC
-	resC, err := Run(context.Background(), specC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedRuns := resC.Summary.Runs
+	// runner existed: one single-warehouse campaign per W.
+	pointsC, seedRuns := runCold(t, acceptanceSpec(""), func(s Spec) (*Result, error) {
+		return Run(context.Background(), s)
+	})
 
 	newRuns := runsA + runsB // every simulator run the campaign executed, kill included
 	t.Logf("campaign runs: %d (killed: %d + resumed: %d); seed path runs: %d",
@@ -160,7 +153,7 @@ func TestFullCampaignFewerRunsAndResume(t *testing.T) {
 
 	// Same experiment, same answers: the warm-started campaign must land
 	// on the same measurements wherever it tuned to the same count.
-	for k, m := range resC.Points {
+	for k, m := range pointsC {
 		got, ok := res.Points[k]
 		if !ok {
 			t.Fatalf("campaign missing point %+v", k)

@@ -59,20 +59,13 @@ type Spec struct {
 	// Clients, when positive, pins every point to a fixed client count,
 	// overriding both the tuner and the heuristic.
 	Clients int
-	// WarmStart floors each point's tuner search at the tuned count of
-	// the preceding smaller-warehouse point on the same processor lane —
-	// the paper's Table 1 trend (tuned clients never shrink as
-	// warehouses grow) made algorithmic. A plateau point then costs two
-	// confirming probes instead of a full exponential climb from
-	// MinClients. Disable it to reproduce the exact legacy search.
-	WarmStart bool
 
 	// Parallelism bounds concurrent simulator runs (0 = GOMAXPROCS).
 	Parallelism int
 
 	// Warehouses and Processors are the sweep axes; every (W, P) pair is
-	// one measurement point. Warehouses should ascend when WarmStart is
-	// on (the floor only carries forward to larger warehouse counts).
+	// one measurement point. Warehouses should ascend: the tuner's warm
+	// start (see Runner.lane) only carries forward to larger counts.
 	Warehouses []int
 	Processors []int
 
@@ -405,6 +398,13 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // resume or tune each point sequentially (so warm starts and probe
 // memoization see the previous point), then hand the measurement run to
 // the pool and move on while it simulates.
+//
+// The warm start floors each point's tuner search at the tuned count of
+// the preceding smaller-warehouse point on the lane: the paper's Table 1
+// trend (tuned clients never shrink as warehouses grow) made
+// algorithmic. A plateau point then costs two confirming probes instead
+// of a full exponential climb from MinClients. A lane's first point, and
+// any point after a larger warehouse count, climbs from MinClients.
 func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emitter,
 	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics)) {
 	spec := &r.Spec
@@ -434,7 +434,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				Resumed: true,
 			})
 			record(key, pt.Metrics)
-			if spec.WarmStart && w >= prevW && pt.C > floor {
+			if w >= prevW && pt.C > floor {
 				floor = pt.C
 			}
 			prevW = w
@@ -445,7 +445,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 		if c <= 0 {
 			if spec.AutoTune {
 				start := spec.MinClients
-				if spec.WarmStart && w >= prevW {
+				if w >= prevW {
 					start = floor
 				}
 				tuned, err := r.tunePoint(ctx, pl, ck, em, runFn, w, p, start)
@@ -454,7 +454,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 					return
 				}
 				c = tuned
-				if spec.WarmStart && w >= prevW && c > floor {
+				if w >= prevW && c > floor {
 					floor = c
 				}
 			} else {

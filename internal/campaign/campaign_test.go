@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -195,7 +196,6 @@ func testSpec() Spec {
 		MinClients:  2,
 		MaxClients:  64,
 		AutoTune:    true,
-		WarmStart:   true,
 		Parallelism: 2,
 		Warehouses:  append([]int(nil), testWarehouses...),
 		Processors:  append([]int(nil), testProcessors...),
@@ -355,27 +355,45 @@ func TestCampaignFixedAndHeuristicClients(t *testing.T) {
 }
 
 func TestWarmStartSavesProbesSameResults(t *testing.T) {
-	warm, cold := testSpec(), testSpec()
-	cold.WarmStart = false
-	rlWarm, rlCold := &runLog{}, &runLog{}
+	warm := testSpec()
+	rlWarm := &runLog{}
 	resWarm, err := (&Runner{Spec: warm, RunFunc: rlWarm.run}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resCold, err := (&Runner{Spec: cold, RunFunc: rlCold.run}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldPoints, coldRuns := runCold(t, testSpec(), func(s Spec) (*Result, error) {
+		return (&Runner{Spec: s, RunFunc: (&runLog{}).run}).Run(context.Background())
+	})
 	// Identical tuned counts: the warm start changes the search path, not
 	// the minimal satisfying count it converges to.
-	for k, m := range resCold.Points {
+	for k, m := range coldPoints {
 		if resWarm.Points[k].Clients != m.Clients {
 			t.Fatalf("point %+v: warm tuned %d, cold tuned %d", k, resWarm.Points[k].Clients, m.Clients)
 		}
 	}
-	if w, c := resWarm.Summary.Runs, resCold.Summary.Runs; w >= c {
-		t.Fatalf("warm start executed %d runs, cold %d — expected strictly fewer", w, c)
+	if w := resWarm.Summary.Runs; w >= coldRuns {
+		t.Fatalf("warm start executed %d runs, cold %d — expected strictly fewer", w, coldRuns)
 	}
+}
+
+// runCold runs spec as one single-warehouse campaign per warehouse
+// count, through run, and returns every point and the simulator runs
+// executed. A campaign with one warehouse starts every tuner search at
+// MinClients with no floor: the search without the warm start.
+func runCold(t *testing.T, spec Spec, run func(Spec) (*Result, error)) (map[PointKey]system.Metrics, int) {
+	t.Helper()
+	points, runs := map[PointKey]system.Metrics{}, 0
+	for _, w := range spec.Warehouses {
+		one := spec
+		one.Warehouses = []int{w}
+		res, err := run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps.Copy(points, res.Points)
+		runs += res.Summary.Runs
+	}
+	return points, runs
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

@@ -174,7 +174,6 @@ func (s *Spec) manifestConfig() any {
 		MaxClients  int     `json:"max_clients"`
 		AutoTune    bool    `json:"auto_tune"`
 		Clients     int     `json:"clients"`
-		WarmStart   bool    `json:"warm_start"`
 		Parallelism int     `json:"parallelism"`
 		Warehouses  []int   `json:"warehouses"`
 		Processors  []int   `json:"processors"`
@@ -182,7 +181,7 @@ func (s *Spec) manifestConfig() any {
 		Machine: s.Machine, Tuning: s.Tuning, Seed: s.Seed,
 		WarmupTxns: s.WarmupTxns, MeasureTxns: s.MeasureTxns, TuneTxns: s.TuneTxns,
 		TargetUtil: s.TargetUtil, MinClients: s.MinClients, MaxClients: s.MaxClients,
-		AutoTune: s.AutoTune, Clients: s.Clients, WarmStart: s.WarmStart,
+		AutoTune: s.AutoTune, Clients: s.Clients,
 		Parallelism: s.Parallelism, Warehouses: s.Warehouses, Processors: s.Processors,
 	}
 }

@@ -31,7 +31,6 @@ func DefaultSpec(ws, ps []int) campaign.Spec {
 		MinClients:  8,
 		MaxClients:  64,
 		AutoTune:    true,
-		WarmStart:   true,
 		Warehouses:  append([]int(nil), ws...),
 		Processors:  append([]int(nil), ps...),
 	}

@@ -59,7 +59,6 @@ func TestDefaultSpec(t *testing.T) {
 		MinClients:  8,
 		MaxClients:  64,
 		AutoTune:    true,
-		WarmStart:   true,
 		Warehouses:  []int{10, 25},
 		Processors:  []int{1, 4},
 	}

@@ -70,7 +70,9 @@ func TestCountersMonotonic(t *testing.T) {
 	// matches the Metrics value.
 	cfg := fastConfig(25, 10, 2)
 	m := build(cfg)
-	m.prefill()
+	if err := m.prefill(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	m.start()
 	src := m.counterSource()
 	var prev uint64

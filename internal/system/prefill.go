@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"math/bits"
 
 	"odbscale/internal/odb"
@@ -10,24 +11,28 @@ import (
 // prefill loads the buffer cache with the blocks a steady-state run keeps
 // resident: all of the engine's initial on-disk image when it fits,
 // otherwise the most frequently touched blocks of a generator sample,
-// ranked by frequency.
-func (m *machine) prefill() {
-	m.prefillEach(func(b odb.BlockID) {
+// ranked by frequency. It returns ctx's error if ctx ends while the
+// sample runs.
+func (m *machine) prefill(ctx context.Context) error {
+	err := m.prefillEach(ctx, func(b odb.BlockID) {
 		e, _ := m.bc.Install(b)
 		m.bc.Release(e)
 	})
 	m.bc.ResetStats()
+	return err
 }
 
 // prefillEach calls install on every block prefill loads, in load order.
-func (m *machine) prefillEach(install func(odb.BlockID)) {
+// The generator sample polls ctx every prefillPoll transactions and
+// returns its error before installing anything.
+func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) error {
 	base, total := m.se.PrefillBlocks()
 	capacity := uint64(m.bc.Capacity())
 	if total <= capacity {
 		for b := uint64(0); b < total; b++ {
 			install(base + odb.BlockID(b))
 		}
-		return
+		return nil
 	}
 	sample := odb.NewGenerator(m.layout, xrand.New(m.cfg.Seed).Split(77))
 	sample.StockLevelScan = m.cfg.Tuning.StockLevelScan
@@ -36,6 +41,11 @@ func (m *machine) prefillEach(install func(odb.BlockID)) {
 	sample.SetPlanner(m.se.Planner(xrand.New(m.cfg.Seed).Split(78)))
 	var tally blockTally
 	for i := 0; i < m.cfg.Tuning.PrefillSampleTxns; i++ {
+		if i%prefillPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		txn := sample.Next(i % m.cfg.Clients)
 		for _, op := range txn.Ops {
 			if op.Kind == odb.OpRead || op.Kind == odb.OpWrite {
@@ -58,8 +68,7 @@ func (m *machine) prefillEach(install func(odb.BlockID)) {
 		j := 0
 		for b := uint64(0); b < total && extra > 0; b++ {
 			id := base + odb.BlockID(b)
-			for j < len(ranked) && ranked[j].b < id {
-				j++
+			for ; j < len(ranked) && ranked[j].b < id; j++ {
 			}
 			if j < len(ranked) && ranked[j].b == id {
 				continue
@@ -77,7 +86,12 @@ func (m *machine) prefillEach(install func(odb.BlockID)) {
 	for i := len(ranked) - 1; i >= 0; i-- {
 		install(ranked[i].b)
 	}
+	return nil
 }
+
+// prefillPoll is how many sample transactions prefillEach draws between
+// checks of its context.
+const prefillPoll = 256
 
 // counted is a sampled block and its reference count.
 type counted struct {

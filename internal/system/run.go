@@ -26,7 +26,7 @@ import (
 type Option func(*machine) error
 
 // WithTrace captures every simulated memory reference of the measurement
-// period to w in the trace format (see package trace and cmd/odbtrace).
+// period to w in the trace format (see package trace and odbreport replay).
 // If count is non-nil it receives the number of records written. A nil w
 // is ignored.
 func WithTrace(w io.Writer, count *uint64) Option {
@@ -234,7 +234,9 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Metrics, error) {
 			return Metrics{}, err
 		}
 	}
-	m.prefill()
+	if err := m.prefill(ctx); err != nil {
+		return Metrics{}, err
+	}
 	m.start()
 	if err := m.drive(ctx); err != nil {
 		return Metrics{}, err

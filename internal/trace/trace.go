@@ -30,7 +30,8 @@ type Record struct {
 	Addr uint64
 }
 
-var magic = [6]byte{'O', 'D', 'B', 'T', 'R', '1'}
+// Magic opens every trace file.
+const Magic = "ODBTR1"
 
 // Writer streams records to an io.Writer.
 type Writer struct {
@@ -41,7 +42,7 @@ type Writer struct {
 // NewWriter writes the header and returns a trace writer.
 func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.WriteString(Magic); err != nil {
 		return nil, err
 	}
 	return &Writer{w: bw}, nil
@@ -75,11 +76,11 @@ type Reader struct {
 // NewReader validates the header and returns a reader.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [6]byte
+	var hdr [len(Magic)]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if hdr != magic {
+	if string(hdr[:]) != Magic {
 		return nil, errors.New("trace: not an ODBTR1 trace")
 	}
 	return &Reader{r: br}, nil
@@ -107,7 +108,7 @@ func (t *Reader) Next() (Record, error) {
 
 // offset returns the file position of the next record: the 6-byte
 // header plus the fixed 10-byte records already consumed.
-func (t *Reader) offset() uint64 { return uint64(len(magic)) + t.n*10 }
+func (t *Reader) offset() uint64 { return uint64(len(Magic)) + t.n*10 }
 
 // ReplayStats summarizes one replay.
 type ReplayStats struct {

@@ -30,7 +30,7 @@ type TypeStat struct {
 
 // Dump is a self-contained snapshot of a tracer: run identity, per-type
 // aggregates, and the retained traces sorted by commit order. It is the
-// payload of the /traces endpoint, the odbspan trace file, and the
+// payload of the /traces endpoint, the odbrun -spans file, and the
 // campaign checkpoint's per-point span record.
 type Dump struct {
 	Meta   Meta       `json:"meta"`
