@@ -10,11 +10,15 @@
 // 8 KB page per cached block so a functional storage engine can read and
 // write real bytes (used by the small-scale examples and recovery tests).
 //
-// Entries live in one arena of exactly Blocks entries, linked into the
-// LRU and dirty chains by int32 arena indices. Blocks are found through
-// an open-addressed table of int32 arena indices with linear probing and
-// backward-shift deletion, so the cache holds no pointers for the
-// garbage collector to scan beyond the payload pages.
+// Memory follows residency, not capacity. Entries live in an arena of
+// fixed-size pages, allocated one at a time as blocks are installed and
+// never moved, so a pinned *Entry stays valid across later installs.
+// Entries are linked into the LRU and dirty chains by int32 arena
+// indices and hold no pointers, so the garbage collector never scans the
+// arena; payload pages sit in a side slice reached through Page. Blocks
+// are found through an open-addressed table of int32 arena indices
+// (linear probing, backward-shift deletion) that starts small and
+// doubles past half full.
 package buffercache
 
 import (
@@ -52,11 +56,19 @@ const (
 	notDirty = -2 // dirtyNext of an entry outside the dirty chain
 )
 
+const (
+	pageShift = 10             // log2 of the entries per arena page
+	pageLen   = 1 << pageShift // 1,024 entries, 40 KiB per page
+	pageMask  = pageLen - 1
+
+	minSlots = 1 << 10 // the index's first size, unless the capacity needs fewer
+)
+
 // Entry is a cached block. Callers receive entries pinned and must
-// Release them.
+// Release them. It holds no pointers, so the arena is never scanned by
+// the garbage collector.
 type Entry struct {
 	ID    BlockID
-	Data  []byte // nil unless payload mode
 	touch uint64 // get-counter value at the last Lookup/Install
 	pins  int32
 	self  int32 // this entry's arena index
@@ -70,19 +82,21 @@ func (e *Entry) dirty() bool { return e.dirtyNext != notDirty }
 // Cache is the buffer cache.
 type Cache struct {
 	cfg   Config
-	arena []Entry // arena[:size] hold the resident blocks
-	slots []int32 // arena index + 1 per slot, 0 = empty
-	shift uint    // 64 − log2(len(slots))
+	arena []*[pageLen]Entry // arena index i is arena[i>>pageShift][i&pageMask]
+	data  [][]byte          // payload page per arena index (payload mode)
+	slots []int32           // arena index + 1 per slot, 0 = empty
+	shift uint              // 64 − log2(len(slots))
 
 	head, tail           int32 // head = MRU, tail = LRU
 	dirtyHead, dirtyTail int32 // dirtyTail = oldest dirty
-	size                 int
+	size                 int   // resident blocks, the arena's used prefix
 	dirtyCount           int
 
 	stats Stats
 }
 
-// New builds an empty cache.
+// New builds an empty cache. It allocates no arena page and a small
+// index; both grow as blocks are installed.
 func New(cfg Config) *Cache {
 	if cfg.Blocks <= 0 {
 		panic("buffercache: non-positive capacity")
@@ -93,22 +107,48 @@ func New(cfg Config) *Cache {
 	if cfg.Payloads && cfg.BlockSize <= 0 {
 		panic("buffercache: payload mode needs a block size")
 	}
-	// At least two slots per block keeps the load factor at or under 1/2,
-	// so linear probe sequences stay short.
-	n := 2
-	for n < 2*cfg.Blocks {
-		n <<= 1
-	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
-		arena:     make([]Entry, cfg.Blocks),
-		slots:     make([]int32, n),
-		shift:     uint(64 - bits.TrailingZeros(uint(n))),
 		head:      none,
 		tail:      none,
 		dirtyHead: none,
 		dirtyTail: none,
 	}
+	c.rehash(min(minSlots, slotsFor(cfg.Blocks)))
+	return c
+}
+
+// slotsFor returns the index size for n resident blocks: the smallest
+// power of two of at least 2n slots, so the load factor stays at or
+// under 1/2 and linear probe sequences stay short.
+func slotsFor(n int) int {
+	s := 2
+	for s < 2*n {
+		s <<= 1
+	}
+	return s
+}
+
+// Reserve sizes the index for n resident blocks (at most the capacity)
+// at once, so a caller that knows how many blocks it is about to install
+// skips the doublings on the way.
+func (c *Cache) Reserve(n int) {
+	if s := slotsFor(min(n, c.cfg.Blocks)); s > len(c.slots) {
+		c.rehash(s)
+	}
+}
+
+// at returns the entry at arena index i.
+func (c *Cache) at(i int32) *Entry {
+	return &c.arena[i>>pageShift][i&pageMask]
+}
+
+// Page returns e's payload page, or nil outside payload mode.
+func (c *Cache) Page(e *Entry) []byte {
+	if !c.cfg.Payloads {
+		return nil
+	}
+	return c.data[e.self]
 }
 
 // --- open-addressed index ---
@@ -116,6 +156,20 @@ func New(cfg Config) *Cache {
 // home returns id's home slot (Fibonacci hashing).
 func (c *Cache) home(id BlockID) int {
 	return int((uint64(id) * 0x9E3779B97F4A7C15) >> c.shift)
+}
+
+// rehash rebuilds the index in n slots, a power of two.
+func (c *Cache) rehash(n int) {
+	c.slots = make([]int32, n)
+	c.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for i := int32(0); int(i) < c.size; i++ {
+		s := c.home(c.at(i).ID)
+		for c.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		c.slots[s] = i + 1
+	}
 }
 
 // find returns id's slot and arena index, or the empty slot that ends
@@ -127,7 +181,7 @@ func (c *Cache) find(id BlockID) (slot int, i int32) {
 		if v == 0 {
 			return s, none
 		}
-		if c.arena[v-1].ID == id {
+		if c.at(v-1).ID == id {
 			return s, v - 1
 		}
 	}
@@ -142,7 +196,7 @@ func (c *Cache) unindex(hole int) int {
 	mask := len(c.slots) - 1
 	for j := (hole + 1) & mask; c.slots[j] != 0; j = (j + 1) & mask {
 		v := c.slots[j]
-		if (j-c.home(c.arena[v-1].ID))&mask >= (j-hole)&mask {
+		if (j-c.home(c.at(v-1).ID))&mask >= (j-hole)&mask {
 			c.slots[hole] = v
 			hole = j
 		}
@@ -155,12 +209,12 @@ func (c *Cache) unindex(hole int) int {
 
 func (c *Cache) lruRemove(e *Entry) {
 	if e.prev != none {
-		c.arena[e.prev].next = e.next
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
 	if e.next != none {
-		c.arena[e.next].prev = e.prev
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
@@ -169,7 +223,7 @@ func (c *Cache) lruRemove(e *Entry) {
 func (c *Cache) lruPushFront(e *Entry) {
 	e.prev, e.next = none, c.head
 	if c.head != none {
-		c.arena[c.head].prev = e.self
+		c.at(c.head).prev = e.self
 	} else {
 		c.tail = e.self
 	}
@@ -180,12 +234,12 @@ func (c *Cache) lruPushFront(e *Entry) {
 
 func (c *Cache) dirtyRemove(e *Entry) {
 	if e.dirtyPrev != none {
-		c.arena[e.dirtyPrev].dirtyNext = e.dirtyNext
+		c.at(e.dirtyPrev).dirtyNext = e.dirtyNext
 	} else {
 		c.dirtyHead = e.dirtyNext
 	}
 	if e.dirtyNext != none {
-		c.arena[e.dirtyNext].dirtyPrev = e.dirtyPrev
+		c.at(e.dirtyNext).dirtyPrev = e.dirtyPrev
 	} else {
 		c.dirtyTail = e.dirtyPrev
 	}
@@ -196,7 +250,7 @@ func (c *Cache) dirtyRemove(e *Entry) {
 func (c *Cache) dirtyPushFront(e *Entry) {
 	e.dirtyPrev, e.dirtyNext = none, c.dirtyHead
 	if c.dirtyHead != none {
-		c.arena[c.dirtyHead].dirtyPrev = e.self
+		c.at(c.dirtyHead).dirtyPrev = e.self
 	} else {
 		c.dirtyTail = e.self
 	}
@@ -213,7 +267,7 @@ func (c *Cache) Lookup(id BlockID) *Entry {
 		return nil
 	}
 	c.stats.Hits++
-	e := &c.arena[i]
+	e := c.at(i)
 	if i != c.head {
 		c.lruRemove(e)
 		c.lruPushFront(e)
@@ -241,29 +295,42 @@ type Evicted struct {
 // The second return reports the eviction, if one happened; a dirty victim
 // must be written back by the caller (eviction write).
 //
-// A full cache installs into the victim's arena entry, so installing
-// never allocates outside payload mode. The victim's payload page (if
-// any) is handed off in Evicted, never reused.
+// Until the cache is full each install takes the next arena entry,
+// adding an arena page every pageLen installs and doubling the index
+// past half full; a full cache installs into the victim's entry, so
+// installing never allocates outside payload mode once the cache is
+// full. The victim's payload page (if any) is handed off in Evicted,
+// never reused.
 func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
+	growing := c.size < c.cfg.Blocks
+	if growing && 2*(c.size+1) > len(c.slots) {
+		c.rehash(2 * len(c.slots))
+	}
 	// One probe both checks residency and finds the insert slot.
 	s, i := c.find(id)
 	if i != none {
 		panic(fmt.Sprintf("buffercache: Install of resident block %d", id))
 	}
 	var ev Evicted
-	if c.size < len(c.arena) {
+	if growing {
+		if c.size&pageMask == 0 {
+			c.arena = append(c.arena, new([pageLen]Entry))
+		}
+		if c.cfg.Payloads {
+			c.data = append(c.data, nil)
+		}
 		i = int32(c.size)
 		c.size++
 	} else {
 		i = c.tail
-		for i != none && c.arena[i].pins > 0 {
-			i = c.arena[i].prev
+		for i != none && c.at(i).pins > 0 {
+			i = c.at(i).prev
 		}
 		if i == none {
 			panic("buffercache: all blocks pinned, cannot install")
 		}
-		victim := &c.arena[i]
-		ev = Evicted{ID: victim.ID, Dirty: victim.dirty(), Valid: true, Data: victim.Data}
+		victim := c.at(i)
+		ev = Evicted{ID: victim.ID, Dirty: victim.dirty(), Valid: true, Data: c.Page(victim)}
 		if ev.Dirty {
 			c.dirtyRemove(victim)
 		}
@@ -276,10 +343,10 @@ func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
 			s = hole
 		}
 	}
-	e := &c.arena[i]
+	e := c.at(i)
 	*e = Entry{ID: id, touch: c.stats.Gets, pins: 1, self: i, dirtyPrev: notDirty, dirtyNext: notDirty}
 	if c.cfg.Payloads {
-		e.Data = make([]byte, c.cfg.BlockSize)
+		c.data[i] = make([]byte, c.cfg.BlockSize)
 	}
 	c.slots[s] = i + 1
 	c.lruPushFront(e)
@@ -314,7 +381,7 @@ func (c *Cache) Release(e *Entry) {
 func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 	start := len(dst)
 	for i := c.dirtyTail; i != none && len(dst)-start < max; {
-		e := &c.arena[i]
+		e := c.at(i)
 		i = e.dirtyPrev
 		if e.pins == 0 && c.stats.Gets-e.touch >= minAge {
 			c.dirtyRemove(e)
@@ -329,7 +396,7 @@ func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 func (c *Cache) CleanAllDirty() []BlockID {
 	var out []BlockID
 	for i := c.dirtyTail; i != none; {
-		e := &c.arena[i]
+		e := c.at(i)
 		i = e.dirtyPrev
 		if e.pins == 0 {
 			c.dirtyRemove(e)

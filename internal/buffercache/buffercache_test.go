@@ -196,14 +196,14 @@ func TestReleaseWithoutPinPanics(t *testing.T) {
 func TestPayloadMode(t *testing.T) {
 	c := New(Config{Blocks: 2, BlockSize: 64, Payloads: true})
 	e, _ := c.Install(1)
-	if len(e.Data) != 64 {
-		t.Fatalf("payload size = %d", len(e.Data))
+	if len(c.Page(e)) != 64 {
+		t.Fatalf("payload size = %d", len(c.Page(e)))
 	}
-	e.Data[0] = 0xAB
+	c.Page(e)[0] = 0xAB
 	c.MarkDirty(e)
 	c.Release(e)
 	e = c.Lookup(1)
-	if e.Data[0] != 0xAB {
+	if c.Page(e)[0] != 0xAB {
 		t.Fatal("payload lost")
 	}
 	c.Release(e)
@@ -364,10 +364,64 @@ func TestPlainInstallHasNoScanResistance(t *testing.T) {
 	}
 }
 
-// TestEntryFitsOneCacheLine pins the arena entry at 64 bytes, so a
-// lookup that lands on an entry touches one cache line.
+// TestEntryFitsOneCacheLine pins the arena entry at 40 bytes with no
+// pointer fields: the garbage collector never scans the arena, and the
+// block ID a probe compares sits in the entry's first eight bytes, so it
+// never straddles a cache line.
 func TestEntryFitsOneCacheLine(t *testing.T) {
-	if size := reflect.TypeOf(Entry{}).Size(); size > 64 {
-		t.Fatalf("Entry is %d bytes, want at most 64", size)
+	typ := reflect.TypeOf(Entry{})
+	if size := typ.Size(); size > 40 {
+		t.Fatalf("Entry is %d bytes, want at most 40", size)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Fatalf("Entry.%s is a %s; want only integer fields, no pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// xeonBlocks is the Xeon's buffer cache in blocks: 2,867 MB of 8 KB
+// blocks.
+const xeonBlocks = 2867 << 20 / 8192
+
+// fullXeonCache returns a cache of the Xeon's capacity holding blocks
+// [0, xeonBlocks), none pinned.
+func fullXeonCache() *Cache {
+	c := newTest(xeonBlocks)
+	for id := BlockID(0); id < xeonBlocks; id++ {
+		e, _ := c.Install(id)
+		c.Release(e)
+	}
+	return c
+}
+
+// BenchmarkLookupHit times a lookup that hits, and its release, on a full
+// Xeon-sized cache, at resident blocks drawn uniformly.
+func BenchmarkLookupHit(b *testing.B) {
+	c := fullXeonCache()
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]BlockID, 1<<16)
+	for i := range ids {
+		ids[i] = BlockID(rng.Intn(xeonBlocks))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Release(c.Lookup(ids[i&(len(ids)-1)]))
+	}
+}
+
+// BenchmarkInstallEvict times an install of a new block into a full
+// Xeon-sized cache, which evicts the LRU block, and its release.
+func BenchmarkInstallEvict(b *testing.B) {
+	c := fullXeonCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, _ := c.Install(BlockID(xeonBlocks + i))
+		c.Release(e)
 	}
 }

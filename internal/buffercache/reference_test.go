@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -235,8 +236,8 @@ func checkIndex(t *testing.T, step int, c *Cache) {
 		t.Fatalf("step %d: %d full slots for %d resident blocks", step, full, c.size)
 	}
 	for i := 0; i < c.size; i++ {
-		if _, got := c.find(c.arena[i].ID); got != int32(i) {
-			t.Fatalf("step %d: block %d of entry %d found at entry %d", step, c.arena[i].ID, i, got)
+		if _, got := c.find(c.at(int32(i)).ID); got != int32(i) {
+			t.Fatalf("step %d: block %d of entry %d found at entry %d", step, c.at(int32(i)).ID, i, got)
 		}
 	}
 }
@@ -278,7 +279,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		var pinned []handle
 		stamp := func(e *Entry, r *refEntry) {
 			if cfg.Payloads {
-				binary.LittleEndian.PutUint64(e.Data, uint64(e.ID))
+				binary.LittleEndian.PutUint64(got.Page(e), uint64(e.ID))
 				binary.LittleEndian.PutUint64(r.Data, uint64(r.ID))
 			}
 		}
@@ -355,4 +356,124 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestArenaPagesMatchReference crosses arena pages, which the fuzz
+// target's caches of at most eight blocks never do. It drives the
+// production cache and refCache side by side through three full pages of
+// installs and into a fourth while entries pinned on page 0 stay held,
+// then dirties and releases those blocks through the held entries and
+// installs until they are evicted. Every Evicted (with the victim's page
+// in payload mode) and every CleanAgedInto batch must agree.
+func TestArenaPagesMatchReference(t *testing.T) {
+	for _, payloads := range []bool{false, true} {
+		t.Run(fmt.Sprintf("payloads=%v", payloads), func(t *testing.T) {
+			cfg := Config{Blocks: 3*pageLen + pageLen/2}
+			if payloads {
+				cfg.Payloads, cfg.BlockSize = true, 8
+			}
+			got, want := New(cfg), newRef(cfg)
+			type handle struct {
+				g *Entry
+				r *refEntry
+			}
+			var evictions, dirtyEvictions int
+			// access is the system's read path on both caches: look up,
+			// install on a miss. In payload mode a new page is stamped
+			// with its block, so evicted pages can be told apart.
+			access := func(id BlockID) handle {
+				g, r := got.Lookup(id), want.Lookup(id)
+				if (g == nil) != (r == nil) {
+					t.Fatalf("Lookup(%d) hit = %v, reference %v", id, g != nil, r != nil)
+				}
+				if g == nil {
+					var gev, rev Evicted
+					g, gev = got.Install(id)
+					r, rev = want.Install(id)
+					if gev.ID != rev.ID || gev.Dirty != rev.Dirty || gev.Valid != rev.Valid ||
+						!bytes.Equal(gev.Data, rev.Data) {
+						t.Fatalf("Install(%d) evicted %+v, reference %+v", id, gev, rev)
+					}
+					if gev.Valid {
+						evictions++
+						if gev.Dirty {
+							dirtyEvictions++
+						}
+					}
+					if payloads {
+						binary.LittleEndian.PutUint64(got.Page(g), uint64(id))
+						binary.LittleEndian.PutUint64(r.Data, uint64(id))
+					}
+				}
+				if g.ID != id || r.ID != id {
+					t.Fatalf("access(%d) = %d, reference %d", id, g.ID, r.ID)
+				}
+				return handle{g, r}
+			}
+			clean := func(max int, minAge uint64) {
+				g := got.CleanAgedInto(nil, max, minAge)
+				r := want.CleanAgedInto(nil, max, minAge)
+				if fmt.Sprint(g) != fmt.Sprint(r) {
+					t.Fatalf("CleanAgedInto(%d, %d) = %v, reference %v", max, minAge, g, r)
+				}
+			}
+			// churn makes n accesses over blocks [16, 16+span), dirtying a
+			// quarter of them and cleaning aged blocks now and then.
+			rng := rand.New(rand.NewSource(1))
+			churn := func(n, span int) {
+				for k := 0; k < n; k++ {
+					h := access(BlockID(16 + rng.Intn(span)))
+					if rng.Intn(4) == 0 {
+						got.MarkDirty(h.g)
+						want.MarkDirty(h.r)
+					}
+					got.Release(h.g)
+					want.Release(h.r)
+					if k%512 == 0 {
+						clean(64, uint64(rng.Intn(4096)))
+					}
+				}
+			}
+
+			held := make([]handle, 16)
+			for i := range held {
+				held[i] = access(BlockID(i))
+			}
+			churn(3*cfg.Blocks, 2*cfg.Blocks)
+			if len(got.arena) != 4 || got.size != cfg.Blocks {
+				t.Fatalf("%d arena pages for %d of %d blocks, want 4 pages and a full cache",
+					len(got.arena), got.size, cfg.Blocks)
+			}
+			checkIndex(t, 0, got)
+			for _, h := range held {
+				if e := got.Lookup(h.g.ID); e != h.g {
+					t.Fatalf("block %d moved from its pinned entry", h.g.ID)
+				}
+				if payloads && binary.LittleEndian.Uint64(got.Page(h.g)) != uint64(h.g.ID) {
+					t.Fatalf("block %d lost its page", h.g.ID)
+				}
+				want.Lookup(h.r.ID)
+				got.MarkDirty(h.g)
+				want.MarkDirty(h.r)
+				for range 2 {
+					got.Release(h.g)
+					want.Release(h.r)
+				}
+			}
+			clean(8, 0)
+			// A sweep of new blocks evicts everything else, the held
+			// blocks among them, dirty or cleaned.
+			before := evictions
+			churn(2*cfg.Blocks, 1<<30)
+			if evictions-before < cfg.Blocks || dirtyEvictions == 0 {
+				t.Fatalf("%d evictions (%d dirty) in the sweep, want at least %d and some dirty",
+					evictions-before, dirtyEvictions, cfg.Blocks)
+			}
+			checkIndex(t, 1, got)
+			if got.DirtyCount() != want.dirtyCount || got.Stats() != want.stats {
+				t.Fatalf("DirtyCount %d, Stats %+v; reference %d, %+v",
+					got.DirtyCount(), got.Stats(), want.dirtyCount, want.stats)
+			}
+		})
+	}
 }

@@ -62,13 +62,10 @@ func (s *Store) pin(block BlockID) *buffercache.Entry {
 	if e := s.cache.Lookup(block); e != nil {
 		return e
 	}
+	// Install hands out a fresh, zeroed page.
 	e, ev := s.cache.Install(block)
 	if img, ok := s.disk[block]; ok {
-		copy(e.Data, img)
-	} else {
-		for i := range e.Data {
-			e.Data[i] = 0
-		}
+		copy(s.cache.Page(e), img)
 	}
 	if ev.Valid && ev.Dirty {
 		s.flushPage(ev.ID, ev.Data)
@@ -104,8 +101,9 @@ func (s *Store) AddCounter(t TableID, ord uint64, delta int64) {
 	e := s.pin(block)
 	s.lsn++
 	s.redo = append(s.redo, RedoRecord{LSN: s.lsn, Block: block, Slot: slot, Delta: delta})
-	setSlotValue(e.Data, slot, slotValue(e.Data, slot)+delta)
-	setPageLSN(e.Data, s.lsn)
+	page := s.cache.Page(e)
+	setSlotValue(page, slot, slotValue(page, slot)+delta)
+	setPageLSN(page, s.lsn)
 	s.cache.MarkDirty(e)
 	s.cache.Release(e)
 }
@@ -114,7 +112,7 @@ func (s *Store) AddCounter(t TableID, ord uint64, delta int64) {
 func (s *Store) Counter(t TableID, ord uint64) int64 {
 	h := s.L.Heap(t)
 	e := s.pin(h.Block(ord))
-	v := slotValue(e.Data, h.Slot(ord))
+	v := slotValue(s.cache.Page(e), h.Slot(ord))
 	s.cache.Release(e)
 	return v
 }
@@ -137,7 +135,7 @@ func (s *Store) Checkpoint() int {
 		if e == nil {
 			panic("odb: cleaned block vanished")
 		}
-		s.flushPage(id, e.Data)
+		s.flushPage(id, s.cache.Page(e))
 		s.cache.Release(e)
 	}
 	return len(ids)

@@ -14,6 +14,10 @@ import (
 // ranked by frequency. It returns ctx's error if ctx ends while the
 // sample runs.
 func (m *machine) prefill(ctx context.Context) error {
+	// Prefill installs the whole image or fills the cache, so the cache's
+	// index is sized once for that many blocks.
+	_, total := m.se.PrefillBlocks()
+	m.bc.Reserve(int(min(total, uint64(m.bc.Capacity()))))
 	err := m.prefillEach(ctx, func(b odb.BlockID) {
 		e, _ := m.bc.Install(b)
 		m.bc.Release(e)

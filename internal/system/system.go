@@ -161,7 +161,8 @@ func Validate(cfg Config) error {
 	if cfg.MeasureTxns < 1 {
 		return fmt.Errorf("system: %w", ErrNoTxns)
 	}
-	// Fields that would otherwise panic (a zero buffer cache, disk set,
+	// Fields that would otherwise panic (a buffer cache of no blocks or
+	// of 2^31 − 1 or more, past its int32 arena index; a zero disk set,
 	// cache line size or associativity, scale, OS quantum or bus
 	// utilization window; a negative disk time, OtherCPI, busy wait or
 	// stall cost schedules an event in the past; a negative footprint
@@ -179,7 +180,7 @@ func Validate(cfg Config) error {
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
 		return badField("Machine.FreqHz", m.FreqHz)
-	case m.BufferCacheMB < 1:
+	case m.BufferCacheMB < 1 || m.BufferCacheMB > maxBufferCacheMB:
 		return badField("Machine.BufferCacheMB", m.BufferCacheMB)
 	case m.Disks.DataDisks < 1:
 		return badField("Machine.Disks.DataDisks", m.Disks.DataDisks)
@@ -333,6 +334,12 @@ func cost(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 func badField(path string, v any) error {
 	return fmt.Errorf("system: %w: %s = %v", ErrBadConfig, path, v)
 }
+
+// maxBufferCacheMB is the largest buffer cache whose block count stays
+// below math.MaxInt32, the limit of the buffer cache's int32 arena index.
+// Comparing megabytes, not their block count, keeps the product from
+// overflowing.
+const maxBufferCacheMB = (math.MaxInt32 - 1) / (1 << 20 / odb.BlockSize)
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound
 // configurations that cannot reach the transaction target still finish.

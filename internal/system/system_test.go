@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,8 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		set   func(*Config)
 	}{
 		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 0 }},
+		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 25 }}, // 2^32 blocks
+		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 44 }}, // MB·2^20 overflows
 		{"Machine.Disks.DataDisks", func(c *Config) { c.Machine.Disks.DataDisks = 0 }},
 		{"Machine.Disks.LogDisks", func(c *Config) { c.Machine.Disks.LogDisks = 0 }},
 		{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = 0 }},
@@ -426,4 +429,25 @@ type testBuffer struct{ n int }
 func (b *testBuffer) Write(p []byte) (int, error) {
 	b.n += len(p)
 	return len(p), nil
+}
+
+// TestSmallRunAllocatesForResidentBlocks pins the buffer cache's memory
+// to the blocks a run holds, not to its capacity: a W=10 run on the
+// Itanium2's 12 GB SGA (1,572,864 blocks) keeps about 100k blocks
+// resident, so its whole Run allocates a few MiB. A cache that allocates
+// its capacity up front allocates over 100 MiB here.
+func TestSmallRunAllocatesForResidentBlocks(t *testing.T) {
+	cfg := DefaultConfig(10, 8, 1)
+	cfg.Machine = Itanium2Quad()
+	cfg.MeasureTxns = 200
+	run(t, cfg) // builds the per-process tables every later Run shares
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(t, cfg)
+	runtime.ReadMemStats(&after)
+	const limit = 16 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("W=10 Itanium2 Run allocated %.1f MiB, want under %d MiB",
+			float64(got)/(1<<20), limit>>20)
+	}
 }
