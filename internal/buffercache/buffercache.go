@@ -277,6 +277,18 @@ func (c *Cache) Lookup(id BlockID) *Entry {
 	return e
 }
 
+// PageOf returns the payload page of resident block id, or nil if the
+// block is not resident or the cache holds no payloads. Unlike Lookup it
+// counts no get and leaves the LRU chain alone, so a checkpoint can
+// flush pages without disturbing the statistics or the eviction order.
+func (c *Cache) PageOf(id BlockID) []byte {
+	_, i := c.find(id)
+	if i == none {
+		return nil
+	}
+	return c.Page(c.at(i))
+}
+
 // Evicted describes a block displaced by Install. Valid reports whether an
 // eviction happened at all; it is a value, not a pointer, so the steady
 // state of a full cache (every install evicts) does not allocate. In

@@ -115,8 +115,13 @@ func (m *LockManager) Release(res LockID, owner int) {
 		m.free = append(m.free, st) // waiters capacity rides along
 		return
 	}
+	// Dequeue by shifting, not by reslicing past the head: a queue that
+	// walked forward through its backing array would lose capacity at
+	// the front and regrow on a later append.
 	next := st.waiters[0]
-	st.waiters = st.waiters[1:]
+	n := copy(st.waiters, st.waiters[1:])
+	st.waiters[n] = waiter{}
+	st.waiters = st.waiters[:n]
 	st.owner = next.owner
 	next.grant()
 }

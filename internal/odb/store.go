@@ -127,16 +127,17 @@ func (s *Store) ApplyTxn(t *Txn) {
 	}
 }
 
-// Checkpoint writes every dirty page to the persistent image.
+// Checkpoint writes every dirty page to the persistent image. It reads
+// the pages without a buffer get, so the cache's statistics and LRU
+// order are as they were.
 func (s *Store) Checkpoint() int {
 	ids := s.cache.CleanAllDirty()
 	for _, id := range ids {
-		e := s.cache.Lookup(id)
-		if e == nil {
+		page := s.cache.PageOf(id)
+		if page == nil {
 			panic("odb: cleaned block vanished")
 		}
-		s.flushPage(id, s.cache.Page(e))
-		s.cache.Release(e)
+		s.flushPage(id, page)
 	}
 	return len(ids)
 }

@@ -144,3 +144,32 @@ func TestCheckpointReturnsCount(t *testing.T) {
 		t.Fatalf("second checkpoint wrote %d pages", n)
 	}
 }
+
+// TestCheckpointLeavesCacheUntouched pins that a checkpoint is not a
+// buffer access: it counts no get or hit and leaves the LRU order, and
+// so the next eviction, as it was.
+func TestCheckpointLeavesCacheUntouched(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		s := NewStore(NewLayout(1), 2)
+		s.AddCounter(TableWarehouse, 0, 1) // dirtied first, so oldest dirty
+		s.AddCounter(TableDistrict, 3, 1)
+		s.Counter(TableWarehouse, 0) // LRU order now: district block, then warehouse
+		before := s.Cache().Stats()
+		if checkpoint {
+			if n := s.Checkpoint(); n != 2 {
+				t.Fatalf("checkpointed %d pages, want 2", n)
+			}
+			if got := s.Cache().Stats(); got != before {
+				t.Fatalf("checkpoint moved the cache stats from %+v to %+v", before, got)
+			}
+		}
+		// Faulting in a third block evicts the LRU block: the district's.
+		s.Counter(TableStock, 0)
+		if s.Cache().PageOf(s.L.Heap(TableWarehouse).Block(0)) == nil {
+			t.Fatalf("checkpoint=%v: the warehouse block was evicted, want the district block", checkpoint)
+		}
+		if s.Cache().PageOf(s.L.Heap(TableDistrict).Block(3)) != nil {
+			t.Fatalf("checkpoint=%v: the district block stayed resident", checkpoint)
+		}
+	}
+}

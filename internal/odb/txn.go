@@ -156,9 +156,13 @@ type Generator struct {
 	// examines 200; the default trims it to keep op streams compact).
 	StockLevelScan int
 
-	free []*Txn    // recycled transactions; their Ops capacity is reused
-	seen []BlockID // duplicate-block scratch for scan loops
-	ob   opBuilder // builder scratch, rebound per Next so no builder escapes
+	// free holds recycled transactions per type, so a recycled Ops slice
+	// is reused by the type that sized it; opsCap is each type's largest
+	// Ops capacity yet, which sizes a pool miss.
+	free   [numTxnTypes][]*Txn
+	opsCap [numTxnTypes]int
+	seen   []BlockID // duplicate-block scratch for scan loops
+	ob     opBuilder // builder scratch, rebound per Next so no builder escapes
 }
 
 // itemZipf is the item-popularity Zipf's table, built on first use and
@@ -205,14 +209,14 @@ func (g *Generator) pickType() TxnType {
 	return NewOrder
 }
 
-// Recycle returns a finished transaction to the generator's pool so the
-// next Next reuses its op slice. The caller must not retain txn (or any
-// Op pointer into it) afterwards.
+// Recycle returns a finished transaction to its type's pool so the next
+// Next of that type reuses its op slice. The caller must not retain txn
+// (or any Op pointer into it) afterwards.
 func (g *Generator) Recycle(txn *Txn) {
 	if txn == nil {
 		return
 	}
-	g.free = append(g.free, txn)
+	g.free[txn.Type] = append(g.free[txn.Type], txn)
 }
 
 // Next generates the next transaction for the given client.
@@ -222,13 +226,13 @@ func (g *Generator) Next(client int) *Txn {
 	d := g.rng.Intn(DistrictsPerWarehouse)
 	t := g.pickType()
 	var txn *Txn
-	if n := len(g.free); n > 0 {
-		txn = g.free[n-1]
-		g.free = g.free[:n-1]
+	if free := g.free[t]; len(free) > 0 {
+		txn = free[len(free)-1]
+		g.free[t] = free[:len(free)-1]
 		*txn = Txn{Type: t, Home: w, District: d, Ops: txn.Ops[:0]}
 	} else {
-		//lint:ignore hotalloc pool-miss fallback: Recycle warms the free list, steady state reuses transactions
-		txn = &Txn{Type: t, Home: w, District: d}
+		//lint:ignore hotalloc pool-miss fallback: Recycle warms the type's free list, steady state reuses transactions
+		txn = &Txn{Type: t, Home: w, District: d, Ops: make([]Op, 0, g.opsCap[t])}
 	}
 	g.ob = opBuilder{g: g, txn: txn, budget: g.jitter(instrBudget[t])}
 	b := &g.ob
@@ -245,6 +249,7 @@ func (g *Generator) Next(client int) *Txn {
 		g.stockLevel(b, w, d)
 	}
 	b.finish()
+	g.opsCap[t] = max(g.opsCap[t], cap(txn.Ops))
 	return txn
 }
 

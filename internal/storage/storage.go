@@ -5,6 +5,11 @@
 // clients must mask in balanced setups, and throughput saturation that
 // caps CPU utilization in I/O-bound setups (the 1200-warehouse point of
 // Figure 2).
+//
+// The array is allocation-free in steady state: a disk is its next-free
+// time alone, so an operation schedules no queue-bookkeeping event, and
+// a foreground read's completion rides a pooled request record through
+// sim.Engine.AfterCall instead of a closure.
 package storage
 
 import (
@@ -44,7 +49,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates array behaviour over a measurement period.
+// Stats aggregates array behaviour over a measurement period. Queue
+// depth is not tracked: each disk's FCFS wait is known when an operation
+// is issued, so the read latency and the queueing observatory's disk
+// station carry it.
 type Stats struct {
 	Reads          uint64
 	Writes         uint64 // data writebacks
@@ -53,7 +61,6 @@ type Stats struct {
 	ReadLatencySum float64 // cycles, queue + service
 	BusyCycles     float64 // summed across data disks
 	Elapsed        float64
-	MaxQueue       int
 }
 
 // MeanReadLatency returns the average read completion latency in cycles.
@@ -76,9 +83,17 @@ func (s Stats) Utilization(dataDisks int) float64 {
 	return u
 }
 
+// disk is one FCFS device: the time its queue drains.
 type disk struct {
 	nextFree sim.Time
-	queueLen int
+}
+
+// readReq is one in-flight foreground read. Records are pooled, so a
+// read allocates nothing once the pool covers the reads in flight.
+type readReq struct {
+	block  uint64
+	issued sim.Time
+	done   func(uint64)
 }
 
 // Array is the simulated disk array.
@@ -93,6 +108,9 @@ type Array struct {
 	stats   Stats
 	resetAt sim.Time
 
+	reqs       []*readReq // recycled read records
+	readDoneFn func(any)  // a.readDone, bound once for AfterCall
+
 	// Optional queueing-observatory stations: one for the data disks,
 	// one for the log devices. FCFS makes wait and service known at
 	// enqueue time, so each operation is a fused Visit.
@@ -105,13 +123,15 @@ func New(cfg Config, eng *sim.Engine, rng *xrand.Rand) *Array {
 	if cfg.DataDisks <= 0 || cfg.LogDisks <= 0 {
 		panic("storage: need at least one data and one log disk")
 	}
-	return &Array{
+	a := &Array{
 		cfg:  cfg,
 		eng:  eng,
 		rng:  rng,
 		data: make([]disk, cfg.DataDisks),
 		log:  make([]disk, cfg.LogDisks),
 	}
+	a.readDoneFn = a.readDone
+	return a
 }
 
 // SetStations attaches the observatory's disk and log stations.
@@ -137,20 +157,17 @@ func (a *Array) enqueue(d *disk, svc sim.Time, busy bool) sim.Time {
 	}
 	complete := start + svc
 	d.nextFree = complete
-	d.queueLen++
-	if d.queueLen > a.stats.MaxQueue {
-		a.stats.MaxQueue = d.queueLen
-	}
 	if busy {
 		a.stats.BusyCycles += float64(svc)
 	}
-	a.eng.At(complete, func() { d.queueLen-- })
 	return complete
 }
 
-// Read issues a synchronous block read; done runs at completion time.
-// The block's disk is chosen by striping on the block number.
-func (a *Array) Read(block uint64, done func()) {
+// Read issues a synchronous block read; done (if non-nil) runs with the
+// block at completion time, so a caller passes one func for every read
+// instead of a closure per read. The block's disk is chosen by striping
+// on the block number.
+func (a *Array) Read(block uint64, done func(uint64)) {
 	d := &a.data[int(block)%len(a.data)]
 	svc := a.service(a.cfg.AccessMS + a.cfg.TransferMS)
 	complete := a.enqueue(d, svc, true)
@@ -159,12 +176,28 @@ func (a *Array) Read(block uint64, done func()) {
 	if a.qsData != nil {
 		a.qsData.Visit(float64(complete-svc-issued), float64(svc))
 	}
-	a.eng.At(complete, func() {
-		a.stats.ReadLatencySum += float64(complete - issued)
-		if done != nil {
-			done()
-		}
-	})
+	var r *readReq
+	if n := len(a.reqs); n > 0 {
+		r = a.reqs[n-1]
+		a.reqs = a.reqs[:n-1]
+	} else {
+		//lint:ignore hotalloc pool-miss fallback: readDone recycles every record, steady state reuses them
+		r = &readReq{}
+	}
+	*r = readReq{block: block, issued: issued, done: done}
+	a.eng.AfterCall(complete-issued, a.readDoneFn, r)
+}
+
+// readDone completes a foreground read: it records the read's latency,
+// recycles its record and runs the caller's callback.
+func (a *Array) readDone(arg any) {
+	r := arg.(*readReq)
+	a.stats.ReadLatencySum += float64(a.eng.Now() - r.issued)
+	block, done := r.block, r.done // done may reuse r for its next read
+	a.reqs = append(a.reqs, r)
+	if done != nil {
+		done(block)
+	}
 }
 
 // BackgroundRead issues an asynchronous maintenance read (compaction
@@ -174,7 +207,7 @@ func (a *Array) Read(block uint64, done func()) {
 func (a *Array) BackgroundRead(block uint64) {
 	d := &a.data[int(block)%len(a.data)]
 	svc := a.service(a.cfg.AccessMS + a.cfg.TransferMS)
-	complete := a.enqueue(d, svc, true)
+	a.enqueue(d, svc, true)
 	a.stats.BgReads++
 	if a.qsData != nil {
 		// Background operations delay no transaction while they queue, so
@@ -183,7 +216,6 @@ func (a *Array) BackgroundRead(block uint64) {
 		// wait would otherwise swamp the foreground wait-demand ranking.
 		a.qsData.Visit(0, float64(svc))
 	}
-	_ = complete
 }
 
 // Write issues an asynchronous data-block writeback (the DB writer's
@@ -191,13 +223,12 @@ func (a *Array) BackgroundRead(block uint64) {
 func (a *Array) Write(block uint64) {
 	d := &a.data[int(block)%len(a.data)]
 	svc := a.service(a.cfg.WriteMS + a.cfg.TransferMS)
-	complete := a.enqueue(d, svc, true)
+	a.enqueue(d, svc, true)
 	a.stats.Writes++
 	if a.qsData != nil {
 		// Posted like BackgroundRead: service only, no queue wait.
 		a.qsData.Visit(0, float64(svc))
 	}
-	_ = complete
 }
 
 // LogWrite issues a sequential write of n blocks to the next log device;
@@ -213,8 +244,6 @@ func (a *Array) LogWrite(blocks int, done func()) {
 	}
 	if done != nil {
 		a.eng.At(complete, done)
-	} else {
-		_ = complete
 	}
 }
 

@@ -129,6 +129,9 @@ type machine struct {
 	// buffer; both keep the steady-state I/O path allocation-free.
 	waiterPool [][]ioWaiter
 	dbwScratch []odb.BlockID
+	// readDoneFn is m.readDone, bound once at build so a disk read
+	// allocates no completion closure.
+	readDoneFn func(uint64)
 }
 
 type ioWaiter struct {
@@ -141,7 +144,8 @@ type ioWaiter struct {
 // the offending values, so match them with errors.Is.
 var (
 	// ErrBadConfig reports a configuration Run cannot execute: a
-	// non-positive warehouse, client or processor count, or a machine or
+	// non-positive warehouse, client or processor count, more processors
+	// than the trace format can name, or a machine or
 	// tuning field (named by its path) that would panic or never finish.
 	ErrBadConfig = errors.New("bad configuration")
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
@@ -157,6 +161,9 @@ func Validate(cfg Config) error {
 	if cfg.Warehouses < 1 || cfg.Clients < 1 || cfg.Processors < 1 {
 		return fmt.Errorf("system: %w: W=%d C=%d P=%d",
 			ErrBadConfig, cfg.Warehouses, cfg.Clients, cfg.Processors)
+	}
+	if cfg.Processors > maxProcessors {
+		return badField("Processors", cfg.Processors)
 	}
 	if cfg.MeasureTxns < 1 {
 		return fmt.Errorf("system: %w", ErrNoTxns)
@@ -335,6 +342,10 @@ func badField(path string, v any) error {
 	return fmt.Errorf("system: %w: %s = %v", ErrBadConfig, path, v)
 }
 
+// maxProcessors is the most CPUs a run may simulate: the trace format
+// records a reference's CPU in one byte.
+const maxProcessors = 256
+
 // maxBufferCacheMB is the largest buffer cache whose block count stays
 // below math.MaxInt32, the limit of the buffer cache's int32 arena index.
 // Comparing megabytes, not their block count, keeps the product from
@@ -386,6 +397,7 @@ func build(cfg Config) *machine {
 	}
 	m.ctr.scale = t.Scale
 	m.inflight = make(map[odb.BlockID][]ioWaiter)
+	m.readDoneFn = m.readDone
 	m.sched = osker.New(eng, osker.Config{CPUs: cfg.Processors, QuantumInstr: t.QuantumInstr},
 		m.runChunk, m.contextSwitch)
 
@@ -627,7 +639,7 @@ loop:
 				m.inflight[block] = append(waiters, ioWaiter{proc: p, sp: sp, write: write})
 				if !pending {
 					m.chargeOS(sp, odb.PhaseSyscall, t.IOIssueInstr)
-					m.disks.Read(uint64(block), func() { m.readDone(block) })
+					m.disks.Read(uint64(block), m.readDoneFn)
 				} else {
 					m.chargeOS(sp, odb.PhaseSyscall, 2000) // buffer-wait path; the read is in flight
 				}
@@ -716,7 +728,8 @@ func (m *machine) block(sp *serverProc, kind txtrace.Kind, class uint8, st *qsta
 }
 
 // readDone installs a completed disk read and wakes every waiter.
-func (m *machine) readDone(block odb.BlockID) {
+func (m *machine) readDone(b uint64) {
+	block := odb.BlockID(b)
 	t := &m.cfg.Tuning
 	waiters := m.inflight[block]
 	delete(m.inflight, block)
