@@ -8,17 +8,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/odblint [flags] ./...
+//	go run ./cmd/odblint [-list] [packages]
 //
-//	-list             list the rules and exit
-//	-json             emit findings as a JSON array
-//	-sarif file       also write SARIF 2.1.0 ("-" for stdout)
-//	-baseline file    subtract the committed waiver ledger
-//	-update-baseline  rewrite the -baseline ledger and exit 0
-//
-// Exit status is 0 when the tree is clean (or every finding is covered
-// by the baseline ledger), 1 when any new finding fires, and 2 on
-// usage or load errors.
+// With no packages it lints ./... and prints one
+// "file:line: [rule] message" line per finding. -list prints the rules
+// and exits. A finding is waived only by a
+// "//lint:ignore <rule> <reason>" comment on or above its line. Exit
+// status is 0 when the tree is clean, 1 when any finding fires, and 2
+// on usage or load errors.
 package main
 
 import (

@@ -6,31 +6,6 @@ import (
 	"strings"
 )
 
-// determinismScope is the set of simulator packages whose non-test
-// code must be bit-reproducible from an explicit seed: every CPI(W) /
-// MPI(W) regression and every campaign checkpoint fingerprint assumes
-// a rerun of the same (W, P, seed) reproduces the same metrics.
-var determinismScope = map[string]bool{
-	"odbscale/internal/sim":          true,
-	"odbscale/internal/odb":          true,
-	"odbscale/internal/engine":       true,
-	"odbscale/internal/engine/btree": true,
-	"odbscale/internal/engine/lsm":   true,
-	"odbscale/internal/workload":     true,
-	"odbscale/internal/osker":        true,
-	"odbscale/internal/system":       true,
-	"odbscale/internal/campaign":     true,
-	"odbscale/internal/telemetry":    true,
-	"odbscale/internal/profile":      true,
-	"odbscale/internal/cache":        true,
-	"odbscale/internal/buffercache":  true, // entry arena + free-list pooling
-	"odbscale/internal/xrand":        true, // the seeded entropy source itself
-	"odbscale/internal/bus":          true,
-	"odbscale/internal/storage":      true,
-	"odbscale/internal/txtrace":      true, // span sampling must be seed-reproducible
-	"odbscale/internal/qstats":       true, // station reports feed checkpointed campaigns
-}
-
 // Determinism forbids ambient entropy — wall clocks, the global
 // math/rand source, process ids — inside the simulator packages. All
 // randomness must flow through internal/xrand (seeded, splittable) and
@@ -75,7 +50,7 @@ func bannedEntropy(fn *types.Func) (string, bool) {
 }
 
 func runDeterminism(pass *Pass) {
-	if !determinismScope[pass.Path] {
+	if !packageScope[pass.Path].has(deterministic) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -6,27 +6,6 @@ import (
 	"go/types"
 )
 
-// hotAllocScope is the set of packages whose per-event code is
-// allocation-free in steady state: the event engine, the cache
-// hierarchy, the buffer-cache arena, the RNG fast paths, the odb chunk
-// path, the engines, the observers and the disk array. The committed
-// bench trajectory pins a −97.8% allocation win across the first five;
-// HotAlloc protects it statically, and TestMeasuredRunAllocations
-// (internal/system) measures what a run allocates.
-var hotAllocScope = map[string]bool{
-	"odbscale/internal/sim":          true,
-	"odbscale/internal/cache":        true,
-	"odbscale/internal/buffercache":  true,
-	"odbscale/internal/xrand":        true,
-	"odbscale/internal/odb":          true,
-	"odbscale/internal/engine":       true, // planner seam rides the per-op path
-	"odbscale/internal/engine/btree": true,
-	"odbscale/internal/engine/lsm":   true, // read-path draws and MemWrite run per op
-	"odbscale/internal/txtrace":      true, // per-commit span path pools trace records
-	"odbscale/internal/qstats":       true, // station accumulation rides every event
-	"odbscale/internal/storage":      true, // every disk read, write and log write
-}
-
 // HotAlloc flags allocation patterns inside functions on the per-event
 // path: the call-graph closure of system.Run (over call and
 // callback-reference edges) minus construction-time code — New*, Close
@@ -51,7 +30,7 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(pass *Pass) {
-	if pass.Prog == nil || !hotAllocScope[pass.Path] {
+	if pass.Prog == nil || !packageScope[pass.Path].has(allocFree) {
 		return
 	}
 	for _, f := range pass.Files {

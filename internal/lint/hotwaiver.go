@@ -2,29 +2,6 @@ package lint
 
 import "strings"
 
-// hotPathScope is the set of packages on the simulator's per-chunk hot
-// path: the event engine, the RNG fast paths, the cache hierarchy and
-// buffer cache pools, the transaction generator, the scheduler and the
-// machine layer. These packages carry the simulator's speed, which
-// simbench gates against the base commit, so a lint waiver here is
-// almost always protecting a performance invariant — and its reason
-// must say which one.
-var hotPathScope = map[string]bool{
-	"odbscale/internal/sim":          true,
-	"odbscale/internal/xrand":        true,
-	"odbscale/internal/cache":        true,
-	"odbscale/internal/buffercache":  true,
-	"odbscale/internal/odb":          true,
-	"odbscale/internal/engine":       true,
-	"odbscale/internal/engine/btree": true,
-	"odbscale/internal/engine/lsm":   true,
-	"odbscale/internal/osker":        true,
-	"odbscale/internal/workload":     true,
-	"odbscale/internal/system":       true,
-	"odbscale/internal/txtrace":      true,
-	"odbscale/internal/qstats":       true, // station accumulation rides every event
-}
-
 // perfReasonMarkers are the substrings (matched case-insensitively) that
 // qualify a waiver reason as perf-specific: it names the allocation,
 // pooling, cycle or fast-path concern the waived construct serves.
@@ -59,7 +36,7 @@ func perfSpecific(reason string) bool {
 }
 
 func runHotWaiver(pass *Pass) {
-	if !hotPathScope[pass.Path] {
+	if !packageScope[pass.Path].has(hotPath) {
 		return
 	}
 	for _, f := range pass.Files {
@@ -68,16 +45,10 @@ func runHotWaiver(pass *Pass) {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				const prefix = "//lint:ignore"
-				if !strings.HasPrefix(c.Text, prefix) {
-					continue
+				rules, reason, ok := parseDirective(c.Text)
+				if !ok || rules == nil {
+					continue // not a directive; the driver reports a malformed one as [lint]
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, prefix))
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					continue // malformed; the driver reports it as [lint]
-				}
-				reason := strings.Join(fields[1:], " ")
 				if !perfSpecific(reason) {
 					pass.Reportf(c.Pos(),
 						"hot-path waiver reason %q names no perf concern; say which allocation, pool, or cycle cost it protects", reason)

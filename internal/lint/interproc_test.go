@@ -11,7 +11,7 @@ import (
 )
 
 // runModuleFixture lints a testdata mini-module (its own go.mod names
-// it "odbscale" so the scope maps match) through the full driver,
+// it "odbscale" so the scope table matches) through the full driver,
 // interprocedural layer included, and returns "path:line: [rule] msg"
 // lines with slash-separated paths.
 func runModuleFixture(t *testing.T, mod string) []string {

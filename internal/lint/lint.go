@@ -32,14 +32,14 @@ import (
 )
 
 // A Finding is one rule violation at a source position. Col is the
-// 1-based column; it participates in the deterministic sort order and
-// in machine-readable output but not in the one-line text format.
+// 1-based column; it participates in the deterministic sort order but
+// not in the one-line text format.
 type Finding struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col,omitempty"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
+	File string
+	Line int
+	Col  int
+	Rule string
+	Msg  string
 }
 
 // String renders the finding in the driver's one-line format.
@@ -156,6 +156,22 @@ func sortFindings(fs []Finding) {
 	})
 }
 
+// parseDirective splits the text of a //lint:ignore comment into the
+// rules it waives and its reason; ok is false for any other comment.
+// A directive missing its rule list or its reason is malformed and
+// returns nil rules.
+func parseDirective(text string) (rules []string, reason string, ok bool) {
+	const prefix = "//lint:ignore"
+	if !strings.HasPrefix(text, prefix) {
+		return nil, "", false
+	}
+	fields := strings.Fields(strings.TrimPrefix(text, prefix))
+	if len(fields) < 2 {
+		return nil, "", true
+	}
+	return strings.Split(fields[0], ","), strings.Join(fields[1:], " "), true
+}
+
 // directiveIndex maps file -> line -> set of rule names ignored there.
 type directiveIndex map[string]map[int]map[string]bool
 
@@ -168,14 +184,12 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) (directiveIndex, 
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				const prefix = "//lint:ignore"
-				if !strings.HasPrefix(c.Text, prefix) {
+				ruleList, _, ok := parseDirective(c.Text)
+				if !ok {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, prefix))
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
+				if ruleList == nil {
 					bad = append(bad, Finding{
 						File: pos.Filename,
 						Line: pos.Line,
@@ -194,7 +208,7 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) (directiveIndex, 
 					rules = make(map[string]bool)
 					byLine[pos.Line] = rules
 				}
-				for _, r := range strings.Split(fields[0], ",") {
+				for _, r := range ruleList {
 					rules[r] = true
 				}
 			}

@@ -112,14 +112,14 @@ func TestEngineScopeCovered(t *testing.T) {
 		"odbscale/internal/engine/btree",
 		"odbscale/internal/engine/lsm",
 	} {
-		if !determinismScope[path] {
-			t.Errorf("%s missing from determinismScope", path)
+		if !packageScope[path].has(deterministic) {
+			t.Errorf("%s lacks the deterministic role", path)
 		}
-		if !hotAllocScope[path] {
-			t.Errorf("%s missing from hotAllocScope", path)
+		if !packageScope[path].has(allocFree) {
+			t.Errorf("%s lacks the allocFree role", path)
 		}
-		if !hotPathScope[path] {
-			t.Errorf("%s missing from hotPathScope", path)
+		if !packageScope[path].has(hotPath) {
+			t.Errorf("%s lacks the hotPath role", path)
 		}
 		if got := runFixture(t, "determinism", path); len(got) == 0 {
 			t.Errorf("determinism corpus produced no findings under %s", path)
@@ -140,14 +140,14 @@ func TestEngineScopeCovered(t *testing.T) {
 // overhead contract.
 func TestQStatsScopeCovered(t *testing.T) {
 	const path = "odbscale/internal/qstats"
-	if !determinismScope[path] {
-		t.Errorf("%s missing from determinismScope", path)
+	if !packageScope[path].has(deterministic) {
+		t.Errorf("%s lacks the deterministic role", path)
 	}
-	if !hotAllocScope[path] {
-		t.Errorf("%s missing from hotAllocScope", path)
+	if !packageScope[path].has(allocFree) {
+		t.Errorf("%s lacks the allocFree role", path)
 	}
-	if !hotPathScope[path] {
-		t.Errorf("%s missing from hotPathScope", path)
+	if !packageScope[path].has(hotPath) {
+		t.Errorf("%s lacks the hotPath role", path)
 	}
 	if got := runFixture(t, "qstats", path); len(got) == 0 {
 		t.Error("qstats corpus produced no findings under its scope")
@@ -157,6 +157,18 @@ func TestQStatsScopeCovered(t *testing.T) {
 	// The same corpus outside the simulator scopes stays clean.
 	if got := runFixture(t, "qstats", "odbscale/internal/lint/fixture/unscoped"); len(got) != 0 {
 		t.Errorf("qstats rules fired outside their package scope:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// TestStorageWaiverScopeCovered pins the disk array into the waiver
+// audit: internal/storage is checked by hotalloc, and every package
+// hotalloc checks must also have its //lint:ignore reasons name the
+// perf concern they protect.
+func TestStorageWaiverScopeCovered(t *testing.T) {
+	if got := runFixture(t, "hotwaiver", "odbscale/internal/storage"); len(got) == 0 {
+		t.Error("hotwaiver corpus produced no findings under odbscale/internal/storage")
+	} else {
+		checkGolden(t, "hotwaiver", got)
 	}
 }
 
@@ -233,6 +245,17 @@ func TestMainExitCodes(t *testing.T) {
 	stderr.Reset()
 	if code := Main([]string{"testdata/does-not-exist"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("Main on a missing dir = %d, want 2", code)
+	}
+}
+
+// TestOneOutputFlag pins the driver's surface to text findings plus
+// -list: the retired output and waiver-ledger flags are usage errors.
+func TestOneOutputFlag(t *testing.T) {
+	for _, flag := range []string{"-json", "-sarif=-", "-baseline=x.json", "-update-baseline"} {
+		var stdout, stderr bytes.Buffer
+		if code := Main([]string{flag, "testdata/sentinelerr"}, &stdout, &stderr); code != 2 {
+			t.Errorf("Main(%s) = %d, want 2", flag, code)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -9,18 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 )
-
-// writeJSONFindings emits findings as an indented JSON array — the
-// machine-readable face CI scripts consume. An empty result encodes as
-// [] rather than null so consumers can always range over it.
-func writeJSONFindings(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
-}
 
 // Run lints the packages matched by the patterns (resolved against the
 // module containing start) with the full rule set and returns the
@@ -57,7 +44,8 @@ func runWithChecker(c *Checker, start string, patterns []string) ([]Finding, err
 	sort.Strings(dirs)
 	var prog *Program
 	for _, dir := range dirs {
-		if path := mod.importPath(dir); determinismScope[path] || hotAllocScope[path] {
+		// taintdet reads deterministic packages, hotalloc allocFree ones.
+		if r := packageScope[mod.importPath(dir)]; r.has(deterministic) || r.has(allocFree) {
 			if prog, err = buildProgram(mod); err != nil {
 				return nil, err
 			}
@@ -87,18 +75,13 @@ func runWithChecker(c *Checker, start string, patterns []string) ([]Finding, err
 }
 
 // Main is the odblint command: lint the given package patterns
-// (default ./...) and print findings to stdout. The exit code is 0 for
-// a clean tree (or one whose findings are all covered by the baseline
-// ledger), 1 when there are new findings, and 2 on usage or load
-// errors.
+// (default ./...) and print findings to stdout, one per line. The exit
+// code is 0 for a clean tree, 1 when there are findings, and 2 on
+// usage or load errors.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odblint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the rules and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file` (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "", "subtract the waiver ledger at `file` from the findings")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline ledger from the current findings and exit 0")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: odblint [flags] [packages]\n\nRules:\n")
 		for _, a := range All() {
@@ -115,10 +98,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "odblint: -update-baseline requires -baseline <file>")
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -133,52 +112,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "odblint:", err)
 		return 2
 	}
-	if *updateBaseline {
-		if err := NewBaseline(findings).Save(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, "odblint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "odblint: wrote %s (%d finding(s) waived)\n", *baselinePath, len(findings))
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "odblint:", err)
-			return 2
-		}
-		findings = base.Filter(findings)
-	}
-	if *sarifPath != "" {
-		w := stdout
-		var f *os.File
-		if *sarifPath != "-" {
-			if f, err = os.Create(*sarifPath); err != nil {
-				fmt.Fprintln(stderr, "odblint:", err)
-				return 2
-			}
-			w = f
-		}
-		err = WriteSARIF(w, findings, All())
-		if f != nil {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "odblint:", err)
-			return 2
-		}
-	}
-	if *jsonOut {
-		if err := writeJSONFindings(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "odblint:", err)
-			return 2
-		}
-	} else if *sarifPath != "-" {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "odblint: %d finding(s)\n", len(findings))

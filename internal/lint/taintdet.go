@@ -30,7 +30,7 @@ var TaintDet = &Analyzer{
 }
 
 func runTaintDet(pass *Pass) {
-	if pass.Prog == nil || !determinismScope[pass.Path] {
+	if pass.Prog == nil || !packageScope[pass.Path].has(deterministic) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -251,7 +251,7 @@ func Validate(cfg Config) error {
 		return badField("Tuning.OtherCPI", t.OtherCPI)
 	case !(t.BusyWaitMS >= 0):
 		return badField("Tuning.BusyWaitMS", t.BusyWaitMS)
-	case t.StockLevelScan < 0:
+	case t.StockLevelScan < 0 || t.StockLevelScan > maxStockLevelScan:
 		return badField("Tuning.StockLevelScan", t.StockLevelScan)
 	case t.PrefillSampleTxns < 0:
 		return badField("Tuning.PrefillSampleTxns", t.PrefillSampleTxns)
@@ -351,6 +351,11 @@ const maxProcessors = 256
 // Comparing megabytes, not their block count, keeps the product from
 // overflowing.
 const maxBufferCacheMB = (math.MaxInt32 - 1) / (1 << 20 / odb.BlockSize)
+
+// maxStockLevelScan is the full TPC-C stock-level scan. Every
+// stock-level transaction builds one op per scanned item, so an
+// unbounded scan would exhaust memory instead of failing validation.
+const maxStockLevelScan = 200
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound
 // configurations that cannot reach the transaction target still finish.

@@ -125,6 +125,7 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = 0 }},
 		{"Machine.Bus.WindowCycles", func(c *Config) { c.Machine.Bus.WindowCycles = 0 }},
 		{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = -1 }},
+		{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = 201 }}, // past the full TPC-C scan
 		{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = -1 }},
 		{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
 		{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
