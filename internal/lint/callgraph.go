@@ -138,8 +138,8 @@ func taintSourceOf(fn *types.Func) (string, bool) {
 // deterministic.
 func buildProgram(m *Module) (*Program, error) {
 	p := &Program{mod: m, nodes: make(map[string]*graphNode), taint: make(map[string]*taintCause)}
-	paths := make([]string, 0, len(m.dirs))
-	for path := range m.dirs {
+	paths := make([]string, 0, len(m.pkgs))
+	for path := range m.pkgs {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
@@ -150,7 +150,7 @@ func buildProgram(m *Module) (*Program, error) {
 	}
 	for _, path := range paths {
 		info := m.facingInfo[path]
-		src := m.srcs[m.dirs[path]]
+		src := m.srcs[path]
 		if info == nil || src == nil {
 			continue
 		}

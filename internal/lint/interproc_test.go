@@ -85,6 +85,22 @@ func TestSimEventPathAllocRegression(t *testing.T) {
 	}
 }
 
+// TestGoCommandPackageView pins the loader to the go command's view of
+// a module tree: ./... reaches a module nested under the linted one,
+// and a file whose name restricts it to another GOOS (_plan9.go) is
+// left out, as go build leaves it out.
+func TestGoCommandPackageView(t *testing.T) {
+	got := runModuleFixture(t, "mod_nested")
+	checkGolden(t, "mod_nested", got)
+	joined := strings.Join(got, "\n")
+	if !strings.Contains(joined, "inner/inner.go") {
+		t.Errorf("the nested module was not linted:\n%s", joined)
+	}
+	if strings.Contains(joined, "_plan9.go") {
+		t.Errorf("a plan9-only file was linted:\n%s", joined)
+	}
+}
+
 // TestFindingOrderDeterministic runs the same-line corpus twice and
 // requires byte-identical findings, in the total (file, line, column,
 // rule, message) order — the cross-analyzer ordering regression test.

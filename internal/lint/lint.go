@@ -8,10 +8,11 @@
 // conventions into machine-checked rules.
 //
 // The driver is written only against the standard library (go/parser,
-// go/ast, go/types, go/token): the module has zero dependencies and
-// must stay that way, so packages are loaded and type-checked with a
-// custom module-aware importer that falls back to the stdlib source
-// importer.
+// go/ast, go/types, go/token) plus the go command: the module has zero
+// dependencies and must stay that way. `go list` names each package's
+// files and the compiled export data of the standard library; module
+// packages are type-checked from source, standard-library imports are
+// read from that export data with the gc importer.
 //
 // Findings print as "file:line: [rule] message" and any finding makes
 // the driver exit non-zero. A finding may be suppressed by a
@@ -19,7 +20,9 @@
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
 // comment on the offending line or the line directly above it; the
-// reason is mandatory.
+// reason is mandatory. A directive glued to its prefix, missing its
+// rule or reason, or naming a rule odblint does not have is itself a
+// finding and suppresses nothing.
 package lint
 
 import (
@@ -27,8 +30,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // A Finding is one rule violation at a source position. Col is the
@@ -158,15 +163,15 @@ func sortFindings(fs []Finding) {
 
 // parseDirective splits the text of a //lint:ignore comment into the
 // rules it waives and its reason; ok is false for any other comment.
-// A directive missing its rule list or its reason is malformed and
-// returns nil rules.
+// A directive with no whitespace after the prefix, or missing its rule
+// list or its reason, is malformed and returns nil rules.
 func parseDirective(text string) (rules []string, reason string, ok bool) {
-	const prefix = "//lint:ignore"
-	if !strings.HasPrefix(text, prefix) {
+	rest, ok := strings.CutPrefix(text, "//lint:ignore")
+	if !ok {
 		return nil, "", false
 	}
-	fields := strings.Fields(strings.TrimPrefix(text, prefix))
-	if len(fields) < 2 {
+	fields := strings.Fields(rest)
+	if len(fields) < 2 || strings.TrimLeftFunc(rest, unicode.IsSpace) == rest {
 		return nil, "", true
 	}
 	return strings.Split(fields[0], ","), strings.Join(fields[1:], " "), true
@@ -176,9 +181,14 @@ func parseDirective(text string) (rules []string, reason string, ok bool) {
 type directiveIndex map[string]map[int]map[string]bool
 
 // collectDirectives scans the unit's comments for //lint:ignore
-// directives. Malformed directives (missing rule or reason) are
-// returned as findings under the pseudo-rule "lint".
+// directives. A malformed directive, or one naming a rule not in All(),
+// suppresses nothing and is returned as a finding under the
+// pseudo-rule "lint".
 func collectDirectives(fset *token.FileSet, files []*ast.File) (directiveIndex, []Finding) {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	idx := make(directiveIndex)
 	var bad []Finding
 	for _, f := range files {
@@ -189,12 +199,18 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) (directiveIndex, 
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				problem := ""
 				if ruleList == nil {
+					problem = "malformed //lint:ignore directive: want \"//lint:ignore <rule> <reason>\""
+				} else if i := slices.IndexFunc(ruleList, func(r string) bool { return !known[r] }); i >= 0 {
+					problem = fmt.Sprintf("//lint:ignore names unknown rule %q; odblint -list prints the rules", ruleList[i])
+				}
+				if problem != "" {
 					bad = append(bad, Finding{
 						File: pos.Filename,
 						Line: pos.Line,
 						Rule: "lint",
-						Msg:  "malformed //lint:ignore directive: want \"//lint:ignore <rule> <reason>\"",
+						Msg:  problem,
 					})
 					continue
 				}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +15,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the expected-findings golden files")
 
-// checker is shared across tests so the standard library is
-// type-checked from source only once.
+// checker is shared across tests so each standard-library package's
+// export data is listed and read only once.
 var checker = NewChecker()
 
 // runFixture lints one testdata directory under the given import path
@@ -268,6 +271,38 @@ func TestListRules(t *testing.T) {
 	for _, a := range All() {
 		if !strings.Contains(stdout.String(), a.Name) {
 			t.Errorf("-list output missing rule %q", a.Name)
+		}
+	}
+}
+
+// TestDirectiveGrammar pins the //lint:ignore grammar: whitespace must
+// follow the prefix, and every waived rule must be one odblint has. A
+// directive that breaks either rule is a [lint] finding and suppresses
+// nothing, so a typo in a waiver cannot fail silently.
+func TestDirectiveGrammar(t *testing.T) {
+	cases := []struct {
+		comment string
+		bad     string // substring of the [lint] finding; "" for a valid waiver
+	}{
+		{"//lint:ignore floateq exact sentinel value", ""},
+		{"//lint:ignore\tfloateq,maporder\ttab separated", ""},
+		{"//lint:ignorefloateq glued reason", "malformed"},
+		{"//lint:ignore floatq typo", `unknown rule "floatq"`},
+		{"//lint:ignore floateq,lint waiving the driver", `unknown rule "lint"`},
+	}
+	for _, tc := range cases {
+		src := "package p\n\n" + tc.comment + "\nvar X = 1\n"
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, bad := collectDirectives(fset, []*ast.File{file})
+		switch {
+		case tc.bad == "" && (len(bad) != 0 || len(idx) != 1):
+			t.Errorf("%q: want an indexed waiver, got findings %v, index %v", tc.comment, bad, idx)
+		case tc.bad != "" && (len(bad) != 1 || bad[0].Rule != "lint" || !strings.Contains(bad[0].Msg, tc.bad) || len(idx) != 0):
+			t.Errorf("%q: want one [lint] finding containing %q and no waiver, got findings %v, index %v", tc.comment, tc.bad, bad, idx)
 		}
 	}
 }

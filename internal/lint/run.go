@@ -6,12 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
-// Run lints the packages matched by the patterns (resolved against the
-// module containing start) with the full rule set and returns the
-// findings, sorted, with file paths relative to start when possible.
+// Run lints the packages the patterns match (see LoadModule) with the
+// full rule set and returns the findings, sorted, with file paths
+// relative to start when possible.
 // The module-wide call graph is built only when an analyzed package is
 // in an interprocedural rule's scope, so linting a leaf fixture stays
 // cheap.
@@ -21,31 +20,16 @@ func Run(start string, patterns []string) ([]Finding, error) {
 }
 
 // runWithChecker is Run with a caller-owned Checker, letting tests
-// share one stdlib type-check across many module loads.
+// share the standard library's export data across many module loads.
 func runWithChecker(c *Checker, start string, patterns []string) ([]Finding, error) {
-	mod, err := LoadModule(c, start)
+	mod, err := LoadModule(c, start, patterns)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
-	var dirs []string
-	for _, pat := range patterns {
-		expanded, err := mod.Expand(pat)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range expanded {
-			if !seen[d] {
-				seen[d] = true
-				dirs = append(dirs, d)
-			}
-		}
-	}
-	sort.Strings(dirs)
 	var prog *Program
-	for _, dir := range dirs {
+	for _, p := range mod.targets {
 		// taintdet reads deterministic packages, hotalloc allocFree ones.
-		if r := packageScope[mod.importPath(dir)]; r.has(deterministic) || r.has(allocFree) {
+		if r := packageScope[p.ImportPath]; r.has(deterministic) || r.has(allocFree) {
 			if prog, err = buildProgram(mod); err != nil {
 				return nil, err
 			}
@@ -54,8 +38,8 @@ func runWithChecker(c *Checker, start string, patterns []string) ([]Finding, err
 	}
 	analyzers := All()
 	var findings []Finding
-	for _, dir := range dirs {
-		units, err := mod.LoadUnits(dir)
+	for _, p := range mod.targets {
+		units, err := mod.LoadUnits(p)
 		if err != nil {
 			return nil, err
 		}

@@ -4,15 +4,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzSuppressionDirective hammers the //lint:ignore parser with
 // arbitrary comment text. The invariants: collectDirectives never
-// panics, a directive missing its rule or reason is always reported as
-// a [lint] finding (and suppresses nothing), and a well-formed
-// directive is always indexed.
+// panics; a directive glued to its prefix, missing its rule or reason,
+// or naming a rule odblint does not have is always reported as a
+// [lint] finding (and suppresses nothing); and a well-formed directive
+// is always indexed.
 func FuzzSuppressionDirective(f *testing.F) {
 	// Seeds: the shapes from testdata/suppress and testdata/malformed,
 	// plus the edge cases the grammar invites.
@@ -26,6 +29,7 @@ func FuzzSuppressionDirective(f *testing.F) {
 	f.Add("//lint:ignore\tfloateq\ttabs as separators")
 	f.Add("//lint:ignore floateq  ")
 	f.Add("// lint:ignore floateq leading space disarms")
+	f.Add("//lint:ignore floatq misspelt rule")
 	f.Fuzz(func(t *testing.T, comment string) {
 		if strings.ContainsAny(comment, "\n\r") || !strings.HasPrefix(comment, "//") {
 			t.Skip()
@@ -43,9 +47,13 @@ func FuzzSuppressionDirective(f *testing.F) {
 			}
 			return
 		}
-		rest := strings.TrimSpace(strings.TrimPrefix(comment, "//lint:ignore"))
-		if len(strings.Fields(rest)) < 2 {
-			// Malformed: must be a [lint] finding and must not index.
+		rest := strings.TrimPrefix(comment, "//lint:ignore")
+		fields := strings.Fields(rest)
+		glued := strings.TrimLeftFunc(rest, unicode.IsSpace) == rest
+		if len(fields) < 2 || glued || slices.ContainsFunc(strings.Split(fields[0], ","), func(r string) bool {
+			return !slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == r })
+		}) {
+			// Malformed or unknown rule: must be a [lint] finding and must not index.
 			if len(bad) != 1 || bad[0].Rule != "lint" {
 				t.Fatalf("malformed directive %q: want one [lint] finding, got %v", comment, bad)
 			}

@@ -386,9 +386,6 @@ func (s *Scheduler) PerCPUBusyCycles() []float64 {
 	return out
 }
 
-// Busy reports whether a CPU is currently executing a process.
-func (s *Scheduler) Busy(cpu int) bool { return !s.cpus[cpu].idle }
-
 // ResetStats begins a new measurement period.
 func (s *Scheduler) ResetStats() {
 	s.stats = Stats{}

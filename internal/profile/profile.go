@@ -307,54 +307,6 @@ func sortFrames(frames []FrameCounters) {
 	})
 }
 
-// Merge sums profiles frame by frame; metadata is taken from the first
-// profile with the label overridden and run lengths summed. Sweep-point
-// profiles with the same machine and tuning merge into a campaign-wide
-// profile.
-func Merge(label string, profiles ...*Profile) *Profile {
-	out := &Profile{}
-	byKey := map[[3]string]int{}
-	first := true
-	var elapsed float64
-	var txns uint64
-	for _, p := range profiles {
-		if p == nil {
-			continue
-		}
-		if first {
-			out.Meta = p.Meta
-			first = false
-		}
-		elapsed += p.Meta.ElapsedSeconds
-		txns += p.Meta.Txns
-		for i := range p.Frames {
-			f := p.Frames[i]
-			key := [3]string{f.Txn, f.Phase, f.Mode}
-			idx, ok := byKey[key]
-			if !ok {
-				byKey[key] = len(out.Frames)
-				out.Frames = append(out.Frames, f)
-				continue
-			}
-			dst := &out.Frames[idx]
-			dst.Instr += f.Instr
-			dst.Cycles += f.Cycles
-			dst.TCMiss += f.TCMiss
-			dst.L2Miss += f.L2Miss
-			dst.L3Miss += f.L3Miss
-			dst.CoherMiss += f.CoherMiss
-			dst.TLBMiss += f.TLBMiss
-			dst.Mispred += f.Mispred
-			dst.BusLatency += f.BusLatency
-		}
-	}
-	sortFrames(out.Frames)
-	out.Meta.Label = label
-	out.Meta.ElapsedSeconds = elapsed
-	out.Meta.Txns = txns
-	return out
-}
-
 // Encode writes the profile as indented JSON.
 func (p *Profile) Encode(w io.Writer) error {
 	sortFrames(p.Frames)

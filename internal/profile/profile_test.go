@@ -181,22 +181,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMerge checks frame-wise summation and metadata handling.
-func TestMerge(t *testing.T) {
-	a := sampleProfile(5000, 1200)
-	b := sampleProfile(3000, 800)
-	m := Merge("merged", a, b, nil)
-	if m.Meta.Label != "merged" || m.Meta.Txns != 20 || m.Meta.ElapsedSeconds != 3 {
-		t.Errorf("meta = %+v", m.Meta)
-	}
-	if got := m.TotalCycles(); got != 10000 {
-		t.Errorf("merged cycles %f, want 10000", got)
-	}
-	if got := m.TotalInstr(); got != 3000 {
-		t.Errorf("merged instr %d, want 3000", got)
-	}
-}
-
 // TestDiff checks share deltas and deterministic ordering.
 func TestDiff(t *testing.T) {
 	a := sampleProfile(5000, 1200) // btree share 5000/6200

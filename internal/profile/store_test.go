@@ -33,13 +33,6 @@ func TestStore(t *testing.T) {
 	if s.Get("W=2,P=1") == nil || s.Get("missing") != nil {
 		t.Error("Get misbehaves")
 	}
-	var ps []*profile.Profile
-	for _, k := range keys {
-		ps = append(ps, s.Get(k))
-	}
-	if merged := profile.Merge("campaign", ps...); merged.TotalCycles() != 10000 {
-		t.Errorf("merged cycles %f", merged.TotalCycles())
-	}
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
