@@ -2,7 +2,6 @@ package live
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,7 +57,7 @@ func TestContentTypeHeaders(t *testing.T) {
 }
 
 // TestHealthzEndpoint checks the health payload carries run state and
-// sample counts, and that sources without a HealthSource still answer.
+// sample counts.
 func TestHealthzEndpoint(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.Config{})
 	rec.SetTarget(50)
@@ -86,26 +85,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	if h.Status != "ok" || h.Phase != "measure" || h.TargetTxns != 50 || h.TimelineSamples != 2 || h.LatencySpans != 1 {
 		t.Errorf("/healthz payload = %+v", h)
 	}
-
-	// A source without WriteHealth still serves a minimal payload.
-	bare := httptest.NewServer(NewMux(bareSource{rec}))
-	defer bare.Close()
-	body, ct, err := httpGet(bare.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct != contentTypeJSON || !strings.Contains(body, "\"status\":\"ok\"") {
-		t.Errorf("fallback /healthz = %q (%s)", body, ct)
-	}
 }
-
-// bareSource hides the recorder's optional interfaces behind the
-// minimal Source shape.
-type bareSource struct{ src Source }
-
-func (b bareSource) WriteMetrics(w io.Writer) error  { return b.src.WriteMetrics(w) }
-func (b bareSource) WriteTimeline(w io.Writer) error { return b.src.WriteTimeline(w) }
-func (b bareSource) WriteProgress(w io.Writer) error { return b.src.WriteProgress(w) }
 
 // TestBottlenecksEndpoint checks /bottlenecks appears exactly when the
 // source carries queueing reports, serving the pending marker before the

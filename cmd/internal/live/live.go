@@ -22,6 +22,8 @@ type Source interface {
 	WriteMetrics(io.Writer) error
 	WriteTimeline(io.Writer) error
 	WriteProgress(io.Writer) error
+	// WriteHealth renders /healthz: run state plus sample counts.
+	WriteHealth(io.Writer) error
 }
 
 // Endpoint is one extra JSON document served next to the flight
@@ -30,13 +32,6 @@ type Source interface {
 type Endpoint struct {
 	Path  string
 	Write func(io.Writer) error
-}
-
-// HealthSource lets a source provide a richer /healthz payload (run
-// state plus sample counts); sources without it get a minimal static
-// one.
-type HealthSource interface {
-	WriteHealth(io.Writer) error
 }
 
 // TimelineCSVSource lets a source serve /timeline?format=csv; sources
@@ -67,7 +62,7 @@ func handler(contentType string, write func(io.Writer) error) http.HandlerFunc {
 }
 
 // NewMux routes the flight-recorder endpoints over src plus each extra
-// endpoint. /healthz is always present.
+// endpoint.
 func NewMux(src Source, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", handler(contentTypeOM, src.WriteMetrics))
@@ -85,14 +80,7 @@ func NewMux(src Source, extra ...Endpoint) *http.ServeMux {
 		mux.HandleFunc("/timeline", timelineJSON)
 	}
 	mux.HandleFunc("/progress", handler(contentTypeJSON, src.WriteProgress))
-	if hs, ok := src.(HealthSource); ok {
-		mux.HandleFunc("/healthz", handler(contentTypeJSON, hs.WriteHealth))
-	} else {
-		mux.HandleFunc("/healthz", handler(contentTypeJSON, func(w io.Writer) error {
-			_, err := io.WriteString(w, "{\"status\":\"ok\"}\n")
-			return err
-		}))
-	}
+	mux.HandleFunc("/healthz", handler(contentTypeJSON, src.WriteHealth))
 	index := "odbscale flight recorder: /metrics /timeline /progress /healthz"
 	for _, ep := range extra {
 		mux.HandleFunc(ep.Path, handler(contentTypeJSON, ep.Write))

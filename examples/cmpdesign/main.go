@@ -8,11 +8,10 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
-	"odbscale"
+	"odbscale/internal/system"
 )
 
 func main() {
@@ -45,9 +44,9 @@ func main() {
 	fmt.Println("coherence optimizations.")
 }
 
-func runPoint(w, p, l3MB int) odbscale.Metrics {
-	c := odbscale.HeuristicClients(w, p)
-	cfg := odbscale.DefaultConfig(w, c, p)
+func runPoint(w, p, l3MB int) system.Metrics {
+	c := system.HeuristicClients(w, p)
+	cfg := system.DefaultConfig(w, c, p)
 	cfg.MeasureTxns = 1500
 	if l3MB > 0 {
 		cfg.Machine.Geometry.L3Size = l3MB << 20
@@ -55,7 +54,7 @@ func runPoint(w, p, l3MB int) odbscale.Metrics {
 			cfg.Machine.Geometry.L3Ways = 12
 		}
 	}
-	m, err := odbscale.Run(context.Background(), cfg)
+	m, err := system.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

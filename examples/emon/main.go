@@ -9,24 +9,24 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
-	"odbscale"
+	"odbscale/internal/perfmon"
+	"odbscale/internal/system"
 )
 
 func main() {
-	cfg := odbscale.DefaultConfig(100, 32, 4)
+	cfg := system.DefaultConfig(100, 32, 4)
 	cfg.MeasureTxns = 2000
 
 	// A compressed schedule (0.1 s windows, 6 rotations) keeps the run
 	// short; the paper used 10 s windows over a 10-minute measurement.
-	emon := odbscale.DefaultEMONConfig(cfg.Machine.FreqHz)
+	emon := perfmon.DefaultConfig(cfg.Machine.FreqHz)
 	emon.Window /= 100
 
-	var results []odbscale.EMONResult
-	m, err := odbscale.Run(context.Background(), cfg, odbscale.WithEMON(emon, &results))
+	var results []perfmon.Result
+	m, err := system.Run(context.Background(), cfg, system.WithEMON(emon, &results))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func main() {
 		windows, m.ElapsedSeconds)
 	fmt.Printf("%-22s %-26s %12s %12s\n", "event", "EMON name", "mean", "95% CI")
 	for _, r := range results {
-		alias, emonName, _ := odbscale.EMONEventInfo(r.Event)
 		if len(r.Samples) == 0 {
 			continue
 		}
-		fmt.Printf("%-22s %-26s %12.6f %12.6f\n", alias, emonName, r.Mean, r.CI95)
+		d := perfmon.Table2[r.Event]
+		fmt.Printf("%-22s %-26s %12.6f %12.6f\n", d.Alias, d.EMONEvent, r.Mean, r.CI95)
 	}
 
 	fmt.Println("\nexact bookkeeping for comparison:")

@@ -15,7 +15,10 @@ import (
 	"math"
 	"os"
 
-	"odbscale"
+	"odbscale/internal/campaign"
+	"odbscale/internal/experiment"
+	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 )
 
 func main() {
@@ -26,21 +29,23 @@ func main() {
 	// point, a progress line tracks it live, and a checkpoint makes the
 	// sweep resumable if interrupted (rerun to pick up where it left off).
 	ctx := context.Background()
-	spec := odbscale.DefaultCampaignSpec(ws, []int{p})
+	spec := experiment.DefaultSpec(ws, []int{p})
 	spec.AutoTune = false // heuristic clients keep the example brisk
 	spec.MeasureTxns = 2000
 	spec.CheckpointPath = "pivotstudy.checkpoint.json"
 	spec.Resume = true
-	spec.Observer = odbscale.NewCampaignProgress(os.Stderr, len(ws))
+	spec.Observer = campaign.NewProgress(os.Stderr, len(ws))
 
 	fmt.Printf("sweeping W=%v on %s (%dP)...\n", ws, spec.Machine.Name, p)
-	res, err := odbscale.RunCampaign(ctx, spec)
+	res, err := campaign.Run(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(spec.CheckpointPath) // campaign complete: drop the checkpoint
+	// Campaign complete: drop the checkpoint and the manifest beside it.
+	defer os.Remove(spec.CheckpointPath)
+	defer os.Remove(telemetry.ManifestPath(spec.CheckpointPath))
 
-	char, err := odbscale.CharacterizeCampaign(res, p)
+	char, err := experiment.Characterize(res, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,9 +66,9 @@ func main() {
 	predicted := char.CPI.Extrapolate(target)
 	fmt.Printf("\nextrapolated CPI at %dW: %.3f\n", target, predicted)
 
-	cfg := odbscale.DefaultConfig(target, 64, p)
+	cfg := system.DefaultConfig(target, 64, p)
 	cfg.MeasureTxns = 2000
-	m, err := odbscale.Run(ctx, cfg)
+	m, err := system.Run(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,18 +5,18 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
-	"odbscale"
+	"odbscale/internal/core"
+	"odbscale/internal/system"
 )
 
 func main() {
 	// 100 warehouses, 32 clients, 4 processors — a mid-sized setup near
 	// the cached-to-scaled transition.
-	cfg := odbscale.DefaultConfig(100, 32, 4)
-	m, err := odbscale.Run(context.Background(), cfg)
+	cfg := system.DefaultConfig(100, 32, 4)
+	m, err := system.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("throughput:    %.0f transactions/second (%.0f measured over %.2f s)\n",
 		m.TPS, float64(m.Txns), m.ElapsedSeconds)
 
-	law := odbscale.IronLaw{
+	law := core.IronLaw{
 		Processors:  m.Processors,
 		FrequencyHz: cfg.Machine.FreqHz,
 		IPX:         m.IPX,

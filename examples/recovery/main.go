@@ -10,20 +10,21 @@ import (
 	"fmt"
 	"log"
 
-	"odbscale"
+	"odbscale/internal/odb"
+	"odbscale/internal/xrand"
 )
 
 const warehouses = 3
 
 func main() {
-	layout := odbscale.NewLayout(warehouses)
+	layout := odb.NewLayout(warehouses)
 	fmt.Printf("database: %d warehouses, %.0f MB across %d blocks\n",
 		warehouses, layout.SizeMB(), layout.TotalBlocks())
 
 	// A deliberately tiny buffer cache forces dirty evictions, so pages
 	// constantly travel buffer -> disk image and back while running.
-	store := odbscale.NewFunctionalStore(layout, 128)
-	gen := odbscale.NewTxnGenerator(layout, 42)
+	store := odb.NewStore(layout, 128)
+	gen := odb.NewGenerator(layout, xrand.New(42))
 
 	const txns = 5000
 	for i := 0; i < txns; i++ {
@@ -71,12 +72,12 @@ type totals struct {
 	districtYTD  int64
 }
 
-func conservation(s *odbscale.FunctionalStore) totals {
+func conservation(s *odb.Store) totals {
 	var t totals
 	for w := 0; w < warehouses; w++ {
-		t.warehouseYTD += s.Counter(odbscale.TableWarehouse, uint64(w))
+		t.warehouseYTD += s.Counter(odb.TableWarehouse, uint64(w))
 		for d := 0; d < 10; d++ {
-			t.districtYTD += s.Counter(odbscale.TableDistrict, uint64(w*10+d))
+			t.districtYTD += s.Counter(odb.TableDistrict, uint64(w*10+d))
 		}
 	}
 	return t

@@ -538,8 +538,8 @@ func (r *Runner) tunePoint(ctx context.Context, pl *pool, ck *ckStore, em *emitt
 
 // RunAll executes the configurations through one bounded pool and
 // returns their metrics in input order — the campaign scheduling
-// substrate exposed for batch jobs like seeded replication. The first
-// error cancels the remaining runs.
+// substrate exposed for batch jobs. The first error cancels the
+// remaining runs.
 func RunAll(ctx context.Context, parallelism int, cfgs []system.Config) ([]system.Metrics, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -68,16 +68,6 @@ func (l IronLaw) Verify(measuredTPS, tolerance float64) error {
 	return nil
 }
 
-// Speedup returns the throughput ratio of two iron-law operating points
-// (for example, the same workload on more processors).
-func Speedup(after, before IronLaw) float64 {
-	b := before.TPS()
-	if b <= 0 {
-		return 0
-	}
-	return after.TPS() / b
-}
-
 // ScalingFit is the two-region characterization of one metric over the
 // warehouse axis.
 type ScalingFit struct {

@@ -77,18 +77,6 @@ func TestIronLawProportionalityQuick(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	a := IronLaw{Processors: 4, FrequencyHz: 1e9, IPX: 1e6, CPI: 4, Utilization: 1}
-	b := IronLaw{Processors: 1, FrequencyHz: 1e9, IPX: 1e6, CPI: 3, Utilization: 1}
-	// 4P at CPI 4 vs 1P at CPI 3: speedup = 4 * 3/4 = 3.
-	if got := Speedup(a, b); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("Speedup = %v, want 3", got)
-	}
-	if Speedup(a, IronLaw{}) != 0 {
-		t.Fatal("speedup over zero baseline should be 0")
-	}
-}
-
 func synthSeries(name string, pivot, s1, s2, i1 float64) stats.Series {
 	ser := stats.Series{Name: name}
 	i2 := i1 + s1*pivot - s2*pivot

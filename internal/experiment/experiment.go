@@ -2,7 +2,7 @@
 // campaign results into its tables and figures: DefaultSpec describes
 // the ≥90%-utilization tuned warehouse × processor sweep (Table 1), the
 // figure and table assemblers read the campaign.Result it produces
-// (Sections 4-6), and Replicate measures run-to-run spread.
+// (Sections 4-6).
 //
 // Sweeps themselves run through the campaign package: campaign.Spec
 // describes one, campaign.Run executes it on the shared worker pool and

@@ -69,6 +69,9 @@ func TestDefaultSpec(t *testing.T) {
 	if got.Warehouses[0] != 10 || got.Processors[0] != 1 {
 		t.Fatal("DefaultSpec aliases the caller's axes")
 	}
+	if len(StandardWarehouses) < 8 || !reflect.DeepEqual(StandardProcessors, []int{1, 2, 4}) {
+		t.Fatalf("standard axes W=%v P=%v", StandardWarehouses, StandardProcessors)
+	}
 }
 
 func TestTunerReachesTarget(t *testing.T) {

@@ -40,15 +40,19 @@ const pageHeader = 8
 // NewStore builds a store over layout l with a buffer cache of the given
 // block capacity.
 func NewStore(l *Layout, cacheBlocks int) *Store {
-	return &Store{
-		L: l,
-		cache: buffercache.New(buffercache.Config{
-			Blocks:    cacheBlocks,
-			BlockSize: BlockSize,
-			Payloads:  true,
-		}),
-		disk: make(map[BlockID][]byte),
-	}
+	s := &Store{L: l, disk: make(map[BlockID][]byte)}
+	s.resetCache(cacheBlocks)
+	return s
+}
+
+// resetCache replaces the buffer cache with an empty one of the given
+// capacity, dropping every buffered page, clean or dirty.
+func (s *Store) resetCache(blocks int) {
+	s.cache = buffercache.New(buffercache.Config{
+		Blocks:    blocks,
+		BlockSize: BlockSize,
+		Payloads:  true,
+	})
 }
 
 // Cache exposes the underlying buffer cache (for statistics).
@@ -144,18 +148,14 @@ func (s *Store) Checkpoint() int {
 
 // Crash simulates an instant failure: every buffered page — clean or
 // dirty — is lost; only the persistent image and the redo log survive.
-func (s *Store) Crash() {
-	s.cache = buffercache.New(buffercache.Config{
-		Blocks:    s.cache.Capacity(),
-		BlockSize: BlockSize,
-		Payloads:  true,
-	})
-}
+func (s *Store) Crash() { s.resetCache(s.cache.Capacity()) }
 
 // Recover replays the redo log against the persistent image, skipping
 // records already reflected in a page's LSN, and returns the number of
-// records applied.
+// records applied. It starts from an empty buffer cache: a page read
+// since the crash holds the image from before the replay.
 func (s *Store) Recover() int {
+	s.resetCache(s.cache.Capacity())
 	// Replay in LSN order (the log is already ordered, but be explicit).
 	recs := make([]RedoRecord, len(s.redo))
 	copy(recs, s.redo)

@@ -40,7 +40,6 @@ func TestCrashWithoutCheckpointRecoversFromRedo(t *testing.T) {
 	if got := s.Counter(TableWarehouse, 0); got != 0 {
 		t.Fatalf("pre-recovery counter = %d, want 0 (lost)", got)
 	}
-	s.Crash() // reset the cache again after peeking
 	applied := s.Recover()
 	if applied != 2 {
 		t.Fatalf("applied = %d, want 2", applied)
@@ -50,6 +49,30 @@ func TestCrashWithoutCheckpointRecoversFromRedo(t *testing.T) {
 	}
 	if got := s.Counter(TableCustomer, 7); got != -500 {
 		t.Fatalf("recovered customer = %d", got)
+	}
+}
+
+// TestRecoverDropsPagesReadAfterCrash updates one stock row on each of
+// twelve pages through a four-block cache, so the crash loses the last
+// four updates while the first eight reached the image by eviction. It
+// then reads every row back, leaving those four pages buffered with
+// their pre-recovery images, and checks, most recent page first, that
+// recovery serves the replayed values.
+func TestRecoverDropsPagesReadAfterCrash(t *testing.T) {
+	s := NewStore(NewLayout(1), 4)
+	perBlock := s.L.Heap(TableStock).RowsPerBlock()
+	for i := uint64(0); i < 12; i++ {
+		s.AddCounter(TableStock, i*perBlock, int64(i+1))
+	}
+	s.Crash()
+	for i := uint64(0); i < 12; i++ {
+		s.Counter(TableStock, i*perBlock)
+	}
+	s.Recover()
+	for i := uint64(12); i > 0; i-- {
+		if got := s.Counter(TableStock, (i-1)*perBlock); got != int64(i) {
+			t.Fatalf("recovered stock page %d = %d, want %d", i-1, got, i)
+		}
 	}
 }
 

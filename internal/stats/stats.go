@@ -40,31 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Summary holds the summary statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes summary statistics for xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	return s
-}
-
 // CI95 returns the half-width of an approximate 95% confidence interval for
 // the mean of xs, using the normal critical value (the paper repeats each
 // measurement six times, so we follow the same small-sample convention).

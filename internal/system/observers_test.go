@@ -131,3 +131,37 @@ func TestObserversIndependent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunObservers measures each observer's cost on one mid-sized
+// configuration (W=200, P=4, 1,200 measured transactions): "bare" is the
+// plain simulator, the cost of one data point, and every other case
+// attaches one observer. The observability contract is that each stays
+// within 2% of "bare".
+func BenchmarkRunObservers(b *testing.B) {
+	cfg := DefaultConfig(200, HeuristicClients(200, 4), 4)
+	cfg.MeasureTxns = 1200
+	cfg.WarmupTxns = 300
+	cases := []struct {
+		name   string
+		attach func() []Option
+	}{
+		{"bare", func() []Option { return nil }},
+		{"recorder", func() []Option { return []Option{WithRecorder(telemetry.NewRecorder(telemetry.Config{}))} }},
+		{"profiler", func() []Option { return []Option{WithProfiler(profile.NewCollector())} }},
+		{"spans", func() []Option { return []Option{WithSpans(txtrace.NewTracer(txtrace.Config{}))} }},
+		{"qstats", func() []Option { return []Option{WithQueueStats(qstats.NewCollector())} }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var m Metrics
+			for i := 0; i < b.N; i++ {
+				var err error
+				if m, err = Run(context.Background(), cfg, c.attach()...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(m.TPS, "TPS")
+		})
+	}
+}

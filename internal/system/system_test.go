@@ -379,6 +379,9 @@ func TestItaniumPreset(t *testing.T) {
 	xeon := fastConfig(200, 30, 4)
 	it := xeon
 	it.Machine = Itanium2Quad()
+	if it.Machine.Geometry.L3Size <= xeon.Machine.Geometry.L3Size {
+		t.Fatal("Itanium2 must have the larger L3")
+	}
 	mx := run(t, xeon)
 	mi := run(t, it)
 	// The 3 MB L3 must lower the miss rate and CPI at this size.
