@@ -11,14 +11,18 @@
 // write real bytes (used by the small-scale examples and recovery tests).
 //
 // Memory follows residency, not capacity. Entries live in an arena of
-// fixed-size pages, allocated one at a time as blocks are installed and
+// 32 KiB pages, allocated one at a time as blocks are installed and
 // never moved, so a pinned *Entry stays valid across later installs.
-// Entries are linked into the LRU and dirty chains by int32 arena
-// indices and hold no pointers, so the garbage collector never scans the
-// arena; payload pages sit in a side slice reached through Page. Blocks
-// are found through an open-addressed table of int32 arena indices
-// (linear probing, backward-shift deletion) that starts small and
-// doubles past half full.
+// An entry is 32 bytes, so two fill one 64-byte host cache line and none
+// straddles two. Entries are linked into the LRU and dirty chains by
+// int32 arena indices and hold no pointers, so the garbage collector
+// never scans the arena; payload pages sit in a side slice reached
+// through Page. An entry does not store its own arena index: Lookup and
+// Install know it, and MarkDirty and Page recover it from the last entry
+// handed out or, failing that, by finding the entry's block. Blocks are
+// found through an open-addressed table of int32 arena indices (linear
+// probing, backward-shift deletion) that starts small and doubles past
+// half full.
 package buffercache
 
 import (
@@ -58,7 +62,7 @@ const (
 
 const (
 	pageShift = 10             // log2 of the entries per arena page
-	pageLen   = 1 << pageShift // 1,024 entries, 40 KiB per page
+	pageLen   = 1 << pageShift // 1,024 32-byte entries, 32 KiB per page
 	pageMask  = pageLen - 1
 
 	minSlots = 1 << 10 // the index's first size, unless the capacity needs fewer
@@ -69,9 +73,8 @@ const (
 // the garbage collector.
 type Entry struct {
 	ID    BlockID
-	touch uint64 // get-counter value at the last Lookup/Install
+	touch uint32 // low 32 bits of the get counter at the last Lookup/Install
 	pins  int32
-	self  int32 // this entry's arena index
 
 	prev, next           int32 // LRU chain
 	dirtyPrev, dirtyNext int32 // dirty chain (aged order)
@@ -91,6 +94,7 @@ type Cache struct {
 	dirtyHead, dirtyTail int32 // dirtyTail = oldest dirty
 	size                 int   // resident blocks, the arena's used prefix
 	dirtyCount           int
+	last                 int32 // arena index of the entry Lookup or Install last returned
 
 	stats Stats
 }
@@ -113,6 +117,7 @@ func New(cfg Config) *Cache {
 		tail:      none,
 		dirtyHead: none,
 		dirtyTail: none,
+		last:      none,
 	}
 	c.rehash(min(minSlots, slotsFor(cfg.Blocks)))
 	return c
@@ -143,12 +148,32 @@ func (c *Cache) at(i int32) *Entry {
 	return &c.arena[i>>pageShift][i&pageMask]
 }
 
+// index returns the arena index of resident entry e: the last entry
+// handed out, as it is right after the Lookup or Install that pinned e,
+// or else the one the index finds for e's block.
+func (c *Cache) index(e *Entry) int32 {
+	if c.last != none && c.at(c.last) == e {
+		return c.last
+	}
+	_, i := c.find(e.ID)
+	return i
+}
+
 // Page returns e's payload page, or nil outside payload mode.
 func (c *Cache) Page(e *Entry) []byte {
 	if !c.cfg.Payloads {
 		return nil
 	}
-	return c.data[e.self]
+	return c.data[c.index(e)]
+}
+
+// pageAt returns the payload page at arena index i, or nil outside
+// payload mode.
+func (c *Cache) pageAt(i int32) []byte {
+	if !c.cfg.Payloads {
+		return nil
+	}
+	return c.data[i]
 }
 
 // --- open-addressed index ---
@@ -220,14 +245,15 @@ func (c *Cache) lruRemove(e *Entry) {
 	}
 }
 
-func (c *Cache) lruPushFront(e *Entry) {
+// lruPushFront makes e, at arena index i, the MRU block.
+func (c *Cache) lruPushFront(e *Entry, i int32) {
 	e.prev, e.next = none, c.head
 	if c.head != none {
-		c.at(c.head).prev = e.self
+		c.at(c.head).prev = i
 	} else {
-		c.tail = e.self
+		c.tail = i
 	}
-	c.head = e.self
+	c.head = i
 }
 
 // --- dirty chain (append new at head; tail is the oldest) ---
@@ -247,14 +273,15 @@ func (c *Cache) dirtyRemove(e *Entry) {
 	c.dirtyCount--
 }
 
-func (c *Cache) dirtyPushFront(e *Entry) {
+// dirtyPushFront makes e, at arena index i, the newest dirty block.
+func (c *Cache) dirtyPushFront(e *Entry, i int32) {
 	e.dirtyPrev, e.dirtyNext = none, c.dirtyHead
 	if c.dirtyHead != none {
-		c.at(c.dirtyHead).dirtyPrev = e.self
+		c.at(c.dirtyHead).dirtyPrev = i
 	} else {
-		c.dirtyTail = e.self
+		c.dirtyTail = i
 	}
-	c.dirtyHead = e.self
+	c.dirtyHead = i
 	c.dirtyCount++
 }
 
@@ -270,10 +297,11 @@ func (c *Cache) Lookup(id BlockID) *Entry {
 	e := c.at(i)
 	if i != c.head {
 		c.lruRemove(e)
-		c.lruPushFront(e)
+		c.lruPushFront(e, i)
 	}
-	e.touch = c.stats.Gets
+	e.touch = uint32(c.stats.Gets)
 	e.pins++
+	c.last = i
 	return e
 }
 
@@ -286,7 +314,7 @@ func (c *Cache) PageOf(id BlockID) []byte {
 	if i == none {
 		return nil
 	}
-	return c.Page(c.at(i))
+	return c.pageAt(i)
 }
 
 // Evicted describes a block displaced by Install. Valid reports whether an
@@ -342,7 +370,7 @@ func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
 			panic("buffercache: all blocks pinned, cannot install")
 		}
 		victim := c.at(i)
-		ev = Evicted{ID: victim.ID, Dirty: victim.dirty(), Valid: true, Data: c.Page(victim)}
+		ev = Evicted{ID: victim.ID, Dirty: victim.dirty(), Valid: true, Data: c.pageAt(i)}
 		if ev.Dirty {
 			c.dirtyRemove(victim)
 		}
@@ -356,12 +384,13 @@ func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
 		}
 	}
 	e := c.at(i)
-	*e = Entry{ID: id, touch: c.stats.Gets, pins: 1, self: i, dirtyPrev: notDirty, dirtyNext: notDirty}
+	*e = Entry{ID: id, touch: uint32(c.stats.Gets), pins: 1, dirtyPrev: notDirty, dirtyNext: notDirty}
 	if c.cfg.Payloads {
 		c.data[i] = make([]byte, c.cfg.BlockSize)
 	}
 	c.slots[s] = i + 1
-	c.lruPushFront(e)
+	c.lruPushFront(e, i)
+	c.last = i
 	return e, ev
 }
 
@@ -371,7 +400,7 @@ func (c *Cache) MarkDirty(e *Entry) {
 		panic("buffercache: MarkDirty on unpinned entry")
 	}
 	if !e.dirty() {
-		c.dirtyPushFront(e)
+		c.dirtyPushFront(e, c.index(e))
 	}
 }
 
@@ -390,12 +419,20 @@ func (c *Cache) Release(e *Entry) {
 // across calls. Hot blocks being re-dirtied stay dirty in memory instead
 // of being written over and over, as with Oracle's LRU-W writer; only
 // aged (cooled-off) dirty blocks reach the disk.
+//
+// Ages are counted modulo 2^32 gets, the width of an entry's touch
+// stamp, so they equal the get counter's full difference while no age
+// reaches 2^32. That holds across ResetStats too: a block stamped t
+// before the reset and untouched since, with the counter now at g < t,
+// ages 2^32 − (t − g), past any threshold up to 2^32 − t, as the
+// counter's uint64 difference, wrapped below zero, is past every one.
 func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 	start := len(dst)
+	now := uint32(c.stats.Gets)
 	for i := c.dirtyTail; i != none && len(dst)-start < max; {
 		e := c.at(i)
 		i = e.dirtyPrev
-		if e.pins == 0 && c.stats.Gets-e.touch >= minAge {
+		if e.pins == 0 && uint64(now-e.touch) >= minAge {
 			c.dirtyRemove(e)
 			dst = append(dst, e.ID)
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTest(blocks int) *Cache {
@@ -364,14 +365,15 @@ func TestPlainInstallHasNoScanResistance(t *testing.T) {
 	}
 }
 
-// TestEntryFitsOneCacheLine pins the arena entry at 40 bytes with no
-// pointer fields: the garbage collector never scans the arena, and the
-// block ID a probe compares sits in the entry's first eight bytes, so it
-// never straddles a cache line.
+// TestEntryFitsOneCacheLine pins the arena entry at 32 bytes with no
+// pointer fields: the garbage collector never scans the arena, and two
+// entries fill one 64-byte cache line with neither straddling two, so a
+// probe's compare of the block ID and the chain updates that follow it
+// touch a single line.
 func TestEntryFitsOneCacheLine(t *testing.T) {
 	typ := reflect.TypeOf(Entry{})
-	if size := typ.Size(); size > 40 {
-		t.Fatalf("Entry is %d bytes, want at most 40", size)
+	if size := unsafe.Sizeof(Entry{}); size != 32 {
+		t.Fatalf("Entry is %d bytes, want 32", size)
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		switch f := typ.Field(i); f.Type.Kind() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -192,6 +193,8 @@ func (c *refCache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockI
 	}
 	return dst
 }
+
+func (c *refCache) ResetStats() { c.stats = Stats{} }
 
 func (c *refCache) CleanAllDirty() []BlockID {
 	var out []BlockID
@@ -475,5 +478,74 @@ func TestArenaPagesMatchReference(t *testing.T) {
 					got.DirtyCount(), got.Stats(), want.dirtyCount, want.stats)
 			}
 		})
+	}
+}
+
+// TestResetStatsAgingMatchesReference holds CleanAgedInto's 32-bit touch
+// stamps to refCache's uint64 ones across ResetStats, which the fuzz
+// target never calls. Rounds of reads and writes over a cache smaller
+// than the blocks they touch dirty entries at many stamps; after each
+// round, and again after a reset and a few more accesses, both caches
+// clean under thresholds from zero to within 2^16 of 2^32, and every
+// batch must agree. Blocks stamped before a reset and untouched since
+// must clean under thresholds above the get counter, as the uint64
+// difference's wrap below zero cleans them in the reference.
+func TestResetStatsAgingMatchesReference(t *testing.T) {
+	cfg := Config{Blocks: 256}
+	got, want := New(cfg), newRef(cfg)
+	rng := rand.New(rand.NewSource(1))
+	access := func(id BlockID, write bool) {
+		g, r := got.Lookup(id), want.Lookup(id)
+		if (g == nil) != (r == nil) {
+			t.Fatalf("Lookup(%d) hit = %v, reference %v", id, g != nil, r != nil)
+		}
+		if g == nil {
+			var gev, rev Evicted
+			g, gev = got.Install(id)
+			r, rev = want.Install(id)
+			if gev.ID != rev.ID || gev.Dirty != rev.Dirty || gev.Valid != rev.Valid {
+				t.Fatalf("Install(%d) evicted %+v, reference %+v", id, gev, rev)
+			}
+		}
+		if write {
+			got.MarkDirty(g)
+			want.MarkDirty(r)
+		}
+		got.Release(g)
+		want.Release(r)
+	}
+	thresholds := []uint64{0, 1, 64, 1000, 4000, 1 << 20, 1 << 31, math.MaxUint32 - 1<<16}
+	var cleaned, wrapped int
+	clean := func() {
+		for _, minAge := range thresholds {
+			g := got.CleanAgedInto(nil, 16, minAge)
+			r := want.CleanAgedInto(nil, 16, minAge)
+			if fmt.Sprint(g) != fmt.Sprint(r) {
+				t.Fatalf("Gets %d: CleanAgedInto(16, %d) = %v, reference %v", got.Stats().Gets, minAge, g, r)
+			}
+			cleaned += len(g)
+			if minAge > got.Stats().Gets {
+				wrapped += len(g)
+			}
+		}
+	}
+	for round := 0; round < 8; round++ {
+		for range 1000 + rng.Intn(4000) {
+			access(BlockID(rng.Intn(384)), rng.Intn(3) == 0)
+		}
+		clean()
+		got.ResetStats()
+		want.ResetStats()
+		for range rng.Intn(64) {
+			access(BlockID(rng.Intn(384)), rng.Intn(3) == 0)
+		}
+		clean()
+		if got.DirtyCount() != want.dirtyCount || got.Stats() != want.stats {
+			t.Fatalf("round %d: DirtyCount %d, Stats %+v; reference %d, %+v",
+				round, got.DirtyCount(), got.Stats(), want.dirtyCount, want.stats)
+		}
+	}
+	if cleaned == 0 || wrapped == 0 {
+		t.Fatalf("%d blocks cleaned, %d of them stamped before a reset; want some of each", cleaned, wrapped)
 	}
 }

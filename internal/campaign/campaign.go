@@ -19,7 +19,6 @@ package campaign
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -534,45 +533,4 @@ func (r *Runner) tunePoint(ctx context.Context, pl *pool, ck *ckStore, em *emitt
 		Start:  start,
 		Target: spec.TargetUtil,
 	})
-}
-
-// RunAll executes the configurations through one bounded pool and
-// returns their metrics in input order — the campaign scheduling
-// substrate exposed for batch jobs. The first error cancels the
-// remaining runs.
-func RunAll(ctx context.Context, parallelism int, cfgs []system.Config) ([]system.Metrics, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pl := newPool(parallelism)
-	out := make([]system.Metrics, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg system.Config) {
-			defer wg.Done()
-			m, err := pl.run(ctx, defaultRun, cfg, nil)
-			out[i], errs[i] = m, err
-			if err != nil {
-				cancel()
-			}
-		}(i, cfg)
-	}
-	wg.Wait()
-	// Prefer a real failure over the context.Canceled its cancellation
-	// spread to the other runs.
-	first := -1
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first < 0 || errors.Is(errs[first], context.Canceled) && !errors.Is(err, context.Canceled) {
-			first = i
-		}
-	}
-	if first >= 0 {
-		return nil, fmt.Errorf("campaign: run %d (W=%d C=%d P=%d): %w",
-			first, cfgs[first].Warehouses, cfgs[first].Clients, cfgs[first].Processors, errs[first])
-	}
-	return out, nil
 }

@@ -653,45 +653,6 @@ func TestProgressAndEventLogOutput(t *testing.T) {
 	}
 }
 
-func TestRunAllOrderAndErrors(t *testing.T) {
-	cfgs := make([]system.Config, 3)
-	for i, w := range []int{10, 20, 30} {
-		cfgs[i] = system.DefaultConfig(w, 8, 1)
-		cfgs[i].WarmupTxns = 20
-		cfgs[i].MeasureTxns = 40
-	}
-	ms, err := RunAll(context.Background(), 2, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range ms {
-		if m.Warehouses != cfgs[i].Warehouses {
-			t.Fatalf("result %d is W=%d, want input order", i, m.Warehouses)
-		}
-	}
-
-	bad := append([]system.Config(nil), cfgs...)
-	bad[1].Clients = 0
-	_, err = RunAll(context.Background(), 2, bad)
-	if !errors.Is(err, system.ErrBadConfig) {
-		t.Fatalf("err = %v, want ErrBadConfig", err)
-	}
-	if !strings.Contains(err.Error(), "run 1") {
-		t.Fatalf("error %q does not name the failing run", err)
-	}
-}
-
-func TestRunAllCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []system.Config{system.DefaultConfig(10, 8, 1)}
-	cfgs[0].WarmupTxns = 20
-	cfgs[0].MeasureTxns = 40
-	if _, err := RunAll(ctx, 1, cfgs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // TestCampaignDeterministic guards the parallel scheduler: two runs of
 // the same spec must produce identical metrics for every point.
 func TestCampaignDeterministic(t *testing.T) {

@@ -142,6 +142,14 @@ func (in *instance) Name() string { return "lsm" }
 // relating write amplification to level count.
 func (in *instance) Levels() int { return len(in.levels) - 1 }
 
+// End returns one past the engine's last block: the bottom level's
+// extent ends the address space, for tests bounding the block IDs the
+// engine names.
+func (in *instance) End() odb.BlockID {
+	bot := &in.levels[len(in.levels)-1]
+	return bot.base + odb.BlockID(bot.blocks)
+}
+
 // keyFrac maps row (t, ord) to its fractional position in the global
 // key order.
 func (in *instance) keyFrac(t odb.TableID, ord uint64) float64 {

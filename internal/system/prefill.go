@@ -2,6 +2,8 @@ package system
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/bits"
 
 	"odbscale/internal/odb"
@@ -44,6 +46,7 @@ func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) er
 	// so the ranked blocks are the ones this engine's op streams touch.
 	sample.SetPlanner(m.se.Planner(xrand.New(m.cfg.Seed).Split(78)))
 	var tally blockTally
+	var wide odb.BlockID // every sampled block ORed, to catch one past 32 bits
 	for i := 0; i < m.cfg.Tuning.PrefillSampleTxns; i++ {
 		if i%prefillPoll == 0 {
 			if err := ctx.Err(); err != nil {
@@ -53,10 +56,15 @@ func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) er
 		txn := sample.Next(i % m.cfg.Clients)
 		for _, op := range txn.Ops {
 			if op.Kind == odb.OpRead || op.Kind == odb.OpWrite {
-				tally.add(op.Block)
+				tally.add(uint32(op.Block))
+				wide |= op.Block
 			}
 		}
 		sample.Recycle(txn)
+	}
+	if wide > math.MaxUint32 {
+		return fmt.Errorf("system: %w: the prefill sample names block %#x, past the tally's 32-bit block IDs",
+			ErrBadConfig, uint64(wide))
 	}
 	ranked, scratch := tally.distinct()
 	radixSort(ranked, scratch, false)
@@ -72,9 +80,9 @@ func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) er
 		j := 0
 		for b := uint64(0); b < total && extra > 0; b++ {
 			id := base + odb.BlockID(b)
-			for ; j < len(ranked) && ranked[j].b < id; j++ {
+			for ; j < len(ranked) && odb.BlockID(ranked[j].b) < id; j++ {
 			}
-			if j < len(ranked) && ranked[j].b == id {
+			if j < len(ranked) && odb.BlockID(ranked[j].b) == id {
 				continue
 			}
 			install(id)
@@ -88,7 +96,7 @@ func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) er
 		ranked = ranked[:capacity]
 	}
 	for i := len(ranked) - 1; i >= 0; i-- {
-		install(ranked[i].b)
+		install(odb.BlockID(ranked[i].b))
 	}
 	return nil
 }
@@ -97,9 +105,11 @@ func (m *machine) prefillEach(ctx context.Context, install func(odb.BlockID)) er
 // checks of its context.
 const prefillPoll = 256
 
-// counted is a sampled block and its reference count.
+// counted is a sampled block and its reference count. The block is its
+// absolute ID, which Validate's warehouse bound keeps below 2^32 on every
+// engine, so a slot is 8 bytes.
 type counted struct {
-	b odb.BlockID
+	b uint32
 	f uint32
 }
 
@@ -117,12 +127,12 @@ type blockTally struct {
 const tallyMinSlots = 1 << 10
 
 // home returns b's first slot (Fibonacci hashing).
-func (t *blockTally) home(b odb.BlockID) int {
+func (t *blockTally) home(b uint32) int {
 	return int((uint64(b) * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
 // add counts one reference to b.
-func (t *blockTally) add(b odb.BlockID) {
+func (t *blockTally) add(b uint32) {
 	if t.slots == nil {
 		t.resize(tallyMinSlots)
 	}
@@ -178,11 +188,11 @@ func (t *blockTally) distinct() (blocks, scratch []counted) {
 
 // sortKey is c's radix key: its block, or, by frequency, its count's
 // complement, so that the highest count sorts first.
-func sortKey(c counted, byFreq bool) uint64 {
+func sortKey(c counted, byFreq bool) uint32 {
 	if byFreq {
-		return uint64(^c.f)
+		return ^c.f
 	}
-	return uint64(c.b)
+	return c.b
 }
 
 // radixSort sorts s stably by sortKey ascending: a least-significant-
@@ -192,7 +202,7 @@ func radixSort(s, scratch []counted, byFreq bool) {
 	if len(s) == 0 {
 		return
 	}
-	var counts [8][256]int
+	var counts [4][256]int
 	for _, c := range s {
 		k := sortKey(c, byFreq)
 		for d := range counts {

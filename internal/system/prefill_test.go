@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"odbscale/internal/engine"
 	"odbscale/internal/odb"
@@ -139,10 +140,10 @@ func TestPrefillMatchesReference(t *testing.T) {
 // that differ in every byte and on keys that share all but one.
 func TestRadixSortOrder(t *testing.T) {
 	rng := xrand.New(1)
-	for _, spread := range []uint64{1 << 63, 1 << 8, 3} {
+	for _, spread := range []uint64{1 << 32, 1 << 8, 3} {
 		s := make([]counted, 5000)
 		for i := range s {
-			s[i] = counted{odb.BlockID(rng.Uint64() % spread), uint32(rng.Intn(40) + 1)}
+			s[i] = counted{uint32(rng.Uint64() % spread), uint32(rng.Intn(40) + 1)}
 		}
 		want := slices.Clone(s)
 		slices.SortStableFunc(want, func(x, y counted) int { return cmp.Compare(x.b, y.b) })
@@ -152,6 +153,39 @@ func TestRadixSortOrder(t *testing.T) {
 		if !slices.Equal(s, want) {
 			t.Fatalf("spread %d: radix order differs from the comparison sort", spread)
 		}
+	}
+}
+
+// TestTallySlotIsEightBytes pins the prefill tally's slot at a 32-bit
+// block and a 32-bit count. The tally holds at least twice as many slots
+// as the sample has distinct blocks, so its slot size sets its memory.
+func TestTallySlotIsEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(counted{}); size != 8 {
+		t.Fatalf("counted is %d bytes, want 8", size)
+	}
+}
+
+// TestPrefillRejectsWideBlockIDs checks that a sample naming a block past
+// 32 bits fails with ErrBadConfig, before installing anything, instead of
+// ranking truncated IDs: a 4 TiB memtable puts the LSM engine's L0 slots,
+// and the bottom level after them, beyond 2^32 blocks at W=200, which
+// Validate's warehouse bound alone does not catch.
+func TestPrefillRejectsWideBlockIDs(t *testing.T) {
+	cfg := DefaultConfig(200, 16, 1)
+	cfg.Engine = "lsm"
+	cfg.Tuning.LSM.MemtableMB = 1 << 22
+	cfg.Tuning.PrefillSampleTxns = 50
+	if err := Validate(cfg); err != nil {
+		t.Fatalf("Validate = %v, want the configuration accepted", err)
+	}
+	m := build(cfg)
+	installed := 0
+	err := m.prefillEach(context.Background(), func(odb.BlockID) { installed++ })
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("prefillEach = %v, want ErrBadConfig", err)
+	}
+	if installed != 0 {
+		t.Fatalf("installed %d blocks, want 0", installed)
 	}
 }
 

@@ -145,7 +145,8 @@ type ioWaiter struct {
 var (
 	// ErrBadConfig reports a configuration Run cannot execute: a
 	// non-positive warehouse, client or processor count, more processors
-	// than the trace format can name, or a machine or
+	// than the trace format can name, more warehouses than 32-bit block
+	// IDs can lay out, or a machine or
 	// tuning field (named by its path) that would panic or never finish.
 	ErrBadConfig = errors.New("bad configuration")
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
@@ -164,6 +165,9 @@ func Validate(cfg Config) error {
 	}
 	if cfg.Processors > maxProcessors {
 		return badField("Processors", cfg.Processors)
+	}
+	if cfg.Warehouses > maxWarehouses {
+		return badField("Warehouses", cfg.Warehouses)
 	}
 	if cfg.MeasureTxns < 1 {
 		return fmt.Errorf("system: %w", ErrNoTxns)
@@ -345,6 +349,15 @@ func badField(path string, v any) error {
 // maxProcessors is the most CPUs a run may simulate: the trace format
 // records a reference's CPU in one byte.
 const maxProcessors = 256
+
+// maxWarehouses is the most warehouses a run may simulate, so that every
+// block ID either engine names fits the 32 bits the prefill tally keeps.
+// At 100,000 warehouses the B-tree layout (about 9,692 blocks a
+// warehouse) ends near 0.97·10^9 blocks, and the LSM engine's L0 slots
+// and levels, placed after it, end near 3.24·10^9 at the default LSM
+// shape, which first passes 2^32 at 115,495. Both grow with the
+// warehouse count.
+const maxWarehouses = 100_000
 
 // maxBufferCacheMB is the largest buffer cache whose block count stays
 // below math.MaxInt32, the limit of the buffer cache's int32 arena index.

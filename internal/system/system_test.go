@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"odbscale/internal/engine"
+	"odbscale/internal/odb"
 )
 
 // fastConfig returns a configuration small enough for unit tests.
@@ -44,6 +47,88 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 }
 
+// degenerateRows are configurations Validate must reject: each sets the
+// field it names to a value Run cannot execute. TestDegenerateConfigsRejected
+// checks each row on a small configuration, and FuzzRunConfig's seeds
+// start from them.
+var degenerateRows = []struct {
+	field string
+	set   func(*Config)
+}{
+	{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 0 }},
+	{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 25 }}, // 2^32 blocks
+	{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 44 }}, // MB·2^20 overflows
+	{"Machine.Disks.DataDisks", func(c *Config) { c.Machine.Disks.DataDisks = 0 }},
+	{"Machine.Disks.LogDisks", func(c *Config) { c.Machine.Disks.LogDisks = 0 }},
+	{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = 0 }},
+	{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = -64 }},
+	{"Machine.Geometry.TCWays", func(c *Config) { c.Machine.Geometry.TCWays = 0 }},
+	{"Machine.Geometry.L2Ways", func(c *Config) { c.Machine.Geometry.L2Ways = 0 }},
+	{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = 0 }},
+	{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = -1 }},
+	{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 0 }},
+	{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 0 }},
+	{"WarmupTxns", func(c *Config) { c.WarmupTxns = -1 }},
+	{"Tuning.QuantumInstr", func(c *Config) { c.Tuning.QuantumInstr = 0 }},
+	{"Tuning.ChunkInstr", func(c *Config) { c.Tuning.ChunkInstr = 0 }},
+	{"Tuning.DBWriterIntervalMS", func(c *Config) { c.Tuning.DBWriterIntervalMS = 0 }},
+	{"Machine.Disks.AccessMS", func(c *Config) { c.Machine.Disks.AccessMS = -1 }},
+	{"Machine.Disks.WriteMS", func(c *Config) { c.Machine.Disks.WriteMS = -1 }},
+	{"Machine.Disks.LogMS", func(c *Config) { c.Machine.Disks.LogMS = -1 }},
+	{"Machine.Disks.TransferMS", func(c *Config) { c.Machine.Disks.TransferMS = math.NaN() }},
+	{"Machine.Disks.Jitter", func(c *Config) { c.Machine.Disks.Jitter = 5 }},
+	{"Tuning.OtherCPI", func(c *Config) { c.Tuning.OtherCPI = -1 }},
+	{"Tuning.BusyWaitMS", func(c *Config) { c.Tuning.BusyWaitMS = -1 }},
+	{"Tuning.HotBytesPerWhs", func(c *Config) { c.Tuning.HotBytesPerWhs = -1 }},
+	{"Tuning.Synth.UserCodeBytes", func(c *Config) { c.Tuning.Synth.UserCodeBytes = -1 }},
+	{"Tuning.Synth.OSCodeBytes", func(c *Config) { c.Tuning.Synth.OSCodeBytes = -1 }},
+	{"Tuning.Synth.MetaBytes", func(c *Config) { c.Tuning.Synth.MetaBytes = -1 }},
+	{"Tuning.Synth.KernelBytes", func(c *Config) { c.Tuning.Synth.KernelBytes = -1 }},
+	{"Tuning.Synth.PGABytes", func(c *Config) { c.Tuning.Synth.PGABytes = -1 }},
+	{"Tuning.Synth.DataRefsPerInstr", func(c *Config) { c.Tuning.Synth.DataRefsPerInstr = -1 }},
+	{"Tuning.Synth.FetchLinesPerInstr", func(c *Config) { c.Tuning.Synth.FetchLinesPerInstr = math.NaN() }},
+	{"Tuning.Synth.BranchesPerInstr", func(c *Config) { c.Tuning.Synth.BranchesPerInstr = 1e6 }},
+	{"Tuning.Synth.PBlock", func(c *Config) { c.Tuning.Synth.PBlock = -1 }},
+	{"Tuning.Synth.TailFrac", func(c *Config) { c.Tuning.Synth.TailFrac = -1 }},
+	{"Tuning.Synth.PMeta", func(c *Config) { c.Tuning.Synth.PMeta = math.NaN() }},
+	{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 1 }}, // DB-writer tick rounds to zero cycles
+	{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
+	{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
+	{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},
+	{"Tuning.LSM.L0CompactRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0CompactRuns = 0 }},
+	{"Tuning.LSM.L0StallRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0StallRuns = 0 }},
+	{"Tuning.LSM.CompactBatch", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.CompactBatch = 0 }},
+	{"Tuning.LSM.KeyBytes", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.KeyBytes = -1000 }},
+	{"Tuning.LSM.BloomFPRate", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.BloomFPRate = 2 }},
+	{"Tuning.LSM.ObsoleteFrac", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.ObsoleteFrac = math.NaN() }},
+	{"Tuning.LSM.StallMS", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.StallMS = -1 }},
+	{"Machine.Stall.InstBase", func(c *Config) { c.Machine.Stall.InstBase = -1 }},
+	{"Machine.Stall.BranchMispred", func(c *Config) { c.Machine.Stall.BranchMispred = -50 }},
+	{"Machine.Stall.TLBMiss", func(c *Config) { c.Machine.Stall.TLBMiss = math.NaN() }},
+	{"Machine.Stall.TCMiss", func(c *Config) { c.Machine.Stall.TCMiss = math.Inf(1) }},
+	{"Machine.Stall.L2Miss", func(c *Config) { c.Machine.Stall.L2Miss = -1 }},
+	{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = -1000 }},
+	{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = c.Machine.Stall.BusTime1P - 1 }},
+	{"Machine.Stall.BusTime1P", func(c *Config) { c.Machine.Stall.BusTime1P = math.NaN() }},
+	{"Machine.Bus.OccupancyCycles", func(c *Config) { c.Machine.Bus.OccupancyCycles = math.NaN() }},
+	{"Machine.Bus.BaseLatency", func(c *Config) { c.Machine.Bus.BaseLatency = -500 }},
+	{"Machine.Bus.QueueFactor", func(c *Config) { c.Machine.Bus.QueueFactor = math.Inf(1) }},
+	{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = math.NaN() }},
+	{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = 0 }},
+	{"Machine.Bus.WindowCycles", func(c *Config) { c.Machine.Bus.WindowCycles = 0 }},
+	{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = -1 }},
+	{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = 201 }}, // past the full TPC-C scan
+	{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = -1 }},
+	{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
+	{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
+	{"Tuning.Synth.MetaStoreFrac", func(c *Config) { c.Tuning.Synth.MetaStoreFrac = -1 }},
+	{"Tuning.Synth.PGAStoreFrac", func(c *Config) { c.Tuning.Synth.PGAStoreFrac = 1.5 }},
+	{"Processors", func(c *Config) { c.Processors = 257 }}, // the trace's CPU byte would wrap
+	{"Processors", func(c *Config) { c.Processors = 1 << 20 }},
+	{"Warehouses", func(c *Config) { c.Warehouses = maxWarehouses + 1 }},
+	{"Warehouses", func(c *Config) { c.Warehouses = 1 << 31 }},
+}
+
 // TestDegenerateConfigsRejected runs configs that used to panic
 // (buffer cache, disks, disk times, cache geometry, scale, quantum, other
 // CPI, busy wait, footprints, stall costs), run until the context
@@ -55,85 +140,11 @@ func TestBadConfigRejected(t *testing.T) {
 // stall time, negative stock-level scan and prefill sample), or had a
 // second spelling of a meaning another knob owns (a zero bus window froze
 // the IOQ latency at its base, which QueueFactor = 0 already models), or
-// named more processors than a trace's one-byte CPU field can hold,
-// through Validate and then Run with a background context: each must
+// named more processors than a trace's one-byte CPU field can hold or
+// more warehouses than 32-bit block IDs can lay out, through Validate and then Run with a background context: each must
 // return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
-	for _, tc := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 0 }},
-		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 25 }}, // 2^32 blocks
-		{"Machine.BufferCacheMB", func(c *Config) { c.Machine.BufferCacheMB = 1 << 44 }}, // MB·2^20 overflows
-		{"Machine.Disks.DataDisks", func(c *Config) { c.Machine.Disks.DataDisks = 0 }},
-		{"Machine.Disks.LogDisks", func(c *Config) { c.Machine.Disks.LogDisks = 0 }},
-		{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = 0 }},
-		{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = -64 }},
-		{"Machine.Geometry.TCWays", func(c *Config) { c.Machine.Geometry.TCWays = 0 }},
-		{"Machine.Geometry.L2Ways", func(c *Config) { c.Machine.Geometry.L2Ways = 0 }},
-		{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = 0 }},
-		{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = -1 }},
-		{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 0 }},
-		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 0 }},
-		{"WarmupTxns", func(c *Config) { c.WarmupTxns = -1 }},
-		{"Tuning.QuantumInstr", func(c *Config) { c.Tuning.QuantumInstr = 0 }},
-		{"Tuning.ChunkInstr", func(c *Config) { c.Tuning.ChunkInstr = 0 }},
-		{"Tuning.DBWriterIntervalMS", func(c *Config) { c.Tuning.DBWriterIntervalMS = 0 }},
-		{"Machine.Disks.AccessMS", func(c *Config) { c.Machine.Disks.AccessMS = -1 }},
-		{"Machine.Disks.WriteMS", func(c *Config) { c.Machine.Disks.WriteMS = -1 }},
-		{"Machine.Disks.LogMS", func(c *Config) { c.Machine.Disks.LogMS = -1 }},
-		{"Machine.Disks.TransferMS", func(c *Config) { c.Machine.Disks.TransferMS = math.NaN() }},
-		{"Machine.Disks.Jitter", func(c *Config) { c.Machine.Disks.Jitter = 5 }},
-		{"Tuning.OtherCPI", func(c *Config) { c.Tuning.OtherCPI = -1 }},
-		{"Tuning.BusyWaitMS", func(c *Config) { c.Tuning.BusyWaitMS = -1 }},
-		{"Tuning.HotBytesPerWhs", func(c *Config) { c.Tuning.HotBytesPerWhs = -1 }},
-		{"Tuning.Synth.UserCodeBytes", func(c *Config) { c.Tuning.Synth.UserCodeBytes = -1 }},
-		{"Tuning.Synth.OSCodeBytes", func(c *Config) { c.Tuning.Synth.OSCodeBytes = -1 }},
-		{"Tuning.Synth.MetaBytes", func(c *Config) { c.Tuning.Synth.MetaBytes = -1 }},
-		{"Tuning.Synth.KernelBytes", func(c *Config) { c.Tuning.Synth.KernelBytes = -1 }},
-		{"Tuning.Synth.PGABytes", func(c *Config) { c.Tuning.Synth.PGABytes = -1 }},
-		{"Tuning.Synth.DataRefsPerInstr", func(c *Config) { c.Tuning.Synth.DataRefsPerInstr = -1 }},
-		{"Tuning.Synth.FetchLinesPerInstr", func(c *Config) { c.Tuning.Synth.FetchLinesPerInstr = math.NaN() }},
-		{"Tuning.Synth.BranchesPerInstr", func(c *Config) { c.Tuning.Synth.BranchesPerInstr = 1e6 }},
-		{"Tuning.Synth.PBlock", func(c *Config) { c.Tuning.Synth.PBlock = -1 }},
-		{"Tuning.Synth.TailFrac", func(c *Config) { c.Tuning.Synth.TailFrac = -1 }},
-		{"Tuning.Synth.PMeta", func(c *Config) { c.Tuning.Synth.PMeta = math.NaN() }},
-		{"Machine.FreqHz", func(c *Config) { c.Machine.FreqHz = 1 }}, // DB-writer tick rounds to zero cycles
-		{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = 0 }},
-		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 0 }},
-		{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = 1 }},
-		{"Tuning.LSM.L0CompactRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0CompactRuns = 0 }},
-		{"Tuning.LSM.L0StallRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0StallRuns = 0 }},
-		{"Tuning.LSM.CompactBatch", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.CompactBatch = 0 }},
-		{"Tuning.LSM.KeyBytes", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.KeyBytes = -1000 }},
-		{"Tuning.LSM.BloomFPRate", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.BloomFPRate = 2 }},
-		{"Tuning.LSM.ObsoleteFrac", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.ObsoleteFrac = math.NaN() }},
-		{"Tuning.LSM.StallMS", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.StallMS = -1 }},
-		{"Machine.Stall.InstBase", func(c *Config) { c.Machine.Stall.InstBase = -1 }},
-		{"Machine.Stall.BranchMispred", func(c *Config) { c.Machine.Stall.BranchMispred = -50 }},
-		{"Machine.Stall.TLBMiss", func(c *Config) { c.Machine.Stall.TLBMiss = math.NaN() }},
-		{"Machine.Stall.TCMiss", func(c *Config) { c.Machine.Stall.TCMiss = math.Inf(1) }},
-		{"Machine.Stall.L2Miss", func(c *Config) { c.Machine.Stall.L2Miss = -1 }},
-		{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = -1000 }},
-		{"Machine.Stall.L3Miss", func(c *Config) { c.Machine.Stall.L3Miss = c.Machine.Stall.BusTime1P - 1 }},
-		{"Machine.Stall.BusTime1P", func(c *Config) { c.Machine.Stall.BusTime1P = math.NaN() }},
-		{"Machine.Bus.OccupancyCycles", func(c *Config) { c.Machine.Bus.OccupancyCycles = math.NaN() }},
-		{"Machine.Bus.BaseLatency", func(c *Config) { c.Machine.Bus.BaseLatency = -500 }},
-		{"Machine.Bus.QueueFactor", func(c *Config) { c.Machine.Bus.QueueFactor = math.Inf(1) }},
-		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = math.NaN() }},
-		{"Machine.Bus.BandwidthScale", func(c *Config) { c.Machine.Bus.BandwidthScale = 0 }},
-		{"Machine.Bus.WindowCycles", func(c *Config) { c.Machine.Bus.WindowCycles = 0 }},
-		{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = -1 }},
-		{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = 201 }}, // past the full TPC-C scan
-		{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = -1 }},
-		{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
-		{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
-		{"Tuning.Synth.MetaStoreFrac", func(c *Config) { c.Tuning.Synth.MetaStoreFrac = -1 }},
-		{"Tuning.Synth.PGAStoreFrac", func(c *Config) { c.Tuning.Synth.PGAStoreFrac = 1.5 }},
-		{"Processors", func(c *Config) { c.Processors = 257 }}, // the trace's CPU byte would wrap
-		{"Processors", func(c *Config) { c.Processors = 1 << 20 }},
-	} {
+	for _, tc := range degenerateRows {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := fastConfig(10, 8, 1)
 			tc.set(&cfg)
@@ -154,6 +165,29 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 				t.Fatalf("Run took %v to reject the config", d)
 			}
 		})
+	}
+}
+
+// TestLargestLayoutFitsUint32 builds the block address spaces of the
+// largest warehouse count Validate accepts, the B-tree layout and the LSM
+// engine's L0 slots and levels after it at the default shape, and checks
+// that every block either engine can name fits in 32 bits, as the
+// prefill tally requires. Both spaces grow with the warehouse count, so
+// the largest bounds them all.
+func TestLargestLayoutFitsUint32(t *testing.T) {
+	cfg := DefaultConfig(maxWarehouses, 1, 1)
+	if err := Validate(cfg); err != nil {
+		t.Fatalf("Validate(W=%d) = %v, want it accepted", maxWarehouses, err)
+	}
+	layout := odb.NewLayout(maxWarehouses)
+	fac, _ := engine.Lookup("lsm")
+	in := fac.New(engine.Env{Layout: layout, Tuning: engine.Tuning{LSM: cfg.Tuning.LSM}})
+	end := in.(interface{ End() odb.BlockID }).End()
+	if end <= odb.BlockID(layout.TotalBlocks()) {
+		t.Fatalf("LSM address space ends at %d, inside the %d-block layout", end, layout.TotalBlocks())
+	}
+	if end > 1<<32 {
+		t.Fatalf("W=%d: the LSM engine names blocks up to %d, past 2^32", maxWarehouses, end-1)
 	}
 }
 
