@@ -4,28 +4,23 @@
 // observer rides along on demand and writes a file for cmd/odbreport,
 // which tells the kinds apart by their contents.
 //
-// The flight recorder: -listen serves /metrics, /timeline and
-// /progress over HTTP while the run simulates (and until Ctrl-C
-// afterwards, so short runs stay inspectable), -timeline dumps the
-// sampled timeline as JSON (a path ending in .csv switches to the flat
-// CSV table), and -json replaces the text report with a
-// machine-readable document bundling the run manifest (config, seed,
-// provenance, phase durations), the final metrics and per-transaction
-// latency digests.
+// The flight recorder: -timeline dumps the sampled timeline as JSON (a
+// path ending in .csv switches to the flat CSV table), and -json
+// replaces the text report with a machine-readable document bundling
+// the run manifest (config, seed, provenance, phase durations), the
+// final metrics and per-transaction latency digests.
 //
 // The cycle-attribution profiler: -profile writes the run's per-phase
 // CPI attribution as JSON.
 //
 // The span tracer: -spans captures a deterministic sample of
 // per-transaction span trees (head sampling plus the slowest per type)
-// and writes the trace dump as JSON; with -listen it is also served
-// live on /traces.
+// and writes the trace dump as JSON.
 //
 // The queueing observatory: -qstats collects per-resource
 // service-center metrics (arrivals, utilization, wait demand,
 // operational-law audit) and writes the report as JSON (odbreport
-// report prints it as text); with -listen the ranking is also served
-// live on /bottlenecks.
+// report prints it as text).
 //
 // The reference trace: -trace writes every measured memory reference
 // in the trace format, for odbreport replay.
@@ -36,7 +31,7 @@
 //
 //	odbrun [-w warehouses] [-c clients] [-p processors] [-seed n]
 //	       [-machine xeon|itanium2] [-engine btree|lsm] [-lsmmem mb]
-//	       [-txns n] [-warmup n] [-nocoherence] [-json] [-listen addr]
+//	       [-txns n] [-warmup n] [-nocoherence] [-json]
 //	       [-timeline file[.csv]] [-sample ms] [-profile file]
 //	       [-spans file] [-spanhead n] [-qstats file] [-trace file]
 package main
@@ -49,11 +44,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
-	"odbscale/cmd/internal/live"
 	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/engine"
 	"odbscale/internal/profile"
@@ -88,7 +81,6 @@ func main() {
 	warmup := flag.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
 	nocoh := flag.Bool("nocoherence", false, "disable MESI coherence")
 	jsonOut := flag.Bool("json", false, "emit the run manifest, metrics and latency digests as JSON")
-	listen := flag.String("listen", "", "serve the flight recorder on this address (e.g. :8090)")
 	timelineOut := flag.String("timeline", "", "write the sampled timeline as JSON to this file")
 	sampleMS := flag.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
 	profileOut := flag.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
@@ -114,7 +106,6 @@ func main() {
 
 	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: *sampleMS})
 	opts := []system.Option{system.WithRecorder(rec)}
-	var extra []live.Endpoint
 	var prof *profile.Collector
 	if *profileOut != "" {
 		prof = profile.NewCollector()
@@ -124,13 +115,11 @@ func main() {
 	if *spansOut != "" {
 		spans = txtrace.NewTracer(txtrace.Config{HeadEvery: *spanHead})
 		opts = append(opts, system.WithSpans(spans))
-		extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteTraces})
 	}
 	var qc *qstats.Collector
 	if *qstatsOut != "" {
 		qc = qstats.NewCollector()
 		opts = append(opts, system.WithQueueStats(qc))
-		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: qc.WriteBottlenecks})
 	}
 	var traceFile *os.File
 	var refs uint64
@@ -140,15 +129,6 @@ func main() {
 		}
 		opts = append(opts, system.WithTrace(traceFile, &refs))
 	}
-	var srv *live.Server
-	if *listen != "" {
-		srv, err = live.Serve(*listen, rec, extra...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("flight recorder on http://%s (endpoints listed at /)", srv.Addr())
-	}
-
 	started := time.Now()
 	m, err := system.Run(context.Background(), cfg, opts...)
 	if err != nil {
@@ -231,14 +211,6 @@ func main() {
 			fmt.Printf("  latency %-12s n=%-5d mean=%.1fms p50=%.1fms p95=%.1fms p99=%.1fms\n",
 				name, h.Count(), h.Mean()/1e3, p50/1e3, p95/1e3, p99/1e3)
 		}
-	}
-
-	if srv != nil {
-		log.Printf("run done; flight recorder still on http://%s (Ctrl-C to exit)", srv.Addr())
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		<-ctx.Done()
-		stop()
-		srv.Close()
 	}
 }
 

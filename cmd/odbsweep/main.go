@@ -14,12 +14,8 @@
 //
 // Output: aligned text by default, -csv for CSV, -json for one JSON
 // object per point; -events appends a machine-readable campaign event
-// log. -listen turns on the campaign flight recorder and serves it over
-// HTTP while the campaign runs: /metrics (OpenMetrics gauges plus
-// merged per-transaction-type latency histograms), /timeline (per-point
-// sampled timelines) and /progress (live point/probe counters). With
-// -checkpoint, a run manifest (config, seed, provenance) is written
-// next to the checkpoint file at campaign start and completion.
+// log. With -checkpoint, a run manifest (config, seed, provenance) is
+// written next to the checkpoint file at campaign start and completion.
 //
 // Each observer is one flag naming a directory, which receives one JSON
 // file per point (e.g. W10-P1.json) for offline analysis:
@@ -27,24 +23,21 @@
 // -profile DIR turns on the cycle-attribution profiler: every point
 // runs under system.Run with WithProfiler, per-point profiles persist
 // in the checkpoint (when one is configured) and are written to DIR for
-// odbreport, profiles are served on /profile alongside -listen, and after
-// the campaign each processor lane prints the attribution shift across
-// the cached-to-scaled pivot — the smallest-W profile diffed against
-// the largest-W one.
+// odbreport, and after the campaign each processor lane prints the
+// attribution shift across the cached-to-scaled pivot — the smallest-W
+// profile diffed against the largest-W one.
 //
 // -spans DIR turns on the per-transaction span tracer the same way:
 // every point runs under system.Run with WithSpans, per-point trace
 // dumps persist in the checkpoint and are written to DIR for odbreport,
-// the store is served on /traces alongside -listen, and after the
-// campaign each processor lane prints the wait-state shift across the
-// pivot.
+// and after the campaign each processor lane prints the wait-state
+// shift across the pivot.
 //
 // -qstats DIR turns on the queueing observatory: every point runs under
 // system.Run with WithQueueStats, per-point station reports persist in
-// the checkpoint and are written to DIR for odbreport, the store is served
-// on /bottlenecks alongside -listen, and after the campaign each
-// processor lane prints the bottleneck-shift table across the warehouse
-// sweep.
+// the checkpoint and are written to DIR for odbreport, and after the
+// campaign each processor lane prints the bottleneck-shift table across
+// the warehouse sweep.
 package main
 
 import (
@@ -58,14 +51,12 @@ import (
 	"strconv"
 	"strings"
 
-	"odbscale/cmd/internal/live"
 	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/campaign"
 	"odbscale/internal/engine"
 	"odbscale/internal/experiment"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
-	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
@@ -93,7 +84,6 @@ func main() {
 	engineName := flag.String("engine", engine.DefaultName,
 		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	listen := flag.String("listen", "", "serve the live campaign flight recorder on this address (/metrics /timeline /progress)")
 	profileDir := flag.String("profile", "", "run every point under the cycle-attribution profiler, write each point's profile JSON into this directory and print the attribution shift across the cached-to-scaled pivot")
 	spanDir := flag.String("spans", "", "run every point under the span tracer, write each point's trace dump JSON into this directory and print the wait-state shift across the pivot")
 	qstatsDir := flag.String("qstats", "", "run every point under the queueing observatory, write each point's station report JSON into this directory and print the bottleneck-shift table across the sweep")
@@ -117,37 +107,20 @@ func main() {
 	spec.Clients = *clients
 	spec.Parallelism = *par
 
-	var flight *telemetry.CampaignRecorder
-	if *listen != "" {
-		flight = telemetry.NewCampaignRecorder(telemetry.Config{})
-		spec.Instruments = append(spec.Instruments, campaign.Flight(flight))
-	}
-	var extra []live.Endpoint
 	var profiles *campaign.Store[*profile.Profile]
 	if *profileDir != "" {
-		profiles = campaign.NewStore[*profile.Profile]("profile")
+		profiles = campaign.NewStore[*profile.Profile]()
 		spec.Instruments = append(spec.Instruments, campaign.Profiles(profiles))
-		extra = append(extra, live.Endpoint{Path: "/profile", Write: profiles.WriteJSON})
 	}
 	var spans *campaign.Store[*txtrace.Dump]
 	if *spanDir != "" {
-		spans = campaign.NewStore[*txtrace.Dump]("dump")
+		spans = campaign.NewStore[*txtrace.Dump]()
 		spec.Instruments = append(spec.Instruments, campaign.Spans(txtrace.Config{}, spans))
-		extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteJSON})
 	}
 	var stations *campaign.Store[*qstats.Report]
 	if *qstatsDir != "" {
-		stations = campaign.NewStore[*qstats.Report]("report")
+		stations = campaign.NewStore[*qstats.Report]()
 		spec.Instruments = append(spec.Instruments, campaign.QueueStats(stations))
-		extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: stations.WriteJSON})
-	}
-	if flight != nil {
-		srv, err := live.Serve(*listen, flight, extra...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		log.Printf("campaign flight recorder on http://%s (endpoints listed at /)", srv.Addr())
 	}
 
 	res, err := camp.Run(spec)
@@ -225,8 +198,8 @@ func emitProfiles(st *campaign.Store[*profile.Profile], warehouses, processors [
 		return
 	}
 	for _, p := range processors {
-		lo := st.Get(telemetry.PointName(warehouses[0], p))
-		hi := st.Get(telemetry.PointName(warehouses[len(warehouses)-1], p))
+		lo := st.Get(campaign.PointName(warehouses[0], p))
+		hi := st.Get(campaign.PointName(warehouses[len(warehouses)-1], p))
 		if lo == nil || hi == nil {
 			continue
 		}
@@ -245,8 +218,8 @@ func emitSpans(st *campaign.Store[*txtrace.Dump], warehouses, processors []int) 
 		return
 	}
 	for _, p := range processors {
-		lo := st.Get(telemetry.PointName(warehouses[0], p))
-		hi := st.Get(telemetry.PointName(warehouses[len(warehouses)-1], p))
+		lo := st.Get(campaign.PointName(warehouses[0], p))
+		hi := st.Get(campaign.PointName(warehouses[len(warehouses)-1], p))
 		if lo == nil || hi == nil {
 			continue
 		}
@@ -267,7 +240,7 @@ func emitQStats(st *campaign.Store[*qstats.Report], warehouses, processors []int
 	for _, p := range processors {
 		var reports []*qstats.Report
 		for _, w := range warehouses {
-			if r := st.Get(telemetry.PointName(w, p)); r != nil {
+			if r := st.Get(campaign.PointName(w, p)); r != nil {
 				reports = append(reports, r)
 			}
 		}

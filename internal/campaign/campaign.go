@@ -10,10 +10,9 @@
 // measure concurrently. Completed work persists to a JSON checkpoint,
 // so an interrupted campaign resumes where it left off, and a pluggable
 // Observer streams progress events (PointStarted, PointFinished,
-// TunerProbe, CampaignDone) for live CLIs and machine-readable logs.
-// Instruments (the flight recorder, profiler, span tracer and queueing
-// observatory) attach to every measurement run and checkpoint one
-// payload each.
+// TunerProbe, CampaignDone) for progress lines and machine-readable
+// logs. Instruments (the profiler, span tracer and queueing observatory)
+// attach to every measurement run and checkpoint one payload each.
 package campaign
 
 import (
@@ -26,7 +25,6 @@ import (
 
 	"odbscale/internal/clock"
 	"odbscale/internal/system"
-	"odbscale/internal/telemetry"
 )
 
 // Spec describes one campaign: the platform and measurement lengths,
@@ -82,7 +80,7 @@ type Spec struct {
 	// Instruments observe every measurement run (tuner probes run
 	// bare): each is started before the run, attaches its system.Run
 	// option, and finishes into one payload kind that persists in the
-	// checkpoint and is restored on resume. Flight, Profiles, Spans and
+	// checkpoint and is restored on resume. Profiles, Spans and
 	// QueueStats build the built-in ones.
 	Instruments []Instrument
 }
@@ -149,6 +147,10 @@ func (s *Spec) config(w, c, p, txns int) system.Config {
 		MeasureTxns: txns,
 	}
 }
+
+// PointName renders the canonical key of a measurement point
+// ("W=10,P=1"): instruments label payloads and Stores key them by it.
+func PointName(w, p int) string { return fmt.Sprintf("W=%d,P=%d", w, p) }
 
 // PointKey addresses one (warehouses, processors) measurement point.
 type PointKey struct {
@@ -321,11 +323,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if obs == nil {
 		obs = noop{}
 	}
-	for _, in := range spec.Instruments {
-		if o := in.Begin(len(spec.Warehouses) * len(spec.Processors)); o != nil {
-			obs = Observers(obs, o)
-		}
-	}
 	ck, err := newCKStore(spec)
 	if err != nil {
 		return nil, err
@@ -416,7 +413,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 		}
 		key := PointKey{W: w, P: p}
 		if pt, ok := ck.point(key); ok {
-			name := telemetry.PointName(w, p)
+			name := PointName(w, p)
 			for _, in := range spec.Instruments {
 				raw, ok := pt.Flight[in.Kind()]
 				if !ok {
@@ -469,7 +466,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			em.pointStarted(point)
 			t0 := clk.Now()
 			cfg := spec.config(w, c, p, spec.MeasureTxns)
-			name := telemetry.PointName(w, p)
+			name := PointName(w, p)
 			att := make([]Attached, len(spec.Instruments))
 			for i, in := range spec.Instruments {
 				att[i] = in.Start(name, cfg)

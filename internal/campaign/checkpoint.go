@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
+	"odbscale/internal/clock"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -43,9 +46,10 @@ type CheckpointPoint struct {
 	C       int            `json:"c"`
 	Metrics system.Metrics `json:"metrics"`
 	// Flight is the point's persisted observability payload: one raw
-	// JSON document per instrument kind ("hists", "profile", "spans",
-	// "qstats"), so a resumed campaign restores it instead of losing it.
-	// Old checkpoints without it still load.
+	// JSON document per instrument kind ("profile", "spans", "qstats"),
+	// so a resumed campaign restores it instead of losing it. Old
+	// checkpoints without it still load, and a kind no instrument of the
+	// resuming campaign claims (such as the retired "hists") is ignored.
 	Flight map[string]json.RawMessage `json:"flight,omitempty"`
 }
 
@@ -191,4 +195,47 @@ func (s *ckStore) persistLocked() error {
 		return nil
 	}
 	return s.cp.Save(s.path)
+}
+
+// manifestConfig is the JSON-serializable projection of a Spec — every
+// run-defining knob, none of the plumbing (observers, instruments).
+func (s *Spec) manifestConfig() any {
+	return struct {
+		Machine     any     `json:"machine"`
+		Tuning      any     `json:"tuning"`
+		Seed        int64   `json:"seed"`
+		WarmupTxns  int     `json:"warmup_txns"`
+		MeasureTxns int     `json:"measure_txns"`
+		TuneTxns    int     `json:"tune_txns"`
+		TargetUtil  float64 `json:"target_util"`
+		MinClients  int     `json:"min_clients"`
+		MaxClients  int     `json:"max_clients"`
+		AutoTune    bool    `json:"auto_tune"`
+		Clients     int     `json:"clients"`
+		Parallelism int     `json:"parallelism"`
+		Warehouses  []int   `json:"warehouses"`
+		Processors  []int   `json:"processors"`
+	}{
+		Machine: s.Machine, Tuning: s.Tuning, Seed: s.Seed,
+		WarmupTxns: s.WarmupTxns, MeasureTxns: s.MeasureTxns, TuneTxns: s.TuneTxns,
+		TargetUtil: s.TargetUtil, MinClients: s.MinClients, MaxClients: s.MaxClients,
+		AutoTune: s.AutoTune, Clients: s.Clients,
+		Parallelism: s.Parallelism, Warehouses: s.Warehouses, Processors: s.Processors,
+	}
+}
+
+// writeManifest emits the run manifest next to the checkpoint. Wall
+// times flow through the runner's injected clock, keeping the package
+// inside the determinism rule.
+func (r *Runner) writeManifest(clk clock.Clock, started time.Time, notes string) error {
+	spec := &r.Spec
+	man := telemetry.NewManifest("odbscale-campaign", spec.Seed)
+	man.CreatedAt = started.UTC().Format(time.RFC3339)
+	man.Checkpoint = spec.CheckpointPath
+	man.WallSeconds = clk.Since(started).Seconds()
+	man.Notes = notes
+	if err := man.SetConfig(spec.manifestConfig()); err != nil {
+		return err
+	}
+	return man.Save(telemetry.ManifestPath(spec.CheckpointPath))
 }

@@ -15,11 +15,8 @@ import (
 // instruments.
 type Instrument interface {
 	// Kind is the instrument's key in each checkpoint point's "flight"
-	// map ("hists", "profile", "spans", "qstats").
+	// map ("profile", "spans", "qstats").
 	Kind() string
-	// Begin is called once as the campaign starts, with its number of
-	// points. It returns an Observer for the campaign's events, or nil.
-	Begin(points int) Observer
 	// Start attaches the instrument to the measurement run of the named
 	// point.
 	Start(point string, cfg system.Config) Attached
@@ -49,8 +46,7 @@ type stored[T, C any] struct {
 	payload func(col C, point string) (T, bool)
 }
 
-func (s *stored[T, C]) Kind() string       { return s.kind }
-func (s *stored[T, C]) Begin(int) Observer { return nil }
+func (s *stored[T, C]) Kind() string { return s.kind }
 
 func (s *stored[T, C]) Start(point string, _ system.Config) Attached {
 	return &storedRun[T, C]{in: s, point: point, col: s.collect()}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,6 @@ import (
 	"odbscale/internal/qstats"
 	"odbscale/internal/sim"
 	"odbscale/internal/system"
-	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
@@ -56,11 +56,8 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 	w := cfg.Warehouses
 	for _, a := range att {
 		switch a := a.(type) {
-		case *flightRun:
-			for i := 0; i < 10; i++ {
-				a.rec.ObserveSpan("NewOrder", uint64(w*100+i*7))
-				a.rec.ObserveSpan("Payment", uint64(w*50+i*3))
-			}
+		case *refRun:
+			a.n = uint64(w)*1000 + uint64(cfg.Clients)
 		case *profileRun:
 			col := a.col
 			col.SetMeta(profile.Meta{Warehouses: w, Clients: cfg.Clients, Processors: cfg.Processors, Scale: 1})
@@ -108,14 +105,41 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 	}, nil
 }
 
-// histNames returns the histogram names in sorted order.
-func histNames(hists map[string]*telemetry.Histogram) []string {
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
+// refCount is an instrument defined outside the built-in three, from
+// nothing but the package's exported contract: it counts the memory
+// references each measurement run traces (system.WithTrace) and
+// checkpoints the count.
+type refCount struct{ st *Store[uint64] }
+
+func (r refCount) Kind() string { return "refs" }
+
+func (r refCount) Start(point string, _ system.Config) Attached {
+	return &refRun{st: r.st, point: point}
+}
+
+func (r refCount) Restore(point string, raw json.RawMessage) error {
+	var n uint64
+	if err := json.Unmarshal(raw, &n); err != nil {
+		return err
 	}
-	sort.Strings(names)
-	return names
+	r.st.Put(point, n)
+	return nil
+}
+
+type refRun struct {
+	st    *Store[uint64]
+	point string
+	n     uint64
+}
+
+func (r *refRun) Option() system.Option { return system.WithTrace(io.Discard, &r.n) }
+
+func (r *refRun) Finish(ok bool) (json.RawMessage, error) {
+	if !ok {
+		return nil, nil
+	}
+	r.st.Put(r.point, r.n)
+	return json.Marshal(r.n)
 }
 
 // storeOf reaches the Store behind a built-in stored instrument.
@@ -139,41 +163,18 @@ func sameStores[T any](t *testing.T, a, c *Store[T], total int, same func(key st
 	}
 }
 
-// instrumentCases are the built-in instruments under the kill/resume
-// test: how to build each over fresh state, and how an uninterrupted
-// campaign's results must compare with a killed-and-resumed one's.
+// instrumentCases are the instruments under the kill/resume test, the
+// built-in three and refCount: how to build each over fresh state, and
+// how an uninterrupted campaign's results must compare with a
+// killed-and-resumed one's.
 var instrumentCases = []struct {
 	kind  string
 	build func() Instrument
 	check func(t *testing.T, ref, resumed Instrument, total, killed int)
 }{
 	{
-		kind:  "hists",
-		build: func() Instrument { return Flight(telemetry.NewCampaignRecorder(telemetry.Config{})) },
-		check: func(t *testing.T, ref, resumed Instrument, total, killed int) {
-			flA, flC := ref.(flight).cr, resumed.(flight).cr
-			// The flight observer's progress must account for every point.
-			prog := flC.Progress()
-			if prog.PointsDone != total || prog.PointsResumed != killed || !prog.Done {
-				t.Errorf("progress = %+v, want done=%d resumed=%d", prog, total, killed)
-			}
-			// Merged latency histograms must be bit-identical to the
-			// uninterrupted campaign's.
-			ha, hc := flA.MergedHistograms(), flC.MergedHistograms()
-			if len(ha) == 0 || len(ha) != len(hc) {
-				t.Fatalf("histogram sets differ: %d vs %d", len(ha), len(hc))
-			}
-			for _, name := range histNames(ha) {
-				other := hc[name]
-				if other == nil || !bytes.Equal(ha[name].Encode(), other.Encode()) {
-					t.Errorf("histogram %q differs after kill/resume", name)
-				}
-			}
-		},
-	},
-	{
 		kind:  "profile",
-		build: func() Instrument { return Profiles(NewStore[*profile.Profile]("profile")) },
+		build: func() Instrument { return Profiles(NewStore[*profile.Profile]()) },
 		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
 			sameStores(t, storeOf[*profile.Profile, *profile.Collector](ref),
 				storeOf[*profile.Profile, *profile.Collector](resumed), total,
@@ -190,7 +191,7 @@ var instrumentCases = []struct {
 	{
 		kind: "spans",
 		build: func() Instrument {
-			return Spans(txtrace.Config{HeadEvery: 2, TailK: 2}, NewStore[*txtrace.Dump]("dump"))
+			return Spans(txtrace.Config{HeadEvery: 2, TailK: 2}, NewStore[*txtrace.Dump]())
 		},
 		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
 			sameStores(t, storeOf[*txtrace.Dump, *txtrace.Tracer](ref),
@@ -210,7 +211,7 @@ var instrumentCases = []struct {
 	},
 	{
 		kind:  "qstats",
-		build: func() Instrument { return QueueStats(NewStore[*qstats.Report]("report")) },
+		build: func() Instrument { return QueueStats(NewStore[*qstats.Report]()) },
 		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
 			sameStores(t, storeOf[*qstats.Report, *qstats.Collector](ref),
 				storeOf[*qstats.Report, *qstats.Collector](resumed), total,
@@ -227,14 +228,26 @@ var instrumentCases = []struct {
 				})
 		},
 	},
+	{
+		kind:  "refs",
+		build: func() Instrument { return refCount{st: NewStore[uint64]()} },
+		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
+			sameStores(t, ref.(refCount).st, resumed.(refCount).st, total,
+				func(k string, na, nc uint64) {
+					if na == 0 || na != nc {
+						t.Errorf("point %s: %d refs after kill/resume, %d uninterrupted", k, nc, na)
+					}
+				})
+		},
+	},
 }
 
-// TestInstrumentKillResume is every built-in instrument's
-// crash-consistency guarantee: a campaign killed mid-flight and resumed
-// with fresh instrument state must converge on exactly the payloads of
-// an uninterrupted campaign — completed points come back from the
-// checkpoint, not from re-runs. All four instruments ride along
-// together, as they do under odbsweep.
+// TestInstrumentKillResume is every instrument's crash-consistency
+// guarantee: a campaign killed mid-flight and resumed with fresh
+// instrument state must converge on exactly the payloads of an
+// uninterrupted campaign — completed points come back from the
+// checkpoint, not from re-runs. All instruments ride along together, as
+// the built-in ones do under odbsweep.
 func TestInstrumentKillResume(t *testing.T) {
 	total := len(testWarehouses) * len(testProcessors)
 	specFor := func(path string) (Spec, []Instrument) {
@@ -309,7 +322,9 @@ func TestInstrumentKillResume(t *testing.T) {
 // TestResumeV1Checkpoint resumes from a checkpoint written by the
 // campaign runner before instruments existed (odbsweep -w 10,25 -p 1
 // -c 8 -txns 200 -profile -spans -qstats -listen -checkpoint): every
-// point must come back with all four payloads and no run may execute.
+// point must come back with its profile, spans and qstats payloads and
+// no run may execute. The file also holds the retired "hists" kind,
+// which no instrument claims, so the resume ignores it.
 func TestResumeV1Checkpoint(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "pointflight-v1.json"))
 	if err != nil {
@@ -319,10 +334,9 @@ func TestResumeV1Checkpoint(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cr := telemetry.NewCampaignRecorder(telemetry.Config{})
-	profiles := NewStore[*profile.Profile]("profile")
-	spans := NewStore[*txtrace.Dump]("dump")
-	stations := NewStore[*qstats.Report]("report")
+	profiles := NewStore[*profile.Profile]()
+	spans := NewStore[*txtrace.Dump]()
+	stations := NewStore[*qstats.Report]()
 	spec := Spec{
 		Machine: system.XeonQuad(), Tuning: system.DefaultTuning(),
 		Engine: "btree", Seed: 1,
@@ -330,7 +344,7 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		TargetUtil: 0.9, MinClients: 8, MaxClients: 64, Clients: 8,
 		Warehouses: []int{10, 25}, Processors: []int{1},
 		CheckpointPath: path, Resume: true,
-		Instruments: []Instrument{Flight(cr), Profiles(profiles), Spans(txtrace.Config{}, spans), QueueStats(stations)},
+		Instruments: []Instrument{Profiles(profiles), Spans(txtrace.Config{}, spans), QueueStats(stations)},
 	}
 	runs := 0
 	fake := func(context.Context, system.Config, []Attached) (system.Metrics, error) {
@@ -350,7 +364,11 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range cp.Points {
-		key := telemetry.PointName(pt.W, pt.P)
+		key := PointName(pt.W, pt.P)
+		// The resume above succeeded with this unclaimed payload present.
+		if len(pt.Flight["hists"]) == 0 {
+			t.Errorf("%s: checkpoint holds no hists payload for the resume to ignore", key)
+		}
 		for kind, got := range map[string]any{
 			"profile": profiles.Get(key), "spans": spans.Get(key), "qstats": stations.Get(key),
 		} {
@@ -380,35 +398,5 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		if r := stations.Get(key); r.Meta.Label != key || r.Bottleneck == "" {
 			t.Errorf("%s: restored report %+v", key, r.Meta)
 		}
-	}
-	// The recorder's merged histograms are exactly the saved ones.
-	want := map[string]*telemetry.Histogram{}
-	for _, pt := range cp.Points {
-		var enc map[string]string
-		if err := json.Unmarshal(pt.Flight["hists"], &enc); err != nil || len(enc) == 0 {
-			t.Fatalf("W=%d P=%d hists payload %s (err %v)", pt.W, pt.P, pt.Flight["hists"], err)
-		}
-		hists, err := decodeHists(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, h := range hists {
-			if want[name] == nil {
-				want[name] = &telemetry.Histogram{}
-			}
-			want[name].Merge(h)
-		}
-	}
-	merged := cr.MergedHistograms()
-	if len(merged) != len(want) {
-		t.Fatalf("merged %d histogram types, checkpoint has %d", len(merged), len(want))
-	}
-	for _, name := range histNames(want) {
-		if got := merged[name]; got == nil || got.Count() == 0 || !bytes.Equal(got.Encode(), want[name].Encode()) {
-			t.Errorf("merged histogram %q differs from the checkpoint's", name)
-		}
-	}
-	if prog := cr.Progress(); prog.PointsResumed != 2 || !prog.Done {
-		t.Errorf("flight progress = %+v, want 2 resumed and done", prog)
 	}
 }

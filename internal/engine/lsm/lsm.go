@@ -142,9 +142,16 @@ func (in *instance) Name() string { return "lsm" }
 // relating write amplification to level count.
 func (in *instance) Levels() int { return len(in.levels) - 1 }
 
+// AddressEnd returns one past the last block an LSM engine of shape tun
+// names over layout l: its L0 slots and levels follow the B-tree
+// layout, so a caller can bound the block IDs a configuration will name
+// before building a machine for it.
+func AddressEnd(l *odb.Layout, tun engine.LSMTuning) odb.BlockID {
+	return newInstance(engine.Env{Layout: l, Tuning: engine.Tuning{LSM: tun}}).End()
+}
+
 // End returns one past the engine's last block: the bottom level's
-// extent ends the address space, for tests bounding the block IDs the
-// engine names.
+// extent ends the address space.
 func (in *instance) End() odb.BlockID {
 	bot := &in.levels[len(in.levels)-1]
 	return bot.base + odb.BlockID(bot.blocks)

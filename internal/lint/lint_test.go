@@ -185,15 +185,15 @@ func TestHotWaiverScope(t *testing.T) {
 
 // TestTelemetrySamplerRegression pins the flight-recorder guarantee: a
 // time.Now sneaking into the telemetry package's sampler path is a lint
-// failure, while the same corpus loaded as a cmd/ package (where the
-// HTTP server's wall clock legitimately lives) stays clean.
+// failure, while the same corpus loaded as a cmd/ package (where a
+// command's wall-clock timing legitimately lives) stays clean.
 func TestTelemetrySamplerRegression(t *testing.T) {
 	got := runFixture(t, "telemetry", "odbscale/internal/telemetry")
 	joined := strings.Join(got, "\n")
 	if !strings.Contains(joined, "time.Now") || !strings.Contains(joined, "time.Since") {
 		t.Errorf("determinism missed the wall-clock sampler regression:\n%s", joined)
 	}
-	if unscoped := runFixture(t, "telemetry", "odbscale/cmd/internal/live"); len(unscoped) != 0 {
+	if unscoped := runFixture(t, "telemetry", "odbscale/cmd/odbrun"); len(unscoped) != 0 {
 		t.Errorf("determinism fired on a cmd/ package:\n%s", strings.Join(unscoped, "\n"))
 	}
 }

@@ -107,7 +107,7 @@ type Meta struct {
 }
 
 // Collector accumulates frames during a run. The system layer writes on
-// simulated time; HTTP handlers may snapshot concurrently.
+// simulated time; readers may snapshot concurrently.
 type Collector struct {
 	mu     sync.Mutex
 	meta   Meta

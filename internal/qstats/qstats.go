@@ -15,15 +15,11 @@
 // qstats attached is bit-identical to one without (pinned in
 // internal/system). All hot-path accumulation is inline arithmetic —
 // no allocation, no locks — on the simulation goroutine; derived
-// reports are published under a mutex so the live /bottlenecks
-// endpoint can read them mid-run.
+// reports are published under a mutex so any goroutine may read them
+// mid-run.
 package qstats
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Station identifiers. The set is fixed: every Collector carries one
 // accumulator per identifier, and reports list them in this order.
@@ -189,17 +185,4 @@ func (c *Collector) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.last
-}
-
-// WriteBottlenecks renders the current report as a JSON document for
-// the live /bottlenecks endpoint. Before the first publication it
-// writes a pending marker instead.
-func (c *Collector) WriteBottlenecks(w io.Writer) error {
-	r := c.Report()
-	if r == nil {
-		_, err := io.WriteString(w, "{\"status\":\"pending\"}\n")
-		return err
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(r)
 }

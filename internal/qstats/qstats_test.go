@@ -193,22 +193,17 @@ func TestWriteTextAndDiff(t *testing.T) {
 	}
 }
 
+// TestCollectorPublishAndBottlenecks checks that a collector has no
+// report before its first publication and hands back the published one,
+// bottleneck included, afterwards.
 func TestCollectorPublishAndBottlenecks(t *testing.T) {
 	c := NewCollector()
-	var buf bytes.Buffer
-	if err := c.WriteBottlenecks(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pending") {
-		t.Fatalf("pre-publish payload = %q, want pending marker", buf.String())
+	if r := c.Report(); r != nil {
+		t.Fatalf("pre-publish report = %+v, want nil", r)
 	}
 	c.Publish(Build(testInput()))
-	buf.Reset()
-	if err := c.WriteBottlenecks(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"bottleneck\":\"disk\"") {
-		t.Fatalf("payload missing bottleneck: %s", buf.String())
+	if r := c.Report(); r == nil || r.Bottleneck != "disk" {
+		t.Fatalf("published report = %+v, want bottleneck disk", r)
 	}
 }
 

@@ -168,15 +168,16 @@ func TestTallySlotIsEightBytes(t *testing.T) {
 // TestPrefillRejectsWideBlockIDs checks that a sample naming a block past
 // 32 bits fails with ErrBadConfig, before installing anything, instead of
 // ranking truncated IDs: a 4 TiB memtable puts the LSM engine's L0 slots,
-// and the bottom level after them, beyond 2^32 blocks at W=200, which
-// Validate's warehouse bound alone does not catch.
+// and the bottom level after them, beyond 2^32 blocks at W=200. Validate
+// rejects the memtable first, so the prefill's own check is driven here
+// directly, past Validate.
 func TestPrefillRejectsWideBlockIDs(t *testing.T) {
 	cfg := DefaultConfig(200, 16, 1)
 	cfg.Engine = "lsm"
 	cfg.Tuning.LSM.MemtableMB = 1 << 22
 	cfg.Tuning.PrefillSampleTxns = 50
-	if err := Validate(cfg); err != nil {
-		t.Fatalf("Validate = %v, want the configuration accepted", err)
+	if err := Validate(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Validate = %v, want ErrBadConfig", err)
 	}
 	m := build(cfg)
 	installed := 0

@@ -12,7 +12,7 @@ import (
 	"odbscale/internal/cpu"
 	"odbscale/internal/engine"
 	_ "odbscale/internal/engine/btree" // register the default engine
-	_ "odbscale/internal/engine/lsm"   // register the LSM engine
+	"odbscale/internal/engine/lsm"
 	"odbscale/internal/odb"
 	"odbscale/internal/osker"
 	"odbscale/internal/profile"
@@ -295,7 +295,7 @@ func Validate(cfg Config) error {
 		return badField("WarmupTxns", cfg.WarmupTxns)
 	}
 	if cfg.Engine == "lsm" {
-		if err := validateLSM(t.LSM); err != nil {
+		if err := validateLSM(t.LSM, cfg.Warehouses); err != nil {
 			return err
 		}
 	}
@@ -307,18 +307,21 @@ func Validate(cfg Config) error {
 
 // validateLSM rejects LSM knobs that make the engine compact without end
 // (a zero memtable, a fanout below two, no L0 compaction trigger or a
-// negative key overhead), never compact (an empty compaction batch), or
+// negative key overhead), never compact (an empty compaction batch),
 // have no meaning (a stall trigger under one run, a probability or
-// fraction outside [0, 1], a NaN or negative stall).
-func validateLSM(l engine.LSMTuning) error {
+// fraction outside [0, 1], a NaN or negative stall), or lay the engine's
+// extents out past what Run can address (a shape past the bounds below,
+// or one whose blocks at w warehouses pass the prefill tally's 32-bit
+// IDs).
+func validateLSM(l engine.LSMTuning, w int) error {
 	switch {
-	case l.MemtableMB < 1:
+	case l.MemtableMB < 1 || l.MemtableMB > maxMemtableMB:
 		return badField("Tuning.LSM.MemtableMB", l.MemtableMB)
-	case l.Fanout < 2:
+	case l.Fanout < 2 || l.Fanout > maxFanout:
 		return badField("Tuning.LSM.Fanout", l.Fanout)
 	case l.L0CompactRuns < 1:
 		return badField("Tuning.LSM.L0CompactRuns", l.L0CompactRuns)
-	case l.L0StallRuns < 1:
+	case l.L0StallRuns < 1 || l.L0StallRuns > maxL0StallRuns:
 		return badField("Tuning.LSM.L0StallRuns", l.L0StallRuns)
 	case l.CompactBatch < 1:
 		return badField("Tuning.LSM.CompactBatch", l.CompactBatch)
@@ -330,6 +333,10 @@ func validateLSM(l engine.LSMTuning) error {
 		return badField("Tuning.LSM.ObsoleteFrac", l.ObsoleteFrac)
 	case !cost(l.StallMS):
 		return badField("Tuning.LSM.StallMS", l.StallMS)
+	}
+	if end := lsm.AddressEnd(odb.NewLayout(w), l); end > 1<<32 {
+		return fmt.Errorf("system: %w: Tuning.LSM = %+v names blocks up to %d at W=%d, past 32 bits",
+			ErrBadConfig, l, end-1, w)
 	}
 	return nil
 }
@@ -358,6 +365,20 @@ const maxProcessors = 256
 // shape, which first passes 2^32 at 115,495. Both grow with the
 // warehouse count.
 const maxWarehouses = 100_000
+
+// maxMemtableMB, maxFanout and maxL0StallRuns bound the LSM shape past
+// the shapes LSM stores run at (a 1 GiB memtable, a size ratio of 100,
+// 64 L0 runs before writes stall), so that laying the engine's extents
+// out cannot wrap 64 bits: at maxWarehouses the live data is under 2^43
+// bytes, so no level's capacity reaches 2^50. They cannot also keep every
+// shape's blocks below 2^32 (a fanout of 2 at maxWarehouses ends past
+// 5·10^9), so validateLSM checks the laid-out end at the run's warehouse
+// count as well.
+const (
+	maxMemtableMB  = 1024
+	maxFanout      = 100
+	maxL0StallRuns = 64
+)
 
 // maxBufferCacheMB is the largest buffer cache whose block count stays
 // below math.MaxInt32, the limit of the buffer cache's int32 arena index.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odbscale/internal/engine"
+	"odbscale/internal/engine/lsm"
 	"odbscale/internal/odb"
 )
 
@@ -127,6 +128,19 @@ var degenerateRows = []struct {
 	{"Processors", func(c *Config) { c.Processors = 1 << 20 }},
 	{"Warehouses", func(c *Config) { c.Warehouses = maxWarehouses + 1 }},
 	{"Warehouses", func(c *Config) { c.Warehouses = 1 << 31 }},
+	{"Tuning.LSM.MemtableMB", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.MemtableMB = maxMemtableMB + 1 }},
+	{"Tuning.LSM.Fanout", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.Fanout = maxFanout + 1 }},
+	{"Tuning.LSM.Fanout", func(c *Config) { // MB·2^20·Fanout wraps to 0: the level loop never ended
+		c.Engine = "lsm"
+		c.Tuning.LSM.MemtableMB = 1
+		c.Tuning.LSM.Fanout = 1 << 44
+	}},
+	{"Tuning.LSM.L0StallRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0StallRuns = maxL0StallRuns + 1 }},
+	{"Tuning.LSM", func(c *Config) { // in bounds, but the bottom level ends past 2^32 blocks
+		c.Engine = "lsm"
+		c.Warehouses = maxWarehouses
+		c.Tuning.LSM.Fanout = 2
+	}},
 }
 
 // TestDegenerateConfigsRejected runs configs that used to panic
@@ -141,8 +155,9 @@ var degenerateRows = []struct {
 // second spelling of a meaning another knob owns (a zero bus window froze
 // the IOQ latency at its base, which QueueFactor = 0 already models), or
 // named more processors than a trace's one-byte CPU field can hold or
-// more warehouses than 32-bit block IDs can lay out, through Validate and then Run with a background context: each must
-// return ErrBadConfig naming the field, promptly.
+// more warehouses, or an LSM shape whose extents, than 32-bit block IDs
+// can lay out, through Validate and then Run with a background context:
+// each must return ErrBadConfig naming the field, promptly.
 func TestDegenerateConfigsRejected(t *testing.T) {
 	for _, tc := range degenerateRows {
 		t.Run(tc.field, func(t *testing.T) {
@@ -170,24 +185,29 @@ func TestDegenerateConfigsRejected(t *testing.T) {
 
 // TestLargestLayoutFitsUint32 builds the block address spaces of the
 // largest warehouse count Validate accepts, the B-tree layout and the LSM
-// engine's L0 slots and levels after it at the default shape, and checks
-// that every block either engine can name fits in 32 bits, as the
+// engine's L0 slots and levels after it, at the default LSM shape and
+// with the memtable, fanout and L0 stall trigger at their bounds, and
+// checks that every block either engine can name fits in 32 bits, as the
 // prefill tally requires. Both spaces grow with the warehouse count, so
 // the largest bounds them all.
 func TestLargestLayoutFitsUint32(t *testing.T) {
-	cfg := DefaultConfig(maxWarehouses, 1, 1)
-	if err := Validate(cfg); err != nil {
-		t.Fatalf("Validate(W=%d) = %v, want it accepted", maxWarehouses, err)
-	}
 	layout := odb.NewLayout(maxWarehouses)
-	fac, _ := engine.Lookup("lsm")
-	in := fac.New(engine.Env{Layout: layout, Tuning: engine.Tuning{LSM: cfg.Tuning.LSM}})
-	end := in.(interface{ End() odb.BlockID }).End()
-	if end <= odb.BlockID(layout.TotalBlocks()) {
-		t.Fatalf("LSM address space ends at %d, inside the %d-block layout", end, layout.TotalBlocks())
-	}
-	if end > 1<<32 {
-		t.Fatalf("W=%d: the LSM engine names blocks up to %d, past 2^32", maxWarehouses, end-1)
+	bounds := engine.DefaultLSMTuning()
+	bounds.MemtableMB, bounds.Fanout, bounds.L0StallRuns = maxMemtableMB, maxFanout, maxL0StallRuns
+	for _, shape := range []engine.LSMTuning{engine.DefaultLSMTuning(), bounds} {
+		cfg := DefaultConfig(maxWarehouses, 1, 1)
+		cfg.Engine = "lsm"
+		cfg.Tuning.LSM = shape
+		if err := Validate(cfg); err != nil {
+			t.Fatalf("Validate(W=%d, %+v) = %v, want it accepted", maxWarehouses, shape, err)
+		}
+		end := lsm.AddressEnd(layout, shape)
+		if end <= odb.BlockID(layout.TotalBlocks()) {
+			t.Fatalf("LSM address space ends at %d, inside the %d-block layout", end, layout.TotalBlocks())
+		}
+		if end > 1<<32 {
+			t.Fatalf("W=%d %+v: the LSM engine names blocks up to %d, past 2^32", maxWarehouses, shape, end-1)
+		}
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package telemetry is the flight recorder of the simulator: bounded
 // in-run timelines sampled on simulated time, per-transaction latency
-// histograms with a mergeable encoding, OpenMetrics/JSON exposition,
+// histograms with a compact encoding, their JSON and CSV file forms,
 // and the run manifest emitted next to campaign checkpoints.
 //
 // The package is under the odblint determinism rule: nothing here may
 // read the wall clock. Sample timestamps are simulated seconds supplied
 // by the system layer, and manifest wall-time fields are stamped by
 // callers (cmd/ binaries, or the campaign runner through its injected
-// clock). All types are safe for one writer plus concurrent readers —
-// the live HTTP endpoints read snapshots while the simulation runs.
+// clock). All types are safe for one writer plus concurrent snapshot
+// readers.
 package telemetry
 
 import (
@@ -23,8 +23,7 @@ import (
 // exact unit buckets; above that, each power-of-two octave is split into
 // 2^histSubBits sub-buckets, bounding the relative bucket width at
 // 1/2^histSubBits (12.5%). The layout is fixed — independent of the
-// data — so any two histograms merge by adding counts bucket-wise, and
-// the campaign runner can aggregate worker histograms associatively.
+// data — so a histogram's encoding needs no bucket table.
 const (
 	histSubBits = 3
 	histSub     = 1 << histSubBits
@@ -162,26 +161,6 @@ func (h *Histogram) QuantileOK(q float64) (float64, bool) {
 	return float64(h.max), true
 }
 
-// Merge adds other's observations into h. Merging is associative and
-// commutative: any grouping of worker histograms yields identical
-// buckets, counts and sums.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
 // Clone returns a deep copy.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
@@ -190,8 +169,8 @@ func (h *Histogram) Clone() *Histogram {
 
 // Encode serializes the histogram compactly: a version byte, the count,
 // sum, min and max, then (bucket-index delta, count) varint pairs for
-// the non-zero buckets in index order. The format is self-contained and
-// safe to ship between campaign workers.
+// the non-zero buckets in index order. The format is self-contained:
+// odbrun -json ships it in each latency digest.
 func (h *Histogram) Encode() []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, histVersion)

@@ -139,53 +139,6 @@ func equalHist(a, b *Histogram) bool {
 		a.min == b.min && a.max == b.max
 }
 
-// TestMergeAssociativity is the property test behind campaign
-// aggregation: any grouping and ordering of worker histograms must
-// merge to the identical result.
-func TestMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 50; trial++ {
-		a := randomHist(rng, rng.Intn(200))
-		b := randomHist(rng, rng.Intn(200))
-		c := randomHist(rng, rng.Intn(200))
-
-		// (a ⊕ b) ⊕ c
-		left := a.Clone()
-		left.Merge(b)
-		left.Merge(c)
-
-		// a ⊕ (b ⊕ c)
-		bc := b.Clone()
-		bc.Merge(c)
-		right := a.Clone()
-		right.Merge(bc)
-
-		if !equalHist(left, right) {
-			t.Fatalf("trial %d: merge not associative", trial)
-		}
-
-		// c ⊕ b ⊕ a — commutativity.
-		rev := c.Clone()
-		rev.Merge(b)
-		rev.Merge(a)
-		if !equalHist(left, rev) {
-			t.Fatalf("trial %d: merge not commutative", trial)
-		}
-
-		// Identity: merging an empty histogram changes nothing.
-		id := left.Clone()
-		id.Merge(&Histogram{})
-		if !equalHist(left, id) {
-			t.Fatalf("trial %d: empty merge not identity", trial)
-		}
-
-		// The encoding is canonical: equal state encodes to equal bytes.
-		if !bytes.Equal(left.Encode(), right.Encode()) {
-			t.Fatalf("trial %d: equal histograms encode differently", trial)
-		}
-	}
-}
-
 // TestEncodeDecodeRoundTrip checks that decode inverts encode exactly.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

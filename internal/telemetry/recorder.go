@@ -54,8 +54,8 @@ type PhaseSpan struct {
 
 // Recorder is the flight recorder of one simulator run: the timeline
 // ring, per-transaction-type latency histograms, and run progress. The
-// system layer writes on simulated time; HTTP handlers and campaign
-// aggregation read snapshots concurrently.
+// system layer writes on simulated time; readers take snapshots, which
+// stay consistent even while a run is writing.
 type Recorder struct {
 	cfg Config
 

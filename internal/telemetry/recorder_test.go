@@ -13,8 +13,8 @@ func TestTimelineRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tl.Push(Sample{SimSeconds: float64(i)})
 	}
-	if tl.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tl.Len())
+	if n := len(tl.Snapshot()); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	if tl.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", tl.Dropped())
@@ -104,40 +104,13 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsOpenMetrics(t *testing.T) {
+// TestWriteTimeline checks that the -timeline JSON dump parses back to
+// the retained samples.
+func TestWriteTimeline(t *testing.T) {
 	r := NewRecorder(Config{})
-	r.SetTarget(100)
-	r.MarkPhase(PhaseMeasure, 1.0)
-	r.ObserveSpan("Payment", 1500)
-	r.ObserveSpan("Payment", 2500)
 	r.PushSample(Sample{SimSeconds: 1.25, Measuring: true, TPS: 640, CPI: 2.4, CPUUtil: []float64{0.95, 0.91}})
 
 	var sb strings.Builder
-	if err := r.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE odb_tps gauge",
-		"odb_tps 640",
-		"odb_run_measuring 1",
-		`odb_cpu_util{cpu="0"} 0.95`,
-		`odb_cpu_util{cpu="1"} 0.91`,
-		`odb_txn_latency_us_bucket{txn_type="Payment",le="+Inf"} 2`,
-		`odb_txn_latency_us_count{txn_type="Payment"} 2`,
-		`odb_txn_latency_us_quantile{txn_type="Payment",quantile="0.5"}`,
-		"# EOF",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.HasSuffix(strings.TrimRight(out, "\n"), "# EOF") {
-		t.Error("metrics output must end with # EOF")
-	}
-
-	// The JSON endpoints parse back.
-	sb.Reset()
 	if err := r.WriteTimeline(&sb); err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +123,6 @@ func TestWriteMetricsOpenMetrics(t *testing.T) {
 	}
 	if len(tl.Samples) != 1 || tl.Samples[0].TPS != 640 {
 		t.Fatalf("timeline = %+v", tl)
-	}
-
-	sb.Reset()
-	if err := r.WriteProgress(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var p RunProgress
-	if err := json.Unmarshal([]byte(sb.String()), &p); err != nil {
-		t.Fatalf("progress JSON: %v", err)
-	}
-	if p.Phase != PhaseMeasure || p.TargetTxns != 100 {
-		t.Fatalf("progress = %+v", p)
 	}
 }
 
@@ -222,76 +183,5 @@ func TestManifestSaveLoad(t *testing.T) {
 	}
 	if len(got.Phases) != 1 || got.Phases[0].Txns != 100 {
 		t.Fatalf("phases = %+v", got.Phases)
-	}
-}
-
-func TestCampaignRecorder(t *testing.T) {
-	cr := NewCampaignRecorder(Config{})
-	cr.SetTotalPoints(4)
-
-	if name := PointName(100, 4); name != "W=100,P=4" {
-		t.Fatalf("point name = %q", name)
-	}
-
-	recA := cr.StartRun("W=10,P=1")
-	recA.ObserveSpan("NewOrder", 1000)
-	recA.ObserveSpan("NewOrder", 3000)
-	recA.PushSample(Sample{SimSeconds: 0.1, TPS: 500})
-
-	recB := cr.StartRun("W=25,P=1")
-	recB.ObserveSpan("NewOrder", 2000)
-
-	p := cr.Progress()
-	if len(p.Active) != 2 || p.Active[0] != "W=10,P=1" {
-		t.Fatalf("active = %v (want sorted keys)", p.Active)
-	}
-
-	cr.FinishRun("W=10,P=1", true)
-	cr.FinishRun("W=25,P=1", false) // failed run: dropped from the merge
-
-	merged := cr.MergedHistograms()
-	if h := merged["NewOrder"]; h == nil || h.Count() != 2 {
-		t.Fatalf("merged = %v, want 2 observations from the successful run", merged)
-	}
-
-	cr.Event(func(cp *CampaignProgress) { cp.PointsDone++; cp.Runs++ })
-	if got := cr.Progress(); got.PointsDone != 1 || got.TotalPoints != 4 {
-		t.Fatalf("progress = %+v", got)
-	}
-
-	var sb strings.Builder
-	if err := cr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"odb_campaign_points_total 4",
-		"odb_campaign_points_done 1",
-		`odb_txn_latency_us_count{txn_type="NewOrder"} 2`,
-		"# EOF",
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("campaign metrics missing %q:\n%s", want, sb.String())
-		}
-	}
-
-	sb.Reset()
-	if err := cr.WriteTimeline(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var tl struct {
-		Points []struct {
-			Point   string   `json:"point"`
-			Live    bool     `json:"live"`
-			Samples []Sample `json:"samples"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &tl); err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Points) != 1 || tl.Points[0].Point != "W=10,P=1" || tl.Points[0].Live {
-		t.Fatalf("timeline points = %+v", tl.Points)
-	}
-	if len(tl.Points[0].Samples) != 1 || tl.Points[0].Samples[0].TPS != 500 {
-		t.Fatalf("retained samples = %+v", tl.Points[0].Samples)
 	}
 }

@@ -96,13 +96,6 @@ func (tl *Timeline) Snapshot() []Sample {
 	return out
 }
 
-// Len returns the number of retained samples.
-func (tl *Timeline) Len() int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.n
-}
-
 // Dropped returns how many samples the ring has evicted.
 func (tl *Timeline) Dropped() uint64 {
 	tl.mu.Lock()

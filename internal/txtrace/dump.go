@@ -30,8 +30,8 @@ type TypeStat struct {
 
 // Dump is a self-contained snapshot of a tracer: run identity, per-type
 // aggregates, and the retained traces sorted by commit order. It is the
-// payload of the /traces endpoint, the odbrun -spans file, and the
-// campaign checkpoint's per-point span record.
+// odbrun -spans file, each odbsweep -spans file, and the campaign
+// checkpoint's per-point span record.
 type Dump struct {
 	Meta   Meta       `json:"meta"`
 	Types  []TypeStat `json:"types"`
@@ -82,12 +82,6 @@ func (t *Tracer) Dump() *Dump {
 		d.Traces[i].tail = false
 	}
 	return d
-}
-
-// WriteTraces writes the tracer's snapshot as indented JSON — the live
-// /traces payload for a single run.
-func (t *Tracer) WriteTraces(w io.Writer) error {
-	return t.Dump().Write(w)
 }
 
 // Write serializes the dump as indented JSON.
