@@ -25,7 +25,9 @@
 // The reference trace: -trace writes every measured memory reference
 // in the trace format, for odbreport replay.
 //
-// The profile and span dumps are labelled "W=..,C=..,P=..".
+// The profile, span and queueing observers attach through the same
+// campaign instruments odbsweep runs at every point, and their files
+// come from the same writers; each is labelled "W=..,C=..,P=..".
 //
 // Usage:
 //
@@ -44,13 +46,13 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"odbscale/cmd/internal/runflags"
+	"odbscale/internal/campaign"
 	"odbscale/internal/engine"
-	"odbscale/internal/profile"
-	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
@@ -104,22 +106,26 @@ func main() {
 	cfg.Machine = mc
 	label := fmt.Sprintf("W=%d,C=%d,P=%d", *w, *c, *p)
 
-	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: *sampleMS})
+	rec := telemetry.NewRecorder(*sampleMS)
 	opts := []system.Option{system.WithRecorder(rec)}
-	var prof *profile.Collector
-	if *profileOut != "" {
-		prof = profile.NewCollector()
-		opts = append(opts, system.WithProfiler(prof))
+	// Each requested observer attaches through its campaign instrument;
+	// its payload goes to its file after the run.
+	type observer struct {
+		path string
+		in   campaign.Instrument
+		att  campaign.Attached
 	}
-	var spans *txtrace.Tracer
-	if *spansOut != "" {
-		spans = txtrace.NewTracer(txtrace.Config{HeadEvery: *spanHead})
-		opts = append(opts, system.WithSpans(spans))
-	}
-	var qc *qstats.Collector
-	if *qstatsOut != "" {
-		qc = qstats.NewCollector()
-		opts = append(opts, system.WithQueueStats(qc))
+	var observers []*observer
+	for _, o := range []*observer{
+		{path: *profileOut, in: campaign.Profiles()},
+		{path: *spansOut, in: campaign.Spans(txtrace.Config{HeadEvery: *spanHead})},
+		{path: *qstatsOut, in: campaign.QueueStats()},
+	} {
+		if o.path != "" {
+			o.att = o.in.Start(label, cfg)
+			opts = append(opts, o.att.Option())
+			observers = append(observers, o)
+		}
 	}
 	var traceFile *os.File
 	var refs uint64
@@ -142,15 +148,15 @@ func main() {
 		}
 		log.Printf("captured %d memory references to %s", refs, *traceOut)
 	}
-	if prof != nil {
-		pr := prof.Profile()
-		pr.Meta.Label = label
-		writeFile(*profileOut, pr.Encode)
-	}
-	if spans != nil {
-		d := spans.Dump()
-		d.Meta.Label = label
-		writeFile(*spansOut, d.Write)
+	for _, o := range observers {
+		raw, err := o.att.Finish(true)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if raw == nil {
+			log.Fatalf("%s: run finished without a payload", o.in.Kind())
+		}
+		writeFile(o.path, func(w io.Writer) error { return o.in.Write(w, raw) })
 	}
 	if *timelineOut != "" {
 		// The extension picks the encoding: .csv gets the flat table
@@ -161,13 +167,6 @@ func main() {
 			dump = rec.WriteTimelineCSV
 		}
 		writeFile(*timelineOut, dump)
-	}
-	if qc != nil {
-		rep := qc.Report()
-		if rep == nil {
-			log.Fatal("qstats: run finished without publishing a station report")
-		}
-		writeFile(*qstatsOut, rep.WriteJSON)
 	}
 
 	if *jsonOut {
@@ -199,8 +198,14 @@ func main() {
 		fmt.Printf("  cpi breakdown: %s\n", m.Breakdown)
 		fmt.Printf("  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
 			float64(m.Processors)*cfg.Machine.FreqHz/(m.IPX*m.CPI)*m.CPUUtil, m.TPS)
-		for _, name := range rec.HistogramNames() {
-			h := rec.HistogramSnapshot(name)
+		hists := rec.Histograms()
+		names := make([]string, 0, len(hists))
+		for name := range hists {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			h := hists[name]
 			p50, ok := h.QuantileOK(0.50)
 			if !ok {
 				fmt.Printf("  latency %-12s n=0     (no measured commits)\n", name)

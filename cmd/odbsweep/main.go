@@ -8,9 +8,9 @@
 //
 // Client counts: -c 0 (the default) auto-tunes every point to the
 // paper's ≥90% CPU-utilization target through the campaign runner's
-// warm-started, memoized search. (Earlier versions silently fell back
-// to a static heuristic for -c 0; use -heuristic for that behaviour.)
-// A positive -c pins a fixed client count; a negative one is rejected.
+// warm-started, memoized search, and -heuristic picks each point's
+// count with the static client heuristic instead. A positive -c pins a
+// fixed client count; a negative one is rejected.
 //
 // Output: aligned text by default, -csv for CSV, -json for one JSON
 // object per point; -events appends a machine-readable campaign event
@@ -18,7 +18,9 @@
 // written next to the checkpoint file at campaign start and completion.
 //
 // Each observer is one flag naming a directory, which receives one JSON
-// file per point (e.g. W10-P1.json) for offline analysis:
+// file per point (e.g. W10-P1.json) for offline analysis. The files are
+// written from the payloads the campaign checkpoints, so a resumed
+// campaign writes the same files without re-running a point:
 //
 // -profile DIR turns on the cycle-attribution profiler: every point
 // runs under system.Run with WithProfiler, per-point profiles persist
@@ -44,7 +46,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -75,8 +76,8 @@ func parseInts(s string) []int {
 func main() {
 	ws := flag.String("w", "10,25,50,100,200,300,500,800", "warehouse counts")
 	ps := flag.String("p", "4", "processor counts")
-	clients := flag.Int("c", 0, "fixed client count (0 = auto-tune each point to the ≥90% utilization target via the campaign runner; was: static heuristic)")
-	heuristic := flag.Bool("heuristic", false, "with -c 0, use the static client heuristic instead of the tuner (the old -c 0 behaviour)")
+	clients := flag.Int("c", 0, "fixed client count (0 = auto-tune each point to the ≥90% utilization target via the campaign runner)")
+	heuristic := flag.Bool("heuristic", false, "with -c 0, use the static client heuristic instead of the tuner")
 	txns := flag.Int("txns", 2400, "measured transactions per point")
 	tuneTxns := flag.Int("tunetxns", 1200, "measured transactions per tuner probe")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -107,20 +108,26 @@ func main() {
 	spec.Clients = *clients
 	spec.Parallelism = *par
 
-	var profiles *campaign.Store[*profile.Profile]
+	// Each requested observer: its instrument, its output directory, and
+	// the pivot table printed from its payloads after the campaign.
+	type observer struct {
+		in   campaign.Instrument
+		dir  string
+		noun string
+		emit func(*campaign.Result)
+	}
+	var observers []observer
 	if *profileDir != "" {
-		profiles = campaign.NewStore[*profile.Profile]()
-		spec.Instruments = append(spec.Instruments, campaign.Profiles(profiles))
+		observers = append(observers, observer{campaign.Profiles(), *profileDir, "profiles", emitProfiles})
 	}
-	var spans *campaign.Store[*txtrace.Dump]
 	if *spanDir != "" {
-		spans = campaign.NewStore[*txtrace.Dump]()
-		spec.Instruments = append(spec.Instruments, campaign.Spans(txtrace.Config{}, spans))
+		observers = append(observers, observer{campaign.Spans(txtrace.Config{}), *spanDir, "trace dumps", emitSpans})
 	}
-	var stations *campaign.Store[*qstats.Report]
 	if *qstatsDir != "" {
-		stations = campaign.NewStore[*qstats.Report]()
-		spec.Instruments = append(spec.Instruments, campaign.QueueStats(stations))
+		observers = append(observers, observer{campaign.QueueStats(), *qstatsDir, "station reports", emitQStats})
+	}
+	for _, o := range observers {
+		spec.Instruments = append(spec.Instruments, o.in)
 	}
 
 	res, err := camp.Run(spec)
@@ -152,54 +159,68 @@ func main() {
 		}
 	}
 
-	if profiles != nil {
-		writeEach(profiles, *profileDir, "profiles", (*profile.Profile).Encode)
-		emitProfiles(profiles, warehouses, processors)
-	}
-	if spans != nil {
-		writeEach(spans, *spanDir, "trace dumps", (*txtrace.Dump).Write)
-		emitSpans(spans, warehouses, processors)
-	}
-	if stations != nil {
-		writeEach(stations, *qstatsDir, "station reports", (*qstats.Report).WriteJSON)
-		emitQStats(stations, warehouses, processors)
+	for _, o := range observers {
+		writeEach(res, o.in, o.dir, o.noun)
+		o.emit(res)
 	}
 }
 
-// writeEach writes every point's payload in st into dir, one
-// <point>.json file each (e.g. W10-P1.json), for offline analysis.
-func writeEach[T any](st *campaign.Store[T], dir, noun string, write func(T, io.Writer) error) {
+// writeEach writes every point's payload of in's kind into dir through
+// the instrument's writer, one <point>.json file each (e.g.
+// W10-P1.json), for offline analysis.
+func writeEach(res *campaign.Result, in campaign.Instrument, dir, noun string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	keys := st.Keys()
-	for _, key := range keys {
-		name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := write(st.Get(key), f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+	n := 0
+	for _, p := range res.Processors {
+		for _, w := range res.Warehouses {
+			raw := res.Payload(w, p, in.Kind())
+			if raw == nil {
+				continue
+			}
+			f, err := os.Create(filepath.Join(dir, fmt.Sprintf("W%d-P%d.json", w, p)))
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := in.Write(f, raw); err != nil {
+				f.Close()
+				log.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
+			n++
 		}
 	}
-	log.Printf("wrote %d %s to %s", len(keys), noun, dir)
+	log.Printf("wrote %d %s to %s", n, noun, dir)
+}
+
+// payload decodes one point's payload of the given kind, or returns nil
+// when the point has none.
+func payload[T any](res *campaign.Result, w, p int, kind string) *T {
+	raw := res.Payload(w, p, kind)
+	if raw == nil {
+		return nil
+	}
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		log.Fatalf("W=%d P=%d: %s payload: %v", w, p, kind, err)
+	}
+	return v
 }
 
 // emitProfiles prints the attribution shift across the cached-to-scaled
 // pivot — the smallest-W point diffed against the largest-W one — for
 // each processor lane.
-func emitProfiles(st *campaign.Store[*profile.Profile], warehouses, processors []int) {
+func emitProfiles(res *campaign.Result) {
+	warehouses := res.Warehouses
 	if len(warehouses) < 2 {
 		return
 	}
-	for _, p := range processors {
-		lo := st.Get(campaign.PointName(warehouses[0], p))
-		hi := st.Get(campaign.PointName(warehouses[len(warehouses)-1], p))
+	for _, p := range res.Processors {
+		lo := payload[profile.Profile](res, warehouses[0], p, "profile")
+		hi := payload[profile.Profile](res, warehouses[len(warehouses)-1], p, "profile")
 		if lo == nil || hi == nil {
 			continue
 		}
@@ -213,13 +234,14 @@ func emitProfiles(st *campaign.Store[*profile.Profile], warehouses, processors [
 
 // emitSpans prints the wait-state shift across the pivot for each
 // processor lane.
-func emitSpans(st *campaign.Store[*txtrace.Dump], warehouses, processors []int) {
+func emitSpans(res *campaign.Result) {
+	warehouses := res.Warehouses
 	if len(warehouses) < 2 {
 		return
 	}
-	for _, p := range processors {
-		lo := st.Get(campaign.PointName(warehouses[0], p))
-		hi := st.Get(campaign.PointName(warehouses[len(warehouses)-1], p))
+	for _, p := range res.Processors {
+		lo := payload[txtrace.Dump](res, warehouses[0], p, "spans")
+		hi := payload[txtrace.Dump](res, warehouses[len(warehouses)-1], p, "spans")
 		if lo == nil || hi == nil {
 			continue
 		}
@@ -233,14 +255,15 @@ func emitSpans(st *campaign.Store[*txtrace.Dump], warehouses, processors []int) 
 
 // emitQStats prints the bottleneck-shift table — wait demand per
 // station down the warehouse sweep — for each processor lane.
-func emitQStats(st *campaign.Store[*qstats.Report], warehouses, processors []int) {
+func emitQStats(res *campaign.Result) {
+	warehouses := res.Warehouses
 	if len(warehouses) < 2 {
 		return
 	}
-	for _, p := range processors {
+	for _, p := range res.Processors {
 		var reports []*qstats.Report
 		for _, w := range warehouses {
-			if r := st.Get(campaign.PointName(w, p)); r != nil {
+			if r := payload[qstats.Report](res, w, p, "qstats"); r != nil {
 				reports = append(reports, r)
 			}
 		}

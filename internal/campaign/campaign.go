@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -80,7 +81,7 @@ type Spec struct {
 	// Instruments observe every measurement run (tuner probes run
 	// bare): each is started before the run, attaches its system.Run
 	// option, and finishes into one payload kind that persists in the
-	// checkpoint and is restored on resume. Profiles, Spans and
+	// checkpoint and comes back from it on resume. Profiles, Spans and
 	// QueueStats build the built-in ones.
 	Instruments []Instrument
 }
@@ -148,9 +149,9 @@ func (s *Spec) config(w, c, p, txns int) system.Config {
 	}
 }
 
-// PointName renders the canonical key of a measurement point
-// ("W=10,P=1"): instruments label payloads and Stores key them by it.
-func PointName(w, p int) string { return fmt.Sprintf("W=%d,P=%d", w, p) }
+// pointName renders the canonical name of a measurement point
+// ("W=10,P=1"), which labels its instrument payloads.
+func pointName(w, p int) string { return fmt.Sprintf("W=%d,P=%d", w, p) }
 
 // PointKey addresses one (warehouses, processors) measurement point.
 type PointKey struct {
@@ -163,12 +164,24 @@ type Result struct {
 	Processors []int
 	Points     map[PointKey]system.Metrics
 	Summary    Summary
+
+	// flight holds each point's instrument payloads, kind → raw JSON:
+	// the map its checkpoint point persists, for fresh and resumed
+	// points alike.
+	flight map[PointKey]map[string]json.RawMessage
 }
 
 // Metrics returns one point's measurement.
 func (r *Result) Metrics(w, p int) (system.Metrics, bool) {
 	m, ok := r.Points[PointKey{W: w, P: p}]
 	return m, ok
+}
+
+// Payload returns one point's raw payload of an instrument kind, as its
+// checkpoint point holds it, or nil when the point has none. The kind's
+// Instrument.Write turns it into the kind's file.
+func (r *Result) Payload(w, p int, kind string) json.RawMessage {
+	return r.flight[PointKey{W: w, P: p}][kind]
 }
 
 // Series returns the metrics of one processor configuration in
@@ -344,6 +357,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		Warehouses: append([]int(nil), spec.Warehouses...),
 		Processors: append([]int(nil), spec.Processors...),
 		Points:     make(map[PointKey]system.Metrics),
+		flight:     make(map[PointKey]map[string]json.RawMessage),
 	}
 
 	var (
@@ -359,9 +373,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		failMu.Unlock()
 	}
 	var resMu sync.Mutex
-	record := func(k PointKey, m system.Metrics) {
+	record := func(k PointKey, m system.Metrics, flight map[string]json.RawMessage) {
 		resMu.Lock()
 		res.Points[k] = m
+		if len(flight) > 0 {
+			res.flight[k] = flight
+		}
 		resMu.Unlock()
 	}
 
@@ -402,7 +419,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // of a full exponential climb from MinClients. A lane's first point, and
 // any point after a larger warehouse count, climbs from MinClients.
 func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emitter,
-	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics)) {
+	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics, map[string]json.RawMessage)) {
 	spec := &r.Spec
 	clk := r.clock()
 	prevW, floor := -1, spec.MinClients
@@ -413,13 +430,14 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 		}
 		key := PointKey{W: w, P: p}
 		if pt, ok := ck.point(key); ok {
-			name := PointName(w, p)
+			// A payload of a configured kind must decode; kinds no
+			// instrument claims are carried along unread.
 			for _, in := range spec.Instruments {
 				raw, ok := pt.Flight[in.Kind()]
 				if !ok {
 					continue
 				}
-				if err := in.Restore(name, raw); err != nil {
+				if err := in.Write(io.Discard, raw); err != nil {
 					fail(fmt.Errorf("campaign: restoring W=%d P=%d: %w", w, p, err))
 					return
 				}
@@ -429,7 +447,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				Metrics: pt.Metrics,
 				Resumed: true,
 			})
-			record(key, pt.Metrics)
+			record(key, pt.Metrics, pt.Flight)
 			if w >= prevW && pt.C > floor {
 				floor = pt.C
 			}
@@ -466,14 +484,15 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			em.pointStarted(point)
 			t0 := clk.Now()
 			cfg := spec.config(w, c, p, spec.MeasureTxns)
-			name := PointName(w, p)
+			name := pointName(w, p)
 			att := make([]Attached, len(spec.Instruments))
 			for i, in := range spec.Instruments {
 				att[i] = in.Start(name, cfg)
 			}
 			m, err := pl.run(ctx, runFn, cfg, att)
 			// Persist the point's observability payload alongside its
-			// metrics so a resumed campaign restores rather than loses it.
+			// metrics so a resumed campaign hands it out rather than
+			// losing it.
 			ok := err == nil
 			payload := make(map[string]json.RawMessage, len(att))
 			for i, a := range att {
@@ -492,7 +511,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				return
 			}
 			em.pointFinished(PointResult{Point: point, Metrics: m, Elapsed: elapsed})
-			record(PointKey{W: w, P: p}, m)
+			record(PointKey{W: w, P: p}, m, payload)
 			if err := ck.addPoint(w, p, c, m, payload); err != nil {
 				fail(fmt.Errorf("campaign: checkpointing W=%d P=%d: %w", w, p, err))
 			}

@@ -46,10 +46,12 @@ type CheckpointPoint struct {
 	C       int            `json:"c"`
 	Metrics system.Metrics `json:"metrics"`
 	// Flight is the point's persisted observability payload: one raw
-	// JSON document per instrument kind ("profile", "spans", "qstats"),
-	// so a resumed campaign restores it instead of losing it. Old
-	// checkpoints without it still load, and a kind no instrument of the
-	// resuming campaign claims (such as the retired "hists") is ignored.
+	// JSON document per instrument kind ("profile", "spans", "qstats").
+	// It is the one store of payloads: Result hands it out, so a
+	// resumed campaign keeps it instead of losing it. Old checkpoints
+	// without it still load, and a kind no instrument of the resuming
+	// campaign claims (such as the retired "hists") is carried along
+	// unread.
 	Flight map[string]json.RawMessage `json:"flight,omitempty"`
 }
 

@@ -2,12 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"odbscale/internal/system"
+	"odbscale/internal/txtrace"
 )
 
 // FuzzCheckpointRoundTrip fuzzes the JSON checkpoint decode path with
@@ -71,16 +73,24 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			}
 		}
 
-		// The resume path wraps the same decode: it must also degrade to
-		// an error (mismatched fingerprints included), never a panic.
-		spec := &Spec{
-			Machine: system.MachineConfig{Name: "stock"}, Seed: 42,
+		// The resume path wraps the same decode and hands every resumed
+		// payload of an instrument's kind to its writer: it must also
+		// degrade to an error (mismatched fingerprints and payloads that
+		// do not decode included), never a panic.
+		machine := system.XeonQuad()
+		machine.Name = "stock"
+		spec := Spec{
+			Machine: machine, Tuning: system.DefaultTuning(), Seed: 42,
 			WarmupTxns: 50, MeasureTxns: 100, TuneTxns: 50,
 			TargetUtil: 0.9, MinClients: 1, MaxClients: 64, AutoTune: true,
 			CheckpointPath: path, Resume: true,
 			Warehouses: []int{10}, Processors: []int{4},
+			Instruments: []Instrument{Profiles(), Spans(txtrace.Config{}), QueueStats()},
 		}
-		if _, err := newCKStore(spec); err != nil {
+		fake := func(context.Context, system.Config, []Attached) (system.Metrics, error) {
+			return system.Metrics{CPUUtil: 0.95}, nil
+		}
+		if _, err := (&Runner{Spec: spec, RunFunc: fake}).Run(context.Background()); err != nil {
 			t.Logf("resume rejected fuzzed checkpoint: %v", err)
 		}
 	})

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
@@ -18,10 +19,13 @@ type Instrument interface {
 	// map ("profile", "spans", "qstats").
 	Kind() string
 	// Start attaches the instrument to the measurement run of the named
-	// point.
+	// point; the name labels the payload.
 	Start(point string, cfg system.Config) Attached
-	// Restore reinstates a resumed point's payload from the checkpoint.
-	Restore(point string, raw json.RawMessage) error
+	// Write decodes one payload of the kind and writes it in the kind's
+	// own file format. The runner also decodes every resumed payload
+	// through it, so a checkpoint that does not decode fails the
+	// campaign.
+	Write(w io.Writer, raw json.RawMessage) error
 }
 
 // Attached is an instrument's handle on one measurement run.
@@ -36,100 +40,102 @@ type Attached interface {
 
 // stored is the shape shared by the profiler, the span tracer and the
 // queueing observatory: each run gets a fresh collector C, and a
-// successful run's payload T, labelled with its point name, lands in a
-// Store and in the checkpoint.
-type stored[T, C any] struct {
+// successful run's payload S, labelled with its point name, is
+// marshalled into the checkpoint and written back out by encode.
+type stored[S, C any] struct {
 	kind    string
-	store   *Store[T]
 	collect func() C
 	option  func(C) system.Option
-	payload func(col C, point string) (T, bool)
+	payload func(col C, point string) *S
+	encode  func(*S, io.Writer) error
 }
 
-func (s *stored[T, C]) Kind() string { return s.kind }
+func (s *stored[S, C]) Kind() string { return s.kind }
 
-func (s *stored[T, C]) Start(point string, _ system.Config) Attached {
-	return &storedRun[T, C]{in: s, point: point, col: s.collect()}
+func (s *stored[S, C]) Start(point string, _ system.Config) Attached {
+	return &storedRun[S, C]{in: s, point: point, col: s.collect()}
 }
 
-func (s *stored[T, C]) Restore(point string, raw json.RawMessage) error {
-	var v T
-	if err := json.Unmarshal(raw, &v); err != nil {
+// Write decodes raw and re-encodes it: the kind's encoder, not the raw
+// JSON, fixes the file's layout (profile.Encode sorts frames).
+func (s *stored[S, C]) Write(w io.Writer, raw json.RawMessage) error {
+	v := new(S)
+	if err := json.Unmarshal(raw, v); err != nil {
 		return fmt.Errorf("campaign: %s payload: %w", s.kind, err)
 	}
-	s.store.Put(point, v)
-	return nil
+	return s.encode(v, w)
 }
 
 // storedRun is a stored instrument attached to one run.
-type storedRun[T, C any] struct {
-	in    *stored[T, C]
+type storedRun[S, C any] struct {
+	in    *stored[S, C]
 	point string
 	col   C
 }
 
-func (r *storedRun[T, C]) Option() system.Option { return r.in.option(r.col) }
+func (r *storedRun[S, C]) Option() system.Option { return r.in.option(r.col) }
 
-func (r *storedRun[T, C]) Finish(ok bool) (json.RawMessage, error) {
+func (r *storedRun[S, C]) Finish(ok bool) (json.RawMessage, error) {
 	if !ok {
 		return nil, nil
 	}
-	v, has := r.in.payload(r.col, r.point)
-	if !has {
+	v := r.in.payload(r.col, r.point)
+	if v == nil {
 		return nil, nil
 	}
-	r.in.store.Put(r.point, v)
 	return json.Marshal(v)
 }
 
 // Profiles is the cycle-attribution profiler instrument: every
 // measurement run executes with system.WithProfiler and a fresh
-// collector, and each point's profile lands in st and the checkpoint.
-func Profiles(st *Store[*profile.Profile]) Instrument {
-	return &stored[*profile.Profile, *profile.Collector]{
-		kind: "profile", store: st,
+// collector, and its payload is the run's profile.
+func Profiles() Instrument {
+	return &stored[profile.Profile, *profile.Collector]{
+		kind:    "profile",
 		collect: profile.NewCollector,
 		option:  system.WithProfiler,
-		payload: func(col *profile.Collector, point string) (*profile.Profile, bool) {
+		payload: func(col *profile.Collector, point string) *profile.Profile {
 			p := col.Profile()
 			p.Meta.Label = point
-			return p, true
+			return p
 		},
+		encode: (*profile.Profile).Encode,
 	}
 }
 
 // Spans is the per-transaction span tracer instrument: every
 // measurement run executes with system.WithSpans and a fresh tracer
-// sampling by cfg, and each point's trace dump lands in st and the
-// checkpoint.
-func Spans(cfg txtrace.Config, st *Store[*txtrace.Dump]) Instrument {
-	return &stored[*txtrace.Dump, *txtrace.Tracer]{
-		kind: "spans", store: st,
+// sampling by cfg, and its payload is the run's trace dump.
+func Spans(cfg txtrace.Config) Instrument {
+	return &stored[txtrace.Dump, *txtrace.Tracer]{
+		kind:    "spans",
 		collect: func() *txtrace.Tracer { return txtrace.NewTracer(cfg) },
 		option:  system.WithSpans,
-		payload: func(tr *txtrace.Tracer, point string) (*txtrace.Dump, bool) {
+		payload: func(tr *txtrace.Tracer, point string) *txtrace.Dump {
 			d := tr.Dump()
 			d.Meta.Label = point
-			return d, true
+			return d
 		},
+		encode: (*txtrace.Dump).Write,
 	}
 }
 
 // QueueStats is the queueing-observatory instrument: every measurement
 // run executes with system.WithQueueStats and a fresh collector, and
-// each point's station report lands in st and the checkpoint.
-func QueueStats(st *Store[*qstats.Report]) Instrument {
-	return &stored[*qstats.Report, *qstats.Collector]{
-		kind: "qstats", store: st,
+// its payload is the run's station report (none if the run published
+// no report).
+func QueueStats() Instrument {
+	return &stored[qstats.Report, *qstats.Collector]{
+		kind:    "qstats",
 		collect: qstats.NewCollector,
 		option:  system.WithQueueStats,
-		payload: func(qc *qstats.Collector, point string) (*qstats.Report, bool) {
+		payload: func(qc *qstats.Collector, point string) *qstats.Report {
 			rep := qc.Report()
-			if rep == nil {
-				return nil, false
+			if rep != nil {
+				rep.Meta.Label = point
 			}
-			rep.Meta.Label = point
-			return rep, true
+			return rep
 		},
+		encode: (*qstats.Report).WriteJSON,
 	}
 }

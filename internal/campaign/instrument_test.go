@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,9 +25,9 @@ import (
 
 // Attached handles of the built-in instruments, as a fake run sees them.
 type (
-	profileRun = storedRun[*profile.Profile, *profile.Collector]
-	spansRun   = storedRun[*txtrace.Dump, *txtrace.Tracer]
-	qstatsRun  = storedRun[*qstats.Report, *qstats.Collector]
+	profileRun = storedRun[profile.Profile, *profile.Collector]
+	spansRun   = storedRun[txtrace.Dump, *txtrace.Tracer]
+	qstatsRun  = storedRun[qstats.Report, *qstats.Collector]
 )
 
 // fakeObserved emulates an instrumented measurement run: it feeds each
@@ -109,28 +109,22 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 // nothing but the package's exported contract: it counts the memory
 // references each measurement run traces (system.WithTrace) and
 // checkpoints the count.
-type refCount struct{ st *Store[uint64] }
+type refCount struct{}
 
-func (r refCount) Kind() string { return "refs" }
+func (refCount) Kind() string { return "refs" }
 
-func (r refCount) Start(point string, _ system.Config) Attached {
-	return &refRun{st: r.st, point: point}
-}
+func (refCount) Start(string, system.Config) Attached { return &refRun{} }
 
-func (r refCount) Restore(point string, raw json.RawMessage) error {
+func (refCount) Write(w io.Writer, raw json.RawMessage) error {
 	var n uint64
 	if err := json.Unmarshal(raw, &n); err != nil {
 		return err
 	}
-	r.st.Put(point, n)
-	return nil
+	_, err := fmt.Fprintln(w, n)
+	return err
 }
 
-type refRun struct {
-	st    *Store[uint64]
-	point string
-	n     uint64
-}
+type refRun struct{ n uint64 }
 
 func (r *refRun) Option() system.Option { return system.WithTrace(io.Discard, &r.n) }
 
@@ -138,119 +132,105 @@ func (r *refRun) Finish(ok bool) (json.RawMessage, error) {
 	if !ok {
 		return nil, nil
 	}
-	r.st.Put(r.point, r.n)
 	return json.Marshal(r.n)
 }
 
-// storeOf reaches the Store behind a built-in stored instrument.
-func storeOf[T, C any](in Instrument) *Store[T] { return in.(*stored[T, C]).store }
-
-// sameStores checks two stores hold the same point set, every point of
-// the campaign, and pairwise-equal payloads by same.
-func sameStores[T any](t *testing.T, a, c *Store[T], total int, same func(key string, a, c T)) {
+// payloads checks that two campaigns' Results hand out the same payload
+// of kind at every point (compared compact: a resumed payload keeps the
+// checkpoint file's indentation) and returns the first's, decoded, by
+// point name.
+func payloads[T any](t *testing.T, a, c *Result, kind string) map[string]*T {
 	t.Helper()
-	keysA, keysC := a.Keys(), c.Keys()
-	sort.Strings(keysA)
-	sort.Strings(keysC)
-	if !reflect.DeepEqual(keysA, keysC) {
-		t.Fatalf("store keys differ:\n%v\n%v", keysA, keysC)
+	out := map[string]*T{}
+	for _, p := range a.Processors {
+		for _, w := range a.Warehouses {
+			name := pointName(w, p)
+			var ra, rc bytes.Buffer
+			if err := json.Compact(&ra, a.Payload(w, p, kind)); err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			if err := json.Compact(&rc, c.Payload(w, p, kind)); err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			if !bytes.Equal(ra.Bytes(), rc.Bytes()) {
+				t.Errorf("%s %s differs after kill/resume:\nuninterrupted %s\nresumed       %s", name, kind, ra.Bytes(), rc.Bytes())
+			}
+			out[name] = decodeAs[T](t, ra.Bytes())
+		}
 	}
-	if len(keysA) != total {
-		t.Fatalf("store holds %d payloads, want %d", len(keysA), total)
-	}
-	for _, k := range keysA {
-		same(k, a.Get(k), c.Get(k))
-	}
+	return out
 }
 
 // instrumentCases are the instruments under the kill/resume test, the
-// built-in three and refCount: how to build each over fresh state, and
-// how an uninterrupted campaign's results must compare with a
-// killed-and-resumed one's.
+// built-in three and refCount: how to build each, and what each point's
+// payload in an uninterrupted campaign's Result must hold, given that a
+// killed-and-resumed campaign's Result hands out the same payloads.
 var instrumentCases = []struct {
 	kind  string
 	build func() Instrument
-	check func(t *testing.T, ref, resumed Instrument, total, killed int)
+	check func(t *testing.T, ref, resumed *Result)
 }{
 	{
 		kind:  "profile",
-		build: func() Instrument { return Profiles(NewStore[*profile.Profile]()) },
-		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
-			sameStores(t, storeOf[*profile.Profile, *profile.Collector](ref),
-				storeOf[*profile.Profile, *profile.Collector](resumed), total,
-				func(k string, pa, pc *profile.Profile) {
-					if !reflect.DeepEqual(pa.Meta, pc.Meta) || !reflect.DeepEqual(pa.Frames, pc.Frames) {
-						t.Errorf("profile %q differs after kill/resume:\n%+v\n%+v", k, pa, pc)
-					}
-					if pa.Meta.Label != k {
-						t.Errorf("profile %q labeled %q, want the point name", k, pa.Meta.Label)
-					}
-				})
+		build: Profiles,
+		check: func(t *testing.T, ref, resumed *Result) {
+			for k, p := range payloads[profile.Profile](t, ref, resumed, "profile") {
+				if p.Meta.Label != k || len(p.Frames) == 0 {
+					t.Errorf("profile %q labeled %q with %d frames, want the point name and frames", k, p.Meta.Label, len(p.Frames))
+				}
+			}
 		},
 	},
 	{
-		kind: "spans",
-		build: func() Instrument {
-			return Spans(txtrace.Config{HeadEvery: 2, TailK: 2}, NewStore[*txtrace.Dump]())
-		},
-		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
-			sameStores(t, storeOf[*txtrace.Dump, *txtrace.Tracer](ref),
-				storeOf[*txtrace.Dump, *txtrace.Tracer](resumed), total,
-				func(k string, da, dc *txtrace.Dump) {
-					if !reflect.DeepEqual(da, dc) {
-						t.Errorf("dump %q differs after kill/resume:\nuninterrupted %+v\nresumed       %+v", k, da, dc)
-					}
-					if da.Meta.Label != k {
-						t.Errorf("dump %q labeled %q, want the point name", k, da.Meta.Label)
-					}
-					if len(da.Traces) == 0 {
-						t.Errorf("dump %q retained no traces", k)
-					}
-				})
+		kind:  "spans",
+		build: func() Instrument { return Spans(txtrace.Config{HeadEvery: 2, TailK: 2}) },
+		check: func(t *testing.T, ref, resumed *Result) {
+			for k, d := range payloads[txtrace.Dump](t, ref, resumed, "spans") {
+				if d.Meta.Label != k {
+					t.Errorf("dump %q labeled %q, want the point name", k, d.Meta.Label)
+				}
+				if len(d.Traces) == 0 {
+					t.Errorf("dump %q retained no traces", k)
+				}
+			}
 		},
 	},
 	{
 		kind:  "qstats",
-		build: func() Instrument { return QueueStats(NewStore[*qstats.Report]()) },
-		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
-			sameStores(t, storeOf[*qstats.Report, *qstats.Collector](ref),
-				storeOf[*qstats.Report, *qstats.Collector](resumed), total,
-				func(k string, ra, rc *qstats.Report) {
-					if !reflect.DeepEqual(ra, rc) {
-						t.Errorf("report %q differs after kill/resume:\nuninterrupted %+v\nresumed       %+v", k, ra, rc)
-					}
-					if ra.Meta.Label != k {
-						t.Errorf("report %q labeled %q, want the point name", k, ra.Meta.Label)
-					}
-					if ra.Bottleneck != "disk" {
-						t.Errorf("report %q bottleneck %q, want disk", k, ra.Bottleneck)
-					}
-				})
+		build: QueueStats,
+		check: func(t *testing.T, ref, resumed *Result) {
+			for k, r := range payloads[qstats.Report](t, ref, resumed, "qstats") {
+				if r.Meta.Label != k {
+					t.Errorf("report %q labeled %q, want the point name", k, r.Meta.Label)
+				}
+				if r.Bottleneck != "disk" {
+					t.Errorf("report %q bottleneck %q, want disk", k, r.Bottleneck)
+				}
+			}
 		},
 	},
 	{
 		kind:  "refs",
-		build: func() Instrument { return refCount{st: NewStore[uint64]()} },
-		check: func(t *testing.T, ref, resumed Instrument, total, _ int) {
-			sameStores(t, ref.(refCount).st, resumed.(refCount).st, total,
-				func(k string, na, nc uint64) {
-					if na == 0 || na != nc {
-						t.Errorf("point %s: %d refs after kill/resume, %d uninterrupted", k, nc, na)
-					}
-				})
+		build: func() Instrument { return refCount{} },
+		check: func(t *testing.T, ref, resumed *Result) {
+			for k, n := range payloads[uint64](t, ref, resumed, "refs") {
+				if *n == 0 {
+					t.Errorf("point %s: no refs counted", k)
+				}
+			}
 		},
 	},
 }
 
 // TestInstrumentKillResume is every instrument's crash-consistency
 // guarantee: a campaign killed mid-flight and resumed with fresh
-// instrument state must converge on exactly the payloads of an
-// uninterrupted campaign — completed points come back from the
+// instruments must hand out exactly the payloads of an uninterrupted
+// campaign in its Result — completed points come back from the
 // checkpoint, not from re-runs. All instruments ride along together, as
 // the built-in ones do under odbsweep.
 func TestInstrumentKillResume(t *testing.T) {
 	total := len(testWarehouses) * len(testProcessors)
-	specFor := func(path string) (Spec, []Instrument) {
+	specFor := func(path string) Spec {
 		spec := testSpec()
 		spec.AutoTune = false
 		spec.Clients = 8
@@ -258,19 +238,19 @@ func TestInstrumentKillResume(t *testing.T) {
 		for _, tc := range instrumentCases {
 			spec.Instruments = append(spec.Instruments, tc.build())
 		}
-		return spec, spec.Instruments
+		return spec
 	}
 	dir := t.TempDir()
 
 	// Reference: uninterrupted campaign.
-	specA, insA := specFor(filepath.Join(dir, "ckA.json"))
-	if _, err := (&Runner{Spec: specA, RunFunc: (&fakeObserved{}).run}).Run(context.Background()); err != nil {
+	resA, err := (&Runner{Spec: specFor(filepath.Join(dir, "ckA.json")), RunFunc: (&fakeObserved{}).run}).Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill after three successful points.
 	pathB := filepath.Join(dir, "ckB.json")
-	specB, _ := specFor(pathB)
+	specB := specFor(pathB)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &recorder{onFinished: func(successes int) {
@@ -293,7 +273,7 @@ func TestInstrumentKillResume(t *testing.T) {
 	}
 
 	// Resume against the same checkpoint with fresh state.
-	specC, insC := specFor(pathB)
+	specC := specFor(pathB)
 	specC.Resume = true
 	fC := &fakeObserved{}
 	res, err := (&Runner{Spec: specC, RunFunc: fC.run}).Run(context.Background())
@@ -307,14 +287,14 @@ func TestInstrumentKillResume(t *testing.T) {
 		t.Fatalf("resume executed %d runs, want the %d incomplete points", fC.runs, total-killed)
 	}
 
-	for i, tc := range instrumentCases {
+	for _, tc := range instrumentCases {
 		t.Run(tc.kind, func(t *testing.T) {
 			for _, pt := range cp.Points {
 				if _, ok := pt.Flight[tc.kind]; !ok {
 					t.Errorf("checkpoint point W=%d P=%d has no %q payload", pt.W, pt.P, tc.kind)
 				}
 			}
-			tc.check(t, insA[i], insC[i], total, killed)
+			tc.check(t, resA, res)
 		})
 	}
 }
@@ -334,9 +314,6 @@ func TestResumeV1Checkpoint(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	profiles := NewStore[*profile.Profile]()
-	spans := NewStore[*txtrace.Dump]()
-	stations := NewStore[*qstats.Report]()
 	spec := Spec{
 		Machine: system.XeonQuad(), Tuning: system.DefaultTuning(),
 		Engine: "btree", Seed: 1,
@@ -344,7 +321,7 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		TargetUtil: 0.9, MinClients: 8, MaxClients: 64, Clients: 8,
 		Warehouses: []int{10, 25}, Processors: []int{1},
 		CheckpointPath: path, Resume: true,
-		Instruments: []Instrument{Profiles(profiles), Spans(txtrace.Config{}, spans), QueueStats(stations)},
+		Instruments: []Instrument{Profiles(), Spans(txtrace.Config{}), QueueStats()},
 	}
 	runs := 0
 	fake := func(context.Context, system.Config, []Attached) (system.Metrics, error) {
@@ -364,15 +341,17 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range cp.Points {
-		key := PointName(pt.W, pt.P)
+		key := pointName(pt.W, pt.P)
 		// The resume above succeeded with this unclaimed payload present.
 		if len(pt.Flight["hists"]) == 0 {
 			t.Errorf("%s: checkpoint holds no hists payload for the resume to ignore", key)
 		}
-		for kind, got := range map[string]any{
-			"profile": profiles.Get(key), "spans": spans.Get(key), "qstats": stations.Get(key),
-		} {
-			// The restored payload re-encodes to exactly what was saved.
+		p := decodeAs[profile.Profile](t, res.Payload(pt.W, pt.P, "profile"))
+		d := decodeAs[txtrace.Dump](t, res.Payload(pt.W, pt.P, "spans"))
+		r := decodeAs[qstats.Report](t, res.Payload(pt.W, pt.P, "qstats"))
+		for kind, got := range map[string]any{"profile": p, "spans": d, "qstats": r} {
+			// The resumed payload decodes and re-encodes to exactly what
+			// was saved.
 			want := pt.Flight[kind]
 			enc, err := json.Marshal(got)
 			if err != nil {
@@ -389,14 +368,129 @@ func TestResumeV1Checkpoint(t *testing.T) {
 				t.Errorf("%s %s: restored payload differs from the checkpoint", key, kind)
 			}
 		}
-		if p := profiles.Get(key); p.Meta.Label != key || len(p.Frames) == 0 {
+		if p.Meta.Label != key || len(p.Frames) == 0 {
 			t.Errorf("%s: restored profile %+v", key, p.Meta)
 		}
-		if d := spans.Get(key); d.Meta.Label != key || len(d.Traces) == 0 {
+		if d.Meta.Label != key || len(d.Traces) == 0 {
 			t.Errorf("%s: restored dump %+v", key, d.Meta)
 		}
-		if r := stations.Get(key); r.Meta.Label != key || r.Bottleneck == "" {
+		if r.Meta.Label != key || r.Bottleneck == "" {
 			t.Errorf("%s: restored report %+v", key, r.Meta)
 		}
+	}
+}
+
+// decodeAs decodes one payload.
+func decodeAs[T any](t *testing.T, raw json.RawMessage) *T {
+	t.Helper()
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestWriteMatchesCollectorEncoding holds each built-in instrument's
+// writer to its collector's own encoder: the file written from a
+// point's checkpointed payload must be byte-equal to what Profile.Encode,
+// Dump.Write or Report.WriteJSON writes for the same run. Copying the raw
+// payload through, even re-indented, would not do: profile.Encode sorts
+// frames, and the collector emits them in another order.
+func TestWriteMatchesCollectorEncoding(t *testing.T) {
+	spec := testSpec()
+	spec.AutoTune = false
+	spec.Clients = 8
+	spec.Warehouses, spec.Processors = []int{25}, []int{2}
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	spec.Instruments = []Instrument{Profiles(), Spans(txtrace.Config{HeadEvery: 2, TailK: 2}), QueueStats()}
+	if _, err := (&Runner{Spec: spec, RunFunc: (&fakeObserved{}).run}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LoadCheckpoint(spec.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same run again, attached by hand, for the collectors' output.
+	name := pointName(25, 2)
+	cfg := spec.config(25, 8, 2, spec.MeasureTxns)
+	att := make([]Attached, len(spec.Instruments))
+	for i, in := range spec.Instruments {
+		att[i] = in.Start(name, cfg)
+	}
+	if _, err := (&fakeObserved{}).run(context.Background(), cfg, att); err != nil {
+		t.Fatal(err)
+	}
+	own := map[string]func(io.Writer) error{
+		"profile": func(w io.Writer) error {
+			p := att[0].(*profileRun).col.Profile()
+			p.Meta.Label = name
+			return p.Encode(w)
+		},
+		"spans": func(w io.Writer) error {
+			d := att[1].(*spansRun).col.Dump()
+			d.Meta.Label = name
+			return d.Write(w)
+		},
+		"qstats": func(w io.Writer) error {
+			r := att[2].(*qstatsRun).col.Report()
+			r.Meta.Label = name
+			return r.WriteJSON(w)
+		},
+	}
+
+	for _, in := range spec.Instruments {
+		kind := in.Kind()
+		raw := cp.Points[0].Flight[kind]
+		var got, want bytes.Buffer
+		if err := in.Write(&got, raw); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if err := own[kind](&want); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: written file differs from the collector's encoding:\n%s\nwant\n%s", kind, got.Bytes(), want.Bytes())
+		}
+		if kind == "profile" {
+			var copied bytes.Buffer
+			if err := json.Indent(&copied, raw, "", " "); err != nil {
+				t.Fatal(err)
+			}
+			copied.WriteByte('\n')
+			if bytes.Equal(copied.Bytes(), want.Bytes()) {
+				t.Error("the profile payload is already in encoder order, so a writer that copies raw JSON through would pass")
+			}
+		}
+	}
+}
+
+// TestResumeRejectsUndecodablePayload resumes from a checkpoint whose
+// point holds a profile payload that does not decode: the campaign must
+// fail naming the point, without running it again.
+func TestResumeRejectsUndecodablePayload(t *testing.T) {
+	spec := testSpec()
+	spec.AutoTune = false
+	spec.Clients = 8
+	spec.Warehouses, spec.Processors = []int{10}, []int{1}
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	spec.Resume = true
+	spec.Instruments = []Instrument{Profiles()}
+	cp := Checkpoint{
+		Version: checkpointVersion,
+		Spec:    spec.fingerprint(),
+		Points: []CheckpointPoint{{W: 10, P: 1, C: 8,
+			Flight: map[string]json.RawMessage{"profile": json.RawMessage(`{"frames":"not a list"}`)}}},
+	}
+	if err := cp.Save(spec.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeObserved{}
+	_, err := (&Runner{Spec: spec, RunFunc: f.run}).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "W=10 P=1") {
+		t.Fatalf("err = %v, want a failure naming W=10 P=1", err)
+	}
+	if f.runs != 0 {
+		t.Fatalf("resume ran %d runs, want 0", f.runs)
 	}
 }

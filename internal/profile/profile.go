@@ -107,7 +107,8 @@ type Meta struct {
 }
 
 // Collector accumulates frames during a run. The system layer writes on
-// simulated time; readers may snapshot concurrently.
+// simulated time; Profile reads the frames, under the mutex, once the
+// run is over.
 type Collector struct {
 	mu     sync.Mutex
 	meta   Meta
@@ -119,7 +120,7 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // SetMeta installs the run description; the system layer calls it
-// before the run so mid-run snapshots are labelled.
+// before the run, and Finalize fills in the measured length at its end.
 func (c *Collector) SetMeta(m Meta) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,9 +14,8 @@
 // randomness and never schedule simulation events, so a run with
 // qstats attached is bit-identical to one without (pinned in
 // internal/system). All hot-path accumulation is inline arithmetic —
-// no allocation, no locks — on the simulation goroutine; derived
-// reports are published under a mutex so any goroutine may read them
-// mid-run.
+// no allocation, no locks — on the simulation goroutine; the derived
+// report is built once, when the run ends.
 package qstats
 
 import "sync"
@@ -126,9 +125,9 @@ func (s *Station) reset() {
 }
 
 // Collector owns the station set for one run. The simulation side
-// reaches the stations directly (single goroutine, no locks); derived
-// reports are published under the mutex, so HTTP readers see a
-// consistent snapshot while the run is still simulating.
+// reaches the stations directly (single goroutine, no locks); the run's
+// report is published under the mutex, so Report is safe from any
+// goroutine.
 type Collector struct {
 	stations [NumStations]Station
 	servers  [NumStations]int
@@ -171,16 +170,15 @@ func (c *Collector) Counts() [NumStations]Counts {
 }
 
 // Publish installs a derived report as the collector's current one.
-// The simulation side calls it at every flight-recorder tick and once
-// at run end.
+// The simulation side calls it once, at run end.
 func (c *Collector) Publish(r *Report) {
 	c.mu.Lock()
 	c.last = r
 	c.mu.Unlock()
 }
 
-// Report returns the most recently published report, or nil before the
-// first publication. Safe from any goroutine.
+// Report returns the published report, or nil before the run has
+// published one. Safe from any goroutine.
 func (c *Collector) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()

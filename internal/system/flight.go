@@ -178,11 +178,6 @@ func (m *machine) startFlight() {
 	tick = func() {
 		cur := m.snapFlight()
 		m.rec.PushSample(m.flightSample(last, cur))
-		if m.qs != nil {
-			// Refresh the live /bottlenecks report on the recorder's
-			// cadence — no extra events, the flight tick already exists.
-			m.qs.Publish(m.qsReport())
-		}
 		last = cur
 		m.eng.After(interval, tick)
 	}

@@ -151,7 +151,7 @@ func TestLSMProfiledExactSum(t *testing.T) {
 // space-amp at or above one throughout.
 func TestLSMFlightSamplesCarryAmplification(t *testing.T) {
 	cfg := lsmCfg(10, 1)
-	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
+	rec := telemetry.NewRecorder(20)
 	if _, err := Run(context.Background(), cfg, WithRecorder(rec)); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type observer struct {
 // schedules events (WithEMON does both).
 var observers = []observer{
 	{"timeline", func(t *testing.T) (Option, func() []byte) {
-		rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
+		rec := telemetry.NewRecorder(20)
 		return WithRecorder(rec), func() []byte {
 			// With WithQueueStats attached the samples also carry station
 			// readings, by design; every other column must not move.
@@ -146,7 +146,7 @@ func BenchmarkRunObservers(b *testing.B) {
 		attach func() []Option
 	}{
 		{"bare", func() []Option { return nil }},
-		{"recorder", func() []Option { return []Option{WithRecorder(telemetry.NewRecorder(telemetry.Config{}))} }},
+		{"recorder", func() []Option { return []Option{WithRecorder(telemetry.NewRecorder(0))} }},
 		{"profiler", func() []Option { return []Option{WithProfiler(profile.NewCollector())} }},
 		{"spans", func() []Option { return []Option{WithSpans(txtrace.NewTracer(txtrace.Config{}))} }},
 		{"qstats", func() []Option { return []Option{WithQueueStats(qstats.NewCollector())} }},

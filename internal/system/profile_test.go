@@ -33,12 +33,12 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 	}
 
 	// Profiling alongside the flight recorder must match a recorded run.
-	rec := telemetry.NewRecorder(telemetry.Config{})
+	rec := telemetry.NewRecorder(0)
 	recorded, err := Run(context.Background(), cfg, WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := telemetry.NewRecorder(telemetry.Config{})
+	rec2 := telemetry.NewRecorder(0)
 	both, err := Run(context.Background(), cfg, WithRecorder(rec2), WithProfiler(profile.NewCollector()))
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func TestRunQueueStatsDeterministic(t *testing.T) {
 // along, with sane bounded values.
 func TestRunQueueStatsTimelineStations(t *testing.T) {
 	cfg := spanCfg(10, 2)
-	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
+	rec := telemetry.NewRecorder(20)
 	col := qstats.NewCollector()
 	if _, err := Run(context.Background(), cfg, WithRecorder(rec), WithQueueStats(col)); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRunQueueStatsTimelineStations(t *testing.T) {
 		}
 	}
 	// Without the observatory the samples carry no station rows.
-	rec2 := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 20})
+	rec2 := telemetry.NewRecorder(20)
 	if _, err := Run(context.Background(), cfg, WithRecorder(rec2)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAmpGaugesResetSafe(t *testing.T) {
 		// straddle the reset.
 		cfg.WarmupTxns = 300
 		cfg.MeasureTxns = 300
-		rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: 5})
+		rec := telemetry.NewRecorder(5)
 		if _, err := Run(context.Background(), cfg, WithRecorder(rec)); err != nil {
 			t.Fatal(err)
 		}

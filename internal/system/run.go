@@ -71,12 +71,11 @@ func WithRecorder(rec *telemetry.Recorder) Option {
 			return nil
 		}
 		m.rec = rec
-		rec.SetTarget(uint64(m.cfg.MeasureTxns))
 		m.atReset = append(m.atReset, func() {
-			rec.MarkPhase(telemetry.PhaseMeasure, float64(m.resetAt)/m.cfg.Machine.FreqHz)
+			rec.MarkPhase(telemetry.PhaseMeasure, float64(m.resetAt)/m.cfg.Machine.FreqHz, m.totalTxns)
 		})
 		m.atEnd = append(m.atEnd, func(Metrics) error {
-			rec.MarkPhase(telemetry.PhaseDone, float64(m.eng.Now())/m.cfg.Machine.FreqHz)
+			rec.MarkPhase(telemetry.PhaseDone, float64(m.eng.Now())/m.cfg.Machine.FreqHz, m.totalTxns)
 			return nil
 		})
 		return nil
@@ -167,11 +166,10 @@ func WithSpans(tr *txtrace.Tracer) Option {
 // WithQueueStats feeds the queueing observatory: every shared service
 // center (CPU run queues, bus, disk and log arrays, lock manager,
 // buffer busy waits, engine writer throttles) accumulates arrivals,
-// completions, busy and waiting time into the collector's stations, a
-// derived report is published at every flight-recorder tick, and the
-// final report — utilization, throughput, service/wait times, queue
-// lengths, operational-law residuals, bottleneck ranking — is published
-// when the run completes. A nil collector is ignored.
+// completions, busy and waiting time into the collector's stations, and
+// the report — utilization, throughput, service/wait times, queue
+// lengths, operational-law residuals, bottleneck ranking — is built and
+// published once, when the run completes. A nil collector is ignored.
 func WithQueueStats(c *qstats.Collector) Option {
 	return func(m *machine) error {
 		if c == nil {

@@ -174,10 +174,11 @@ func Validate(cfg Config) error {
 	}
 	// Fields that would otherwise panic (a buffer cache of no blocks or
 	// of 2^31 − 1 or more, past its int32 arena index; a zero disk set,
-	// cache line size or associativity, scale, OS quantum or bus
-	// utilization window; a negative disk time, OtherCPI, busy wait or
-	// stall cost schedules an event in the past; a negative footprint
-	// asks for an unbounded Zipf table),
+	// OS quantum or bus utilization window; a cache line size,
+	// associativity or scale of zero or past maxLineSize, maxWays or
+	// maxScale; a negative disk time, OtherCPI, busy wait or stall cost
+	// schedules an event in the past; a negative footprint asks for an
+	// unbounded Zipf table),
 	// never finish (a zero clock leaves no simulated-time cap; a negative
 	// warm-up never ends; a zero chunk or a DB-writer tick under one
 	// cycle stops simulated time from advancing; a negative, NaN or
@@ -234,15 +235,15 @@ func Validate(cfg Config) error {
 		return badField("Machine.Bus.BandwidthScale", m.Bus.BandwidthScale)
 	case m.Bus.WindowCycles == 0:
 		return badField("Machine.Bus.WindowCycles", m.Bus.WindowCycles)
-	case m.Geometry.LineSize < 1:
+	case m.Geometry.LineSize < 1 || m.Geometry.LineSize > maxLineSize:
 		return badField("Machine.Geometry.LineSize", m.Geometry.LineSize)
-	case m.Geometry.TCWays < 1:
+	case m.Geometry.TCWays < 1 || m.Geometry.TCWays > maxWays:
 		return badField("Machine.Geometry.TCWays", m.Geometry.TCWays)
-	case m.Geometry.L2Ways < 1:
+	case m.Geometry.L2Ways < 1 || m.Geometry.L2Ways > maxWays:
 		return badField("Machine.Geometry.L2Ways", m.Geometry.L2Ways)
-	case m.Geometry.L3Ways < 1:
+	case m.Geometry.L3Ways < 1 || m.Geometry.L3Ways > maxWays:
 		return badField("Machine.Geometry.L3Ways", m.Geometry.L3Ways)
-	case t.Scale == 0:
+	case t.Scale == 0 || t.Scale > maxScale:
 		return badField("Tuning.Scale", t.Scale)
 	case t.QuantumInstr == 0:
 		return badField("Tuning.QuantumInstr", t.QuantumInstr)
@@ -378,6 +379,26 @@ const (
 	maxMemtableMB  = 1024
 	maxFanout      = 100
 	maxL0StallRuns = 64
+)
+
+// maxLineSize, maxWays and maxScale bound the cache geometry and the
+// scale factor. workload.ScaledGeometry divides every cache's size by
+// ways·LineSize·Scale in int arithmetic; with no bound that product
+// wraps, to 0 at a Scale of 2^55 or at 2^58 ways or bytes per line,
+// and the division panics. Within the bounds it stays under 2^38.
+//   - maxLineSize is one 4 KiB page. Modelled lines are 64 bytes; no
+//     cache line is larger than a page.
+//   - maxWays is 64. The widest modelled cache is the 12-way Itanium2
+//     L3, and every access scans its whole set, so a wider set only
+//     slows every reference down.
+//   - maxScale is 2^20. At that scale the largest default footprint
+//     (16 MB of metadata, 2^18 lines) is already at its two-line floor
+//     and every cache at one set; a larger scale would change nothing
+//     but the factor every count is multiplied by.
+const (
+	maxLineSize = 4096
+	maxWays     = 64
+	maxScale    = 1 << 20
 )
 
 // maxBufferCacheMB is the largest buffer cache whose block count stays
@@ -830,7 +851,6 @@ func (m *machine) commit(sp *serverProc) {
 	if m.rec != nil {
 		us := float64(m.eng.Now()-sp.startAt) * 1e3 / m.cyclesPerMS
 		m.rec.ObserveSpan(sp.txn.Type.String(), uint64(us))
-		m.rec.NoteCommit(m.measuring)
 	}
 	if sp.ts != nil {
 		m.spans.End(sp.ts, m.eng.Now(), m.measuring)

@@ -136,6 +136,14 @@ var degenerateRows = []struct {
 		c.Tuning.LSM.Fanout = 1 << 44
 	}},
 	{"Tuning.LSM.L0StallRuns", func(c *Config) { c.Engine = "lsm"; c.Tuning.LSM.L0StallRuns = maxL0StallRuns + 1 }},
+	{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = maxScale + 1 }},
+	{"Tuning.Scale", func(c *Config) { c.Tuning.Scale = 1 << 55 }}, // ways·LineSize·Scale wrapped to 0
+	{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = maxLineSize + 1 }},
+	{"Machine.Geometry.LineSize", func(c *Config) { c.Machine.Geometry.LineSize = 1 << 58 }},
+	{"Machine.Geometry.TCWays", func(c *Config) { c.Machine.Geometry.TCWays = maxWays + 1 }},
+	{"Machine.Geometry.L2Ways", func(c *Config) { c.Machine.Geometry.L2Ways = maxWays + 1 }},
+	{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = maxWays + 1 }},
+	{"Machine.Geometry.L3Ways", func(c *Config) { c.Machine.Geometry.L3Ways = 1 << 58 }},
 	{"Tuning.LSM", func(c *Config) { // in bounds, but the bottom level ends past 2^32 blocks
 		c.Engine = "lsm"
 		c.Warehouses = maxWarehouses

@@ -7,8 +7,9 @@
 // read the wall clock. Sample timestamps are simulated seconds supplied
 // by the system layer, and manifest wall-time fields are stamped by
 // callers (cmd/ binaries, or the campaign runner through its injected
-// clock). All types are safe for one writer plus concurrent snapshot
-// readers.
+// clock). A Recorder is written by the simulation and read by the run's
+// caller once the run is over; a Histogram is not safe for concurrent
+// use on its own.
 package telemetry
 
 import (
@@ -159,12 +160,6 @@ func (h *Histogram) QuantileOK(q float64) (float64, bool) {
 		}
 	}
 	return float64(h.max), true
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	return &c
 }
 
 // Encode serializes the histogram compactly: a version byte, the count,

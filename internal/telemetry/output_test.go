@@ -11,7 +11,7 @@ import (
 // along), and %g keeps values round-trippable. Downstream spreadsheet
 // and plotting pipelines key on these exact column names.
 func TestWriteTimelineCSVGolden(t *testing.T) {
-	rec := NewRecorder(Config{SampleIntervalMS: 100})
+	rec := NewRecorder(100)
 	rec.PushSample(Sample{
 		SimSeconds: 0.1, Measuring: false,
 		TPS: 480, CPI: 2.5, UserIPX: 1.5e6, OSIPX: 2e5,
@@ -56,7 +56,7 @@ func TestWriteTimelineCSVGolden(t *testing.T) {
 // TestWriteTimelineCSVEmpty keeps the zero-sample dump parseable: just
 // the scalar header, no per-CPU or station columns to derive.
 func TestWriteTimelineCSVEmpty(t *testing.T) {
-	rec := NewRecorder(Config{})
+	rec := NewRecorder(0)
 	var b strings.Builder
 	if err := rec.WriteTimelineCSV(&b); err != nil {
 		t.Fatal(err)

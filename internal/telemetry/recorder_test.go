@@ -27,25 +27,26 @@ func TestTimelineRing(t *testing.T) {
 	}
 }
 
-// TestTimelineWraparound pushes far past the ring capacity — several
-// full wraps — and checks the ring keeps exactly the newest samples
-// with a monotone simulated-time axis and an exact dropped count.
+// TestTimelineWraparound pushes far past the recorder's ring capacity
+// — several full wraps — and checks the ring keeps exactly the newest
+// samples with a monotone simulated-time axis and an exact dropped
+// count.
 func TestTimelineWraparound(t *testing.T) {
-	const cap, pushes = 4, 23
-	r := NewRecorder(Config{RingCap: cap})
+	const pushes = 3*timelineCap + 23
+	r := NewRecorder(0)
 	for i := 0; i < pushes; i++ {
 		r.PushSample(Sample{SimSeconds: float64(i), Txns: uint64(i)})
 	}
-	if got := r.TimelineDropped(); got != pushes-cap {
-		t.Fatalf("dropped = %d, want %d", got, pushes-cap)
+	if got := r.TimelineDropped(); got != pushes-timelineCap {
+		t.Fatalf("dropped = %d, want %d", got, pushes-timelineCap)
 	}
 	got := r.Timeline()
-	if len(got) != cap {
-		t.Fatalf("retained %d samples, want %d", len(got), cap)
+	if len(got) != timelineCap {
+		t.Fatalf("retained %d samples, want %d", len(got), timelineCap)
 	}
 	for i, s := range got {
-		if want := float64(pushes - cap + i); s.SimSeconds != want {
-			t.Fatalf("sample %d has t=%f, want %f (newest %d, oldest-first)", i, s.SimSeconds, want, cap)
+		if want := float64(pushes - timelineCap + i); s.SimSeconds != want {
+			t.Fatalf("sample %d has t=%f, want %f (newest %d, oldest-first)", i, s.SimSeconds, want, timelineCap)
 		}
 		if i > 0 && got[i].SimSeconds <= got[i-1].SimSeconds {
 			t.Fatalf("sim-time axis not monotone at %d: %f after %f", i, got[i].SimSeconds, got[i-1].SimSeconds)
@@ -54,28 +55,26 @@ func TestTimelineWraparound(t *testing.T) {
 }
 
 func TestRecorderLifecycle(t *testing.T) {
-	r := NewRecorder(Config{SampleIntervalMS: 10, RingCap: 100})
+	r := NewRecorder(10)
 	if r.Interval() != 10 {
 		t.Fatalf("interval = %f, want 10", r.Interval())
 	}
-	r.SetTarget(50)
+	for _, ms := range []float64{0, -5} {
+		if got := NewRecorder(ms).Interval(); got != defaultIntervalMS {
+			t.Fatalf("NewRecorder(%v) interval = %f, want %d", ms, got, defaultIntervalMS)
+		}
+	}
 
 	// Warm-up: 20 commits, then the phase mark at the reset.
 	for i := 0; i < 20; i++ {
-		r.NoteCommit(false)
 		r.ObserveSpan("NewOrder", 1000)
 	}
-	r.MarkPhase(PhaseMeasure, 1.5)
+	r.MarkPhase(PhaseMeasure, 1.5, 20)
 	for i := 0; i < 50; i++ {
-		r.NoteCommit(true)
 		r.ObserveSpan("NewOrder", 2000)
 	}
-	r.MarkPhase(PhaseDone, 4.0)
+	r.MarkPhase(PhaseDone, 4.0, 70)
 
-	p := r.Progress()
-	if p.Phase != PhaseDone || p.TotalTxns != 70 || p.MeasuredTxns != 50 || p.TargetTxns != 50 {
-		t.Fatalf("progress = %+v", p)
-	}
 	phases := r.Phases()
 	if len(phases) != 2 {
 		t.Fatalf("phases = %+v, want 2 spans", phases)
@@ -87,27 +86,16 @@ func TestRecorderLifecycle(t *testing.T) {
 		t.Fatalf("measure span = %+v", phases[1])
 	}
 
-	if names := r.HistogramNames(); len(names) != 1 || names[0] != "NewOrder" {
-		t.Fatalf("histogram names = %v", names)
-	}
-	h := r.HistogramSnapshot("NewOrder")
-	if h == nil || h.Count() != 70 {
-		t.Fatalf("snapshot count = %v", h)
-	}
-	// Snapshots are deep copies: mutating one must not affect the recorder.
-	h.Observe(5)
-	if r.HistogramSnapshot("NewOrder").Count() != 70 {
-		t.Fatal("HistogramSnapshot returned a shared histogram")
-	}
-	if r.HistogramSnapshot("missing") != nil {
-		t.Fatal("snapshot of unobserved type should be nil")
+	hists := r.Histograms()
+	if len(hists) != 1 || hists["NewOrder"] == nil || hists["NewOrder"].Count() != 70 {
+		t.Fatalf("histograms = %v", hists)
 	}
 }
 
 // TestWriteTimeline checks that the -timeline JSON dump parses back to
 // the retained samples.
 func TestWriteTimeline(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder(0)
 	r.PushSample(Sample{SimSeconds: 1.25, Measuring: true, TPS: 640, CPI: 2.4, CPUUtil: []float64{0.95, 0.91}})
 
 	var sb strings.Builder

@@ -50,8 +50,7 @@ type StationSample struct {
 
 // Timeline is a bounded ring of samples: pushes beyond the capacity
 // overwrite the oldest entries, and Dropped counts how many were lost.
-// One writer (the simulation) and any number of snapshot readers may
-// use it concurrently.
+// Its mutex keeps a read consistent with the writer's pushes.
 type Timeline struct {
 	mu      sync.Mutex
 	buf     []Sample

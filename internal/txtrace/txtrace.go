@@ -357,8 +357,8 @@ func (ts *ProcState) EndChunk(start, cycles sim.Time, totalInstr uint64) {
 }
 
 // Tracer retains sampled transaction traces and per-type aggregates.
-// The simulation thread is the single writer; readers take consistent
-// snapshots through Dump, serialized by the mutex.
+// The simulation thread is the single writer; Dump reads them, under
+// the mutex, once the run is over.
 type Tracer struct {
 	mu      sync.Mutex
 	cfg     Config
