@@ -8,14 +8,17 @@
 // path ending in .csv switches to the flat CSV table), and -json
 // replaces the text report with a machine-readable document bundling
 // the run manifest (config, seed, provenance, phase durations), the
-// final metrics and per-transaction latency digests.
+// final metrics and the per-type latency aggregates.
 //
 // The cycle-attribution profiler: -profile writes the run's per-phase
 // CPI attribution as JSON.
 //
-// The span tracer: -spans captures a deterministic sample of
-// per-transaction span trees (head sampling plus the slowest per type)
-// and writes the trace dump as JSON.
+// The span tracer rides along on every run: its per-type aggregates
+// (count, p50/p95/p99 and latency sum over every measured transaction)
+// are the report's latency lines and the -json "latency" array. -spans
+// writes its dump as JSON: those aggregates plus a deterministic sample
+// of per-transaction span trees (head sampling plus the slowest per
+// type).
 //
 // The queueing observatory: -qstats collects per-resource
 // service-center metrics (arrivals, utilization, wait demand,
@@ -46,7 +49,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -60,9 +62,9 @@ import (
 
 // report is the -json output document.
 type report struct {
-	Manifest *telemetry.Manifest                 `json:"manifest"`
-	Metrics  system.Metrics                      `json:"metrics"`
-	Latency  map[string]telemetry.LatencySummary `json:"latency,omitempty"`
+	Manifest *telemetry.Manifest `json:"manifest"`
+	Metrics  system.Metrics      `json:"metrics"`
+	Latency  []txtrace.TypeStat  `json:"latency"`
 	Timeline struct {
 		Samples int    `json:"samples"`
 		Dropped uint64 `json:"dropped"`
@@ -82,7 +84,7 @@ func main() {
 	txns := flag.Int("txns", 2400, "measured transactions")
 	warmup := flag.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
 	nocoh := flag.Bool("nocoherence", false, "disable MESI coherence")
-	jsonOut := flag.Bool("json", false, "emit the run manifest, metrics and latency digests as JSON")
+	jsonOut := flag.Bool("json", false, "emit the run manifest, metrics and per-type latency as JSON")
 	timelineOut := flag.String("timeline", "", "write the sampled timeline as JSON to this file")
 	sampleMS := flag.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
 	profileOut := flag.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
@@ -108,20 +110,22 @@ func main() {
 
 	rec := telemetry.NewRecorder(*sampleMS)
 	opts := []system.Option{system.WithRecorder(rec)}
-	// Each requested observer attaches through its campaign instrument;
-	// its payload goes to its file after the run.
+	// Each observer attaches through its campaign instrument; its payload
+	// goes to its file after the run, if one was named. The span tracer
+	// always attaches: its per-type aggregates are the latency record.
 	type observer struct {
 		path string
 		in   campaign.Instrument
 		att  campaign.Attached
 	}
+	spans := &observer{path: *spansOut, in: campaign.Spans(txtrace.Config{HeadEvery: *spanHead})}
 	var observers []*observer
 	for _, o := range []*observer{
 		{path: *profileOut, in: campaign.Profiles()},
-		{path: *spansOut, in: campaign.Spans(txtrace.Config{HeadEvery: *spanHead})},
+		spans,
 		{path: *qstatsOut, in: campaign.QueueStats()},
 	} {
-		if o.path != "" {
+		if o.path != "" || o == spans {
 			o.att = o.in.Start(label, cfg)
 			opts = append(opts, o.att.Option())
 			observers = append(observers, o)
@@ -148,6 +152,7 @@ func main() {
 		}
 		log.Printf("captured %d memory references to %s", refs, *traceOut)
 	}
+	var dump txtrace.Dump
 	for _, o := range observers {
 		raw, err := o.att.Finish(true)
 		if err != nil {
@@ -156,7 +161,14 @@ func main() {
 		if raw == nil {
 			log.Fatalf("%s: run finished without a payload", o.in.Kind())
 		}
-		writeFile(o.path, func(w io.Writer) error { return o.in.Write(w, raw) })
+		if o == spans {
+			if err := json.Unmarshal(raw, &dump); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if o.path != "" {
+			writeFile(o.path, func(w io.Writer) error { return o.in.Write(w, raw) })
+		}
 	}
 	if *timelineOut != "" {
 		// The extension picks the encoding: .csv gets the flat table
@@ -178,7 +190,7 @@ func main() {
 		if err := man.SetConfig(cfg); err != nil {
 			log.Fatal(err)
 		}
-		rep := report{Manifest: man, Metrics: m, Latency: telemetry.SummarizeAll(rec.Histograms(), true)}
+		rep := report{Manifest: man, Metrics: m, Latency: dump.Types}
 		rep.Timeline.Samples = len(rec.Timeline())
 		rep.Timeline.Dropped = rec.TimelineDropped()
 		enc := json.NewEncoder(os.Stdout)
@@ -198,23 +210,14 @@ func main() {
 		fmt.Printf("  cpi breakdown: %s\n", m.Breakdown)
 		fmt.Printf("  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
 			float64(m.Processors)*cfg.Machine.FreqHz/(m.IPX*m.CPI)*m.CPUUtil, m.TPS)
-		hists := rec.Histograms()
-		names := make([]string, 0, len(hists))
-		for name := range hists {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h := hists[name]
-			p50, ok := h.QuantileOK(0.50)
-			if !ok {
-				fmt.Printf("  latency %-12s n=0     (no measured commits)\n", name)
+		ms := 1e3 / dump.Meta.FreqHz
+		for _, ts := range dump.Types {
+			if ts.Count == 0 {
+				fmt.Printf("  latency %-12s n=0     (no measured commits)\n", ts.Type)
 				continue
 			}
-			p95, _ := h.QuantileOK(0.95)
-			p99, _ := h.QuantileOK(0.99)
-			fmt.Printf("  latency %-12s n=%-5d mean=%.1fms p50=%.1fms p95=%.1fms p99=%.1fms\n",
-				name, h.Count(), h.Mean()/1e3, p50/1e3, p95/1e3, p99/1e3)
+			fmt.Printf("  latency %-12s n=%-5d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms\n",
+				ts.Type, ts.Count, float64(ts.SumLatency)/float64(ts.Count)*ms, ts.P50*ms, ts.P95*ms, ts.P99*ms)
 		}
 	}
 }

@@ -104,10 +104,10 @@ type Input struct {
 	Background    Background
 }
 
-// Build derives a report from raw accumulators. It runs on the
-// simulation goroutine (flight ticks and run end), so it follows the
-// hot-path allocation discipline: fixed-size slices filled by index,
-// no escaping composite literals, no interface boxing.
+// Build derives a report from raw accumulators. It runs once, at run
+// end, on the simulation goroutine. The package is under the hot-path
+// allocation rule, so it keeps the same discipline: fixed-size slices
+// filled by index, no escaping composite literals, no interface boxing.
 func Build(in *Input) *Report {
 	r := new(Report)
 	r.Meta = in.Meta

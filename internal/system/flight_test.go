@@ -45,7 +45,7 @@ func TestRunRecordedDoesNotPerturb(t *testing.T) {
 }
 
 // TestRunRecordedDeterministic re-runs the same seed and checks the
-// flight data — timelines and histogram encodings — is bit-identical.
+// timeline is bit-identical.
 func TestRunRecordedDeterministic(t *testing.T) {
 	run := func() (*telemetry.Recorder, Metrics) {
 		rec := telemetry.NewRecorder(20)
@@ -68,11 +68,6 @@ func TestRunRecordedDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(tlA[i], tlB[i]) {
 			t.Fatalf("sample %d differs:\n%+v\n%+v", i, tlA[i], tlB[i])
 		}
-	}
-	// The digests odbrun -json ships, encoded histograms included.
-	sumA := telemetry.SummarizeAll(recA.Histograms(), true)
-	if sumB := telemetry.SummarizeAll(recB.Histograms(), true); len(sumA) == 0 || !reflect.DeepEqual(sumA, sumB) {
-		t.Errorf("histograms differ across reruns:\n%+v\n%+v", sumA, sumB)
 	}
 }
 
@@ -100,7 +95,6 @@ func TestRunRecordedFlightData(t *testing.T) {
 		t.Errorf("phase commits %d, %d (measured %d), want ≥ %d, %d",
 			phases[0].Txns, phases[1].Txns, m.Txns, cfg.WarmupTxns, cfg.MeasureTxns)
 	}
-	total := phases[0].Txns + phases[1].Txns
 
 	samples := rec.Timeline()
 	if len(samples) < 5 {
@@ -150,14 +144,5 @@ func TestRunRecordedFlightData(t *testing.T) {
 		if mean < m.TPS*0.5 || mean > m.TPS*1.5 {
 			t.Errorf("mean sampled TPS %f far from final %f", mean, m.TPS)
 		}
-	}
-
-	// Histograms cover every transaction committed since run start.
-	var observed uint64
-	for _, h := range rec.Histograms() {
-		observed += h.Count()
-	}
-	if observed != total {
-		t.Errorf("histogram observations %d != total commits %d", observed, total)
 	}
 }

@@ -191,11 +191,11 @@ func TestPrefillRejectsWideBlockIDs(t *testing.T) {
 }
 
 // TestPrefillHonoursCancel checks that a cancelled context stops the
-// prefill sample at once: a million-transaction sample that would take
-// seconds returns context.Canceled and installs no block.
+// prefill sample at once: the largest sample Validate accepts, which
+// would take seconds, returns context.Canceled and installs no block.
 func TestPrefillHonoursCancel(t *testing.T) {
 	cfg := DefaultConfig(200, 16, 1)
-	cfg.Tuning.PrefillSampleTxns = 1_000_000
+	cfg.Tuning.PrefillSampleTxns = maxPrefillSampleTxns
 	m := build(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -217,7 +217,7 @@ func TestPrefillHonoursCancel(t *testing.T) {
 // after a full sample.
 func TestRunCancelledDuringSetUp(t *testing.T) {
 	cfg := DefaultConfig(200, 16, 1)
-	cfg.Tuning.PrefillSampleTxns = 1_000_000
+	cfg.Tuning.PrefillSampleTxns = maxPrefillSampleTxns
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rows := 0

@@ -3,9 +3,9 @@ package system
 import "odbscale/internal/qstats"
 
 // qsReport derives the queueing-observatory report for the measurement
-// window so far: station accumulators, server counts and the absorbed
-// background counters, handed to qstats.Build. Called at flight-recorder
-// ticks and once at run end; nil-safe only behind a m.qs check.
+// window: station accumulators, server counts and the absorbed
+// background counters, handed to qstats.Build. Called once, at run end;
+// nil-safe only behind a m.qs check.
 func (m *machine) qsReport() *qstats.Report {
 	bcs := m.bc.Stats()
 	lms := m.lm.Stats()

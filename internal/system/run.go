@@ -62,9 +62,10 @@ func WithTrace(w io.Writer, count *uint64) Option {
 	}
 }
 
-// WithRecorder feeds the flight recorder: per-transaction latency spans,
-// phase marks at the warm-up reset and at run end, and timeline samples
-// every recorder interval of simulated time. A nil recorder is ignored.
+// WithRecorder feeds the flight recorder: phase marks at the warm-up
+// reset and at run end, and timeline samples every recorder interval of
+// simulated time. Transaction latency is WithSpans' record. A nil
+// recorder is ignored.
 func WithRecorder(rec *telemetry.Recorder) Option {
 	return func(m *machine) error {
 		if rec == nil {

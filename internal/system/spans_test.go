@@ -19,7 +19,8 @@ func spanCfg(w, p int) Config {
 
 // TestRunSpannedDoesNotPerturb is the span tracer's core guarantee,
 // pinned across the W × P grid the issue names: a run with WithSpans
-// attached produces bit-identical Metrics to a plain run.
+// attached produces bit-identical Metrics to a plain run. Its per-type
+// aggregates count the measured transactions exactly, warm-up excluded.
 func TestRunSpannedDoesNotPerturb(t *testing.T) {
 	for _, w := range []int{10, 200} {
 		for _, p := range []int{1, 4} {
@@ -40,6 +41,16 @@ func TestRunSpannedDoesNotPerturb(t *testing.T) {
 			if got := tr.MeasuredTxns(); got != uint64(cfg.MeasureTxns) {
 				t.Errorf("W=%d P=%d: tracer saw %d measured txns, want %d",
 					w, p, got, cfg.MeasureTxns)
+			}
+			// The per-type aggregates are the latency record: with a
+			// warm-up, they still count measured commits only.
+			var counted uint64
+			for _, ts := range tr.Dump().Types {
+				counted += ts.Count
+			}
+			if counted != spanned.Txns {
+				t.Errorf("W=%d P=%d: per-type counts sum to %d, want the %d measured txns",
+					w, p, counted, spanned.Txns)
 			}
 		}
 	}

@@ -35,7 +35,6 @@ type serverProc struct {
 	pendingOS uint64
 	carry     []odb.BlockID      // blocks installed by I/O since the last chunk
 	dbWriter  bool               // the engine-maintenance process (DB writer / compactor)
-	startAt   sim.Time           // when the current transaction was generated (flight recorder)
 	ts        *txtrace.ProcState // span builder (nil unless WithSpans)
 
 	wake      func()        // prebound scheduler wakeup, shared by every wait site
@@ -79,7 +78,8 @@ type machine struct {
 	atEnd     []func(Metrics) error
 	extraDone func() bool
 
-	// Flight recorder (nil unless WithRecorder).
+	// Flight recorder: timeline samples and phase marks (nil unless
+	// WithRecorder).
 	rec *telemetry.Recorder
 
 	// Cycle-attribution profiler (nil unless WithProfiler). runChunk
@@ -187,7 +187,9 @@ func Validate(cfg Config) error {
 	// negative stall or bus cost, or a NaN bandwidth scale) or have no
 	// physical meaning (a store fraction outside [0, 1], an L3 miss that
 	// costs less than its own bus transaction, a negative stock-level
-	// scan or prefill sample). validateLSM covers the LSM engine's knobs.
+	// scan or prefill sample), or overflow the prefill tally's 32-bit
+	// counts (a prefill sample past maxPrefillSampleTxns). validateLSM
+	// covers the LSM engine's knobs.
 	m, t, sy := cfg.Machine, cfg.Tuning, cfg.Tuning.Synth
 	switch {
 	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
@@ -258,7 +260,7 @@ func Validate(cfg Config) error {
 		return badField("Tuning.BusyWaitMS", t.BusyWaitMS)
 	case t.StockLevelScan < 0 || t.StockLevelScan > maxStockLevelScan:
 		return badField("Tuning.StockLevelScan", t.StockLevelScan)
-	case t.PrefillSampleTxns < 0:
+	case t.PrefillSampleTxns < 0 || t.PrefillSampleTxns > maxPrefillSampleTxns:
 		return badField("Tuning.PrefillSampleTxns", t.PrefillSampleTxns)
 	case t.HotBytesPerWhs < 0:
 		return badField("Tuning.HotBytesPerWhs", t.HotBytesPerWhs)
@@ -411,6 +413,18 @@ const maxBufferCacheMB = (math.MaxInt32 - 1) / (1 << 20 / odb.BlockSize)
 // stock-level transaction builds one op per scanned item, so an
 // unbounded scan would exhaust memory instead of failing validation.
 const maxStockLevelScan = 200
+
+// maxPrefillSampleTxns bounds the prefill sample, whose tally counts a
+// block's references in a uint32 that reads as an empty slot at zero:
+// the sample's block ops must stay below 2^32. One transaction carries
+// fewer than 2^13. The largest, a stock-level at maxStockLevelScan,
+// reads 221 rows. With under 2^32 blocks and every level at least twice
+// the one above, no B-tree or LSM has more than 33 levels, so a row
+// read touches at most 34 blocks: an index descent plus the heap block,
+// or one probe per LSM level (the sample runs before the first flush,
+// so there is no L0 run to probe). 221 × 34 = 7,514, and 2^19 × 7,514
+// < 2^32. 2^19 is 43 times the default sample.
+const maxPrefillSampleTxns = 1 << 19
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound
 // configurations that cannot reach the transaction target still finish.
@@ -641,7 +655,6 @@ loop:
 		if sp.txn == nil {
 			sp.txn = m.gen.Next(p.ID)
 			sp.opIdx = 0
-			sp.startAt = m.eng.Now()
 			if ts != nil {
 				ts.Begin(sp.txn.Type, m.eng.Now())
 			}
@@ -840,18 +853,13 @@ func (m *machine) evictWrite() {
 	}
 }
 
-// commit completes the process's transaction: it closes the flight
-// recorder's and the span tracer's latency windows, counts the commit,
-// arms the measurement reset at the end of warm-up, and recycles the
-// transaction.
+// commit completes the process's transaction: it closes the span
+// tracer's latency window, counts the commit, arms the measurement reset
+// at the end of warm-up, and recycles the transaction.
 func (m *machine) commit(sp *serverProc) {
 	// Latency at chunk granularity: both endpoints are chunk start times,
 	// so the commit chunk's own cycles are excluded symmetrically with the
 	// generating chunk's.
-	if m.rec != nil {
-		us := float64(m.eng.Now()-sp.startAt) * 1e3 / m.cyclesPerMS
-		m.rec.ObserveSpan(sp.txn.Type.String(), uint64(us))
-	}
 	if sp.ts != nil {
 		m.spans.End(sp.ts, m.eng.Now(), m.measuring)
 	}

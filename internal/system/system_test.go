@@ -120,6 +120,7 @@ var degenerateRows = []struct {
 	{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = -1 }},
 	{"Tuning.StockLevelScan", func(c *Config) { c.Tuning.StockLevelScan = 201 }}, // past the full TPC-C scan
 	{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = -1 }},
+	{"Tuning.PrefillSampleTxns", func(c *Config) { c.Tuning.PrefillSampleTxns = maxPrefillSampleTxns + 1 }}, // 32-bit tally counts
 	{"Tuning.Synth.StructStoreFrac", func(c *Config) { c.Tuning.Synth.StructStoreFrac = 5 }},
 	{"Tuning.Synth.BlockStoreFrac", func(c *Config) { c.Tuning.Synth.BlockStoreFrac = math.NaN() }},
 	{"Tuning.Synth.MetaStoreFrac", func(c *Config) { c.Tuning.Synth.MetaStoreFrac = -1 }},

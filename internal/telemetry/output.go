@@ -8,52 +8,6 @@ import (
 	"strings"
 )
 
-// LatencySummary is the JSON-friendly digest of one latency histogram;
-// quantile values are simulated microseconds.
-type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P95US  float64 `json:"p95_us"`
-	P99US  float64 `json:"p99_us"`
-	MinUS  uint64  `json:"min_us"`
-	MaxUS  uint64  `json:"max_us"`
-	// Encoded is the histogram's wire form (base64 via encoding/json),
-	// from which DecodeHistogram rebuilds the buckets.
-	Encoded []byte `json:"encoded,omitempty"`
-}
-
-// Summarize digests a histogram. Quantiles of an empty histogram
-// report 0 (QuantileOK keeps the zero distinguishable from data at the
-// call sites that need it; the digest's Count already disambiguates).
-func Summarize(h *Histogram, encoded bool) LatencySummary {
-	p50, _ := h.QuantileOK(0.50)
-	p95, _ := h.QuantileOK(0.95)
-	p99, _ := h.QuantileOK(0.99)
-	s := LatencySummary{
-		Count:  h.Count(),
-		MeanUS: h.Mean(),
-		P50US:  p50,
-		P95US:  p95,
-		P99US:  p99,
-		MinUS:  h.Min(),
-		MaxUS:  h.Max(),
-	}
-	if encoded {
-		s.Encoded = h.Encode()
-	}
-	return s
-}
-
-// SummarizeAll digests a histogram set keyed by transaction type.
-func SummarizeAll(hists map[string]*Histogram, encoded bool) map[string]LatencySummary {
-	out := make(map[string]LatencySummary, len(hists))
-	for name, h := range hists {
-		out[name] = Summarize(h, encoded)
-	}
-	return out
-}
-
 // timelineDump is the JSON form of a timeline dump.
 type timelineDump struct {
 	Dropped uint64   `json:"dropped"`

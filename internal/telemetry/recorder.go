@@ -28,15 +28,15 @@ type PhaseSpan struct {
 }
 
 // Recorder is the flight recorder of one simulator run: the timeline
-// ring, per-transaction-type latency histograms and the run's phase
-// spans. The system layer writes on simulated time; the run's caller
-// reads the results once the run is over.
+// ring and the run's phase spans. The system layer writes on simulated
+// time; the run's caller reads the results once the run is over.
+// Transaction latency is the span tracer's record (package txtrace),
+// which counts measured commits only.
 type Recorder struct {
 	intervalMS float64
 
 	mu       sync.Mutex
 	timeline *Timeline
-	hists    map[string]*Histogram
 	phase    RunPhase // the phase in progress
 	phases   []PhaseSpan
 	phaseAt  float64 // sim seconds when the current phase began
@@ -53,25 +53,11 @@ func NewRecorder(intervalMS float64) *Recorder {
 		intervalMS: intervalMS,
 		phase:      PhaseWarmup,
 		timeline:   NewTimeline(timelineCap),
-		hists:      make(map[string]*Histogram),
 	}
 }
 
 // Interval returns the sampling interval in simulated milliseconds.
 func (r *Recorder) Interval() float64 { return r.intervalMS }
-
-// ObserveSpan records one completed transaction of the given type with
-// its latency in simulated microseconds.
-func (r *Recorder) ObserveSpan(txnType string, latencyUS uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[txnType]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[txnType] = h
-	}
-	h.Observe(latencyUS)
-}
 
 // PushSample appends a timeline sample.
 func (r *Recorder) PushSample(s Sample) { r.timeline.Push(s) }
@@ -104,8 +90,3 @@ func (r *Recorder) Timeline() []Sample { return r.timeline.Snapshot() }
 
 // TimelineDropped returns how many samples the ring evicted.
 func (r *Recorder) TimelineDropped() uint64 { return r.timeline.Dropped() }
-
-// Histograms returns the per-type latency histograms, keyed by
-// transaction type. It is the recorder's own map, not a copy: read it
-// once the run is over.
-func (r *Recorder) Histograms() map[string]*Histogram { return r.hists }

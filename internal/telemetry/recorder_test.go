@@ -65,14 +65,8 @@ func TestRecorderLifecycle(t *testing.T) {
 		}
 	}
 
-	// Warm-up: 20 commits, then the phase mark at the reset.
-	for i := 0; i < 20; i++ {
-		r.ObserveSpan("NewOrder", 1000)
-	}
+	// The warm-up closes after 20 commits, the measurement after 50 more.
 	r.MarkPhase(PhaseMeasure, 1.5, 20)
-	for i := 0; i < 50; i++ {
-		r.ObserveSpan("NewOrder", 2000)
-	}
 	r.MarkPhase(PhaseDone, 4.0, 70)
 
 	phases := r.Phases()
@@ -84,11 +78,6 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 	if phases[1].Name != string(PhaseMeasure) || phases[1].SimSeconds != 2.5 || phases[1].Txns != 50 {
 		t.Fatalf("measure span = %+v", phases[1])
-	}
-
-	hists := r.Histograms()
-	if len(hists) != 1 || hists["NewOrder"] == nil || hists["NewOrder"].Count() != 70 {
-		t.Fatalf("histograms = %v", hists)
 	}
 }
 
@@ -111,24 +100,6 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	if len(tl.Samples) != 1 || tl.Samples[0].TPS != 640 {
 		t.Fatalf("timeline = %+v", tl)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	var h Histogram
-	for v := uint64(1); v <= 100; v++ {
-		h.Observe(v)
-	}
-	s := Summarize(&h, true)
-	if s.Count != 100 || s.MinUS != 1 || s.MaxUS != 100 {
-		t.Fatalf("summary = %+v", s)
-	}
-	dec, err := DecodeHistogram(s.Encoded)
-	if err != nil || dec.Count() != 100 {
-		t.Fatalf("encoded summary does not decode: %v", err)
-	}
-	if Summarize(&h, false).Encoded != nil {
-		t.Fatal("encoded=false must omit the wire form")
 	}
 }
 

@@ -12,13 +12,13 @@
 // so the wait-state breakdown sums to the measured latency in integer
 // cycles.
 //
-// Time attribution works at chunk granularity, matching the flight
-// recorder's latency definition (both endpoints are chunk start times):
-// a chunk's CPU segment belongs to the transaction active at the
-// chunk's end, the commit chunk is excluded symmetrically with the
-// generating chunk's lead-in, and scheduling gaps between chunks split
-// at the scheduler's ready timestamp into resource wait (lock, I/O,
-// busy) and run-queue wait. Run-queue wait includes the dispatch
+// Time attribution works at chunk granularity: a transaction's latency
+// runs from the start of the chunk that generates it to the start of the
+// chunk that commits it. A chunk's CPU segment belongs to the
+// transaction active at the chunk's end, the commit chunk is excluded
+// symmetrically with the generating chunk's lead-in, and scheduling gaps
+// between chunks split at the scheduler's ready timestamp into resource
+// wait (lock, I/O, busy) and run-queue wait. Run-queue wait includes the dispatch
 // context-switch cost, which runs before the chunk starts.
 //
 // The package is under the odblint determinism and hot-path allocation
