@@ -1,15 +1,16 @@
 // Command odbreport reads every observer file the simulator writes: the
 // cycle-attribution profile, span-trace dump, queueing-observatory
-// report and memory-reference trace of odbrun -profile, -spans, -qstats
-// and -trace, and the per-point files of odbsweep's -profile, -spans and
-// -qstats directories. It works out a file's kind from the file itself:
-// a file that starts with the trace magic ODBTR1 is a reference trace;
-// otherwise the document's top-level JSON key decides ("frames":
-// profile, "traces": spans, "stations": qstats).
+// report, timeline and memory-reference trace of odbrun -profile,
+// -spans, -qstats, -timeline and -trace, and the per-point files of
+// odbsweep's -profile, -spans and -qstats directories. It works out a
+// file's kind from the file itself: a file that starts with the trace
+// magic ODBTR1 is a reference trace; otherwise the document's top-level
+// JSON key decides ("frames": profile, "traces": spans, "stations":
+// qstats, "samples": timeline).
 //
 // Usage:
 //
-//	odbreport report [-check] FILE                 profile, spans, qstats
+//	odbreport report [-check] FILE                 profile, spans, qstats, timeline
 //	odbreport diff A B                             profile, spans, qstats
 //	odbreport folded|text FILE                     profile
 //	odbreport export FILE                          spans
@@ -20,9 +21,10 @@
 // FILE "-" reads standard input; a file is read whole.
 //
 // report prints a profile's per-phase CPI decomposition (Figure 12), a
-// span dump's wait-state breakdown, or a qstats report's station table
-// with its operational-law audit; -check, for qstats alone, exits 1 if a
-// law residual exceeds 1e-6 or the ranking is empty. folded emits
+// span dump's wait-state breakdown, a qstats report's station table
+// with its operational-law audit, or a timeline's samples as a CSV
+// table, one row per sample; -check, for qstats alone, exits 1 if a law
+// residual exceeds 1e-6 or the ranking is empty. folded emits
 // flame-graph stacks and text a pprof-like listing; export emits Chrome
 // trace-event JSON and top the N slowest traces; rank lists the stations
 // by wait demand. replay drives the trace through P processors' caches
@@ -49,6 +51,7 @@ import (
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 	"odbscale/internal/trace"
 	"odbscale/internal/txtrace"
 	"odbscale/internal/workload"
@@ -102,6 +105,11 @@ var kinds = []kind{
 		cmds:  map[string]command{"report": qstatsReport, "rank": rank, "diff": two(qstats.WriteDiff)},
 		flags: []string{"check"},
 		usage: "report [-check] | rank | diff A B",
+	},
+	{
+		name: "timeline", key: "samples", decode: decoder(telemetry.ReadTimeline),
+		cmds:  map[string]command{"report": one((*telemetry.TimelineDump).WriteCSV)},
+		usage: "report",
 	},
 	{
 		name: "trace", magic: trace.Magic,
@@ -317,7 +325,7 @@ func detect(b []byte) (*kind, error) {
 			return &kinds[i], nil
 		}
 	}
-	return nil, errors.New("not an observer file: no top-level frames, traces or stations key")
+	return nil, errors.New("not an observer file: no top-level frames, traces, stations or samples key")
 }
 
 // qstatsReport prints a report's observatory table; with -check it

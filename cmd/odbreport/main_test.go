@@ -12,6 +12,7 @@ import (
 
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
@@ -19,16 +20,19 @@ import (
 var goldenProfile = filepath.Join("..", "..", "testdata", "golden", "profile-w10-p1.json")
 
 // capture runs W=10 for 100 measured transactions with the span
-// tracer, the queueing collector and the reference trace attached, and
-// returns the paths of the files they write, by kind.
+// tracer, the queueing collector, the timeline and the reference trace
+// attached, and returns the paths of the files they write, by kind.
+// Next to the timeline's JSON file it writes timeline.csv, the run's
+// timeline as its CSV writer renders it before any JSON round trip.
 func capture(t *testing.T) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
-		"profile": goldenProfile,
-		"spans":   filepath.Join(dir, "spans.json"),
-		"qstats":  filepath.Join(dir, "qstats.json"),
-		"trace":   filepath.Join(dir, "odb.trace"),
+		"profile":  goldenProfile,
+		"spans":    filepath.Join(dir, "spans.json"),
+		"qstats":   filepath.Join(dir, "qstats.json"),
+		"timeline": filepath.Join(dir, "timeline.json"),
+		"trace":    filepath.Join(dir, "odb.trace"),
 	}
 	cfg := system.DefaultConfig(10, 8, 1)
 	cfg.WarmupTxns, cfg.MeasureTxns = 50, 100
@@ -39,19 +43,29 @@ func capture(t *testing.T) map[string]string {
 	defer tf.Close()
 	spans := txtrace.NewTracer(txtrace.Config{})
 	qc := qstats.NewCollector()
+	tl := telemetry.NewTimeline(5)
 	if _, err := system.Run(context.Background(), cfg,
-		system.WithSpans(spans), system.WithQueueStats(qc), system.WithTrace(tf, nil)); err != nil {
+		system.WithSpans(spans), system.WithQueueStats(qc), system.WithTimeline(tl),
+		system.WithTrace(tf, nil)); err != nil {
 		t.Fatal(err)
 	}
-	var sb, qb bytes.Buffer
+	var sb, qb, tb, cb bytes.Buffer
 	if err := spans.Dump().Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if err := qc.Report().WriteJSON(&qb); err != nil {
 		t.Fatal(err)
 	}
+	if err := tl.Dump().Write(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Dump().WriteCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
 	writeFile(t, files["spans"], sb.Bytes())
 	writeFile(t, files["qstats"], qb.Bytes())
+	writeFile(t, files["timeline"], tb.Bytes())
+	writeFile(t, filepath.Join(dir, "timeline.csv"), cb.Bytes())
 	return files
 }
 
@@ -93,6 +107,7 @@ func TestDetectKinds(t *testing.T) {
 		{"report", "-check", files["qstats"]},
 		{"rank", files["qstats"]},
 		{"diff", files["qstats"], files["qstats"]},
+		{"report", files["timeline"]},
 		{"replay", "-p", "1", "-l3", "1,4", files["trace"]},
 	} {
 		code, out, errOut := odbreport(args...)
@@ -133,6 +148,8 @@ func TestSubcommandOfAnotherKind(t *testing.T) {
 		{"spans", []string{"report", "-check", files["spans"]}},
 		{"qstats", []string{"top", files["qstats"]}},
 		{"qstats", []string{"replay", files["qstats"]}},
+		{"timeline", []string{"top", files["timeline"]}},
+		{"timeline", []string{"report", "-check", files["timeline"]}},
 		{"trace", []string{"report", files["trace"]}},
 		{"trace", []string{"diff", files["trace"], files["trace"]}},
 	} {
@@ -147,9 +164,29 @@ func TestSubcommandOfAnotherKind(t *testing.T) {
 
 func TestDiffAcrossKinds(t *testing.T) {
 	files := capture(t)
-	code, out, errOut := odbreport("diff", files["profile"], files["qstats"])
-	if code != 2 || out != "" || !strings.Contains(errOut, "profile") || !strings.Contains(errOut, "qstats") {
-		t.Fatalf("diff profile qstats: exit %d, stdout %q, stderr %q; want exit 2 naming both kinds", code, out, errOut)
+	for _, other := range []string{"qstats", "timeline"} {
+		code, out, errOut := odbreport("diff", files["profile"], files[other])
+		if code != 2 || out != "" || !strings.Contains(errOut, "a profile file") || !strings.Contains(errOut, "a "+other+" file") {
+			t.Errorf("diff profile %s: exit %d, stdout %q, stderr %q; want exit 2 naming both kinds", other, code, out, errOut)
+		}
+	}
+}
+
+// TestTimelineReport holds odbreport report on a timeline file to the
+// timeline's own CSV writer, byte for byte: the samples survive the JSON
+// file unchanged, station columns included.
+func TestTimelineReport(t *testing.T) {
+	files := capture(t)
+	want, err := os.ReadFile(filepath.Join(filepath.Dir(files["timeline"]), "timeline.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := odbreport("report", files["timeline"])
+	if code != 0 || out != string(want) {
+		t.Fatalf("report timeline: exit %d, stderr %q; stdout differs from the CSV writer:\n%s\nwant\n%s", code, errOut, out, want)
+	}
+	if !strings.Contains(out, "disk_util") || strings.Count(out, "\n") < 3 {
+		t.Fatalf("report timeline: want station columns and several samples, got\n%s", out)
 	}
 }
 

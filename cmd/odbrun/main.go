@@ -4,11 +4,9 @@
 // observer rides along on demand and writes a file for cmd/odbreport,
 // which tells the kinds apart by their contents.
 //
-// The flight recorder: -timeline dumps the sampled timeline as JSON (a
-// path ending in .csv switches to the flat CSV table), and -json
-// replaces the text report with a machine-readable document bundling
-// the run manifest (config, seed, provenance, phase durations), the
-// final metrics and the per-type latency aggregates.
+// -json replaces the text report with a machine-readable document
+// bundling the run manifest (config, seed, provenance), the final
+// metrics and the per-type latency aggregates.
 //
 // The cycle-attribution profiler: -profile writes the run's per-phase
 // CPI attribution as JSON.
@@ -25,23 +23,30 @@
 // operational-law audit) and writes the report as JSON (odbreport
 // report prints it as text).
 //
+// The timeline: -timeline writes the run's warm-up and measure phase
+// spans and a sample of the simulated machine every -sample simulated
+// milliseconds (1 to 3.6e6; an interval outside that fails the run) as
+// JSON (odbreport report prints the samples as a CSV table).
+//
 // The reference trace: -trace writes every measured memory reference
 // in the trace format, for odbreport replay.
 //
-// The profile, span and queueing observers attach through the same
-// campaign instruments odbsweep runs at every point, and their files
-// come from the same writers; each is labelled "W=..,C=..,P=..".
+// The profile, span, queueing and timeline observers attach through
+// the campaign instruments, the first three of which odbsweep runs at
+// every point, and their files come from the instruments' writers; each
+// is labelled "W=..,C=..,P=..".
 //
 // Usage:
 //
 //	odbrun [-w warehouses] [-c clients] [-p processors] [-seed n]
 //	       [-machine xeon|itanium2] [-engine btree|lsm] [-lsmmem mb]
 //	       [-txns n] [-warmup n] [-nocoherence] [-json]
-//	       [-timeline file[.csv]] [-sample ms] [-profile file]
+//	       [-timeline file] [-sample ms] [-profile file]
 //	       [-spans file] [-spanhead n] [-qstats file] [-trace file]
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -65,34 +70,40 @@ type report struct {
 	Manifest *telemetry.Manifest `json:"manifest"`
 	Metrics  system.Metrics      `json:"metrics"`
 	Latency  []txtrace.TypeStat  `json:"latency"`
-	Timeline struct {
-		Samples int    `json:"samples"`
-		Dropped uint64 `json:"dropped"`
-	} `json:"timeline"`
 }
 
 func main() {
-	w := flag.Int("w", 100, "warehouses")
-	c := flag.Int("c", 16, "concurrent clients")
-	p := flag.Int("p", 4, "processors")
-	seed := flag.Int64("seed", 1, "random seed")
-	machine := flag.String("machine", "xeon", "platform: xeon or itanium2")
-	engineName := flag.String("engine", engine.DefaultName,
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes one command line, writing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	w := fs.Int("w", 100, "warehouses")
+	c := fs.Int("c", 16, "concurrent clients")
+	p := fs.Int("p", 4, "processors")
+	seed := fs.Int64("seed", 1, "random seed")
+	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
+	engineName := fs.String("engine", engine.DefaultName,
 		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
-	lsmMem := flag.Int("lsmmem", engine.DefaultLSMTuning().MemtableMB,
+	lsmMem := fs.Int("lsmmem", engine.DefaultLSMTuning().MemtableMB,
 		"LSM memtable size in MB (ignored by btree)")
-	txns := flag.Int("txns", 2400, "measured transactions")
-	warmup := flag.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
-	nocoh := flag.Bool("nocoherence", false, "disable MESI coherence")
-	jsonOut := flag.Bool("json", false, "emit the run manifest, metrics and per-type latency as JSON")
-	timelineOut := flag.String("timeline", "", "write the sampled timeline as JSON to this file")
-	sampleMS := flag.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
-	profileOut := flag.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
-	spansOut := flag.String("spans", "", "trace transaction spans and write the dump as JSON to this file")
-	spanHead := flag.Int("spanhead", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables head sampling)")
-	qstatsOut := flag.String("qstats", "", "collect service-center metrics and write the report as JSON to this file")
-	traceOut := flag.String("trace", "", "write every measured memory reference to this file in the trace format")
-	flag.Parse()
+	txns := fs.Int("txns", 2400, "measured transactions")
+	warmup := fs.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
+	nocoh := fs.Bool("nocoherence", false, "disable MESI coherence")
+	jsonOut := fs.Bool("json", false, "emit the run manifest, metrics and per-type latency as JSON")
+	timelineOut := fs.String("timeline", "", "sample the run's timeline and write it as JSON to this file")
+	sampleMS := fs.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
+	profileOut := fs.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
+	spansOut := fs.String("spans", "", "trace transaction spans and write the dump as JSON to this file")
+	spanHead := fs.Int("spanhead", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables head sampling)")
+	qstatsOut := fs.String("qstats", "", "collect service-center metrics and write the report as JSON to this file")
+	traceOut := fs.String("trace", "", "write every measured memory reference to this file in the trace format")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := system.DefaultConfig(*w, *c, *p)
 	cfg.Seed = *seed
@@ -103,13 +114,12 @@ func main() {
 	cfg.Tuning.LSM.MemtableMB = *lsmMem
 	mc, err := runflags.Machine(*machine)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg.Machine = mc
 	label := fmt.Sprintf("W=%d,C=%d,P=%d", *w, *c, *p)
 
-	rec := telemetry.NewRecorder(*sampleMS)
-	opts := []system.Option{system.WithRecorder(rec)}
+	var opts []system.Option
 	// Each observer attaches through its campaign instrument; its payload
 	// goes to its file after the run, if one was named. The span tracer
 	// always attaches: its per-type aggregates are the latency record.
@@ -124,6 +134,7 @@ func main() {
 		{path: *profileOut, in: campaign.Profiles()},
 		spans,
 		{path: *qstatsOut, in: campaign.QueueStats()},
+		{path: *timelineOut, in: campaign.Timeline(*sampleMS)},
 	} {
 		if o.path != "" || o == spans {
 			o.att = o.in.Start(label, cfg)
@@ -135,20 +146,20 @@ func main() {
 	var refs uint64
 	if *traceOut != "" {
 		if traceFile, err = os.Create(*traceOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts = append(opts, system.WithTrace(traceFile, &refs))
 	}
 	started := time.Now()
 	m, err := system.Run(context.Background(), cfg, opts...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	wall := time.Since(started)
 
 	if traceFile != nil {
 		if err := traceFile.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("captured %d memory references to %s", refs, *traceOut)
 	}
@@ -156,29 +167,26 @@ func main() {
 	for _, o := range observers {
 		raw, err := o.att.Finish(true)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if raw == nil {
-			log.Fatalf("%s: run finished without a payload", o.in.Kind())
+			return fmt.Errorf("%s: run finished without a payload", o.in.Kind())
 		}
 		if o == spans {
 			if err := json.Unmarshal(raw, &dump); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
-		if o.path != "" {
-			writeFile(o.path, func(w io.Writer) error { return o.in.Write(w, raw) })
+		if o.path == "" {
+			continue
 		}
-	}
-	if *timelineOut != "" {
-		// The extension picks the encoding: .csv gets the flat table
-		// (one row per sample, stations flattened into columns), any
-		// other path keeps the JSON sample series.
-		dump := rec.WriteTimeline
-		if strings.HasSuffix(*timelineOut, ".csv") {
-			dump = rec.WriteTimelineCSV
+		var b bytes.Buffer
+		if err := o.in.Write(&b, raw); err != nil {
+			return err
 		}
-		writeFile(*timelineOut, dump)
+		if err := os.WriteFile(o.path, b.Bytes(), 0o666); err != nil {
+			return err
+		}
 	}
 
 	if *jsonOut {
@@ -186,52 +194,36 @@ func main() {
 		man.Engine = m.Engine
 		man.CreatedAt = started.UTC().Format(time.RFC3339)
 		man.WallSeconds = wall.Seconds()
-		man.Phases = rec.Phases()
 		if err := man.SetConfig(cfg); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep := report{Manifest: man, Metrics: m, Latency: dump.Types}
-		rep.Timeline.Samples = len(rec.Timeline())
-		rep.Timeline.Dropped = rec.TimelineDropped()
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", " ")
 		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
-		fmt.Println(m)
-		fmt.Printf("  user: IPX=%.2fM CPI=%.2f MPI=%.4f\n", m.UserIPX/1e6, m.UserCPI, m.UserMPI)
-		fmt.Printf("  os:   IPX=%.2fM CPI=%.2f MPI=%.4f share=%.2f\n", m.OSIPX/1e6, m.OSCPI, m.OSMPI, m.OSShare)
-		fmt.Printf("  io:   read=%.1fKB write=%.1fKB log=%.1fKB hit=%.3f diskUtil=%.2f lat=%.1fms\n",
+		fmt.Fprintln(stdout, m)
+		fmt.Fprintf(stdout, "  user: IPX=%.2fM CPI=%.2f MPI=%.4f\n", m.UserIPX/1e6, m.UserCPI, m.UserMPI)
+		fmt.Fprintf(stdout, "  os:   IPX=%.2fM CPI=%.2f MPI=%.4f share=%.2f\n", m.OSIPX/1e6, m.OSCPI, m.OSMPI, m.OSShare)
+		fmt.Fprintf(stdout, "  io:   read=%.1fKB write=%.1fKB log=%.1fKB hit=%.3f diskUtil=%.2f lat=%.1fms\n",
 			m.ReadKBPerTxn, m.WriteKBPerTxn, m.LogKBPerTxn, m.BufferHitRatio, m.DiskUtil, m.ReadLatencyMS)
-		fmt.Printf("  bus:  time=%.0f util=%.2f coherShare=%.4f\n", m.BusTime, m.BusUtil, m.CoherenceShare)
-		fmt.Printf("  engine: %s wamp=%.2f ramp=%.2f samp=%.3f stalls=%.3f/txn\n",
+		fmt.Fprintf(stdout, "  bus:  time=%.0f util=%.2f coherShare=%.4f\n", m.BusTime, m.BusUtil, m.CoherenceShare)
+		fmt.Fprintf(stdout, "  engine: %s wamp=%.2f ramp=%.2f samp=%.3f stalls=%.3f/txn\n",
 			m.Engine, m.WriteAmp, m.ReadAmp, m.SpaceAmp, m.WriteStallsPerTxn)
-		fmt.Printf("  cpi breakdown: %s\n", m.Breakdown)
-		fmt.Printf("  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
+		fmt.Fprintf(stdout, "  cpi breakdown: %s\n", m.Breakdown)
+		fmt.Fprintf(stdout, "  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
 			float64(m.Processors)*cfg.Machine.FreqHz/(m.IPX*m.CPI)*m.CPUUtil, m.TPS)
 		ms := 1e3 / dump.Meta.FreqHz
 		for _, ts := range dump.Types {
 			if ts.Count == 0 {
-				fmt.Printf("  latency %-12s n=0     (no measured commits)\n", ts.Type)
+				fmt.Fprintf(stdout, "  latency %-12s n=0     (no measured commits)\n", ts.Type)
 				continue
 			}
-			fmt.Printf("  latency %-12s n=%-5d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms\n",
+			fmt.Fprintf(stdout, "  latency %-12s n=%-5d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms\n",
 				ts.Type, ts.Count, float64(ts.SumLatency)/float64(ts.Count)*ms, ts.P50*ms, ts.P95*ms, ts.P99*ms)
 		}
 	}
-}
-
-// writeFile creates path and writes one artifact into it.
-func writeFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

@@ -46,7 +46,8 @@ type CheckpointPoint struct {
 	C       int            `json:"c"`
 	Metrics system.Metrics `json:"metrics"`
 	// Flight is the point's persisted observability payload: one raw
-	// JSON document per instrument kind ("profile", "spans", "qstats").
+	// JSON document per instrument kind ("profile", "spans", "qstats",
+	// "timeline").
 	// It is the one store of payloads: Result hands it out, so a
 	// resumed campaign keeps it instead of losing it. Old checkpoints
 	// without it still load, and a kind no instrument of the resuming

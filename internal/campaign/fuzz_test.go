@@ -85,7 +85,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			TargetUtil: 0.9, MinClients: 1, MaxClients: 64, AutoTune: true,
 			CheckpointPath: path, Resume: true,
 			Warehouses: []int{10}, Processors: []int{4},
-			Instruments: []Instrument{Profiles(), Spans(txtrace.Config{}), QueueStats()},
+			Instruments: []Instrument{Profiles(), Spans(txtrace.Config{}), QueueStats(), Timeline(0)},
 		}
 		fake := func(context.Context, system.Config, []Attached) (system.Metrics, error) {
 			return system.Metrics{CPUUtil: 0.95}, nil

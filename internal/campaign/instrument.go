@@ -8,6 +8,7 @@ import (
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
@@ -16,7 +17,7 @@ import (
 // instruments.
 type Instrument interface {
 	// Kind is the instrument's key in each checkpoint point's "flight"
-	// map ("profile", "spans", "qstats").
+	// map ("profile", "spans", "qstats", "timeline").
 	Kind() string
 	// Start attaches the instrument to the measurement run of the named
 	// point; the name labels the payload.
@@ -38,10 +39,11 @@ type Attached interface {
 	Finish(ok bool) (json.RawMessage, error)
 }
 
-// stored is the shape shared by the profiler, the span tracer and the
-// queueing observatory: each run gets a fresh collector C, and a
-// successful run's payload S, labelled with its point name, is
-// marshalled into the checkpoint and written back out by encode.
+// stored is the shape shared by the profiler, the span tracer, the
+// queueing observatory and the timeline: each run gets a fresh
+// collector C, and a successful run's payload S, labelled with its point
+// name, is marshalled into the checkpoint and written back out by
+// encode.
 type stored[S, C any] struct {
 	kind    string
 	collect func() C
@@ -137,5 +139,24 @@ func QueueStats() Instrument {
 			return rep
 		},
 		encode: (*qstats.Report).WriteJSON,
+	}
+}
+
+// Timeline is the timeline instrument: every measurement run executes
+// with system.WithTimeline and a fresh timeline sampling every
+// intervalMS simulated milliseconds (0 means 100 ms), and its payload is
+// the run's phase spans and samples. An interval WithTimeline rejects
+// fails the run.
+func Timeline(intervalMS float64) Instrument {
+	return &stored[telemetry.TimelineDump, *telemetry.Timeline]{
+		kind:    "timeline",
+		collect: func() *telemetry.Timeline { return telemetry.NewTimeline(intervalMS) },
+		option:  system.WithTimeline,
+		payload: func(tl *telemetry.Timeline, point string) *telemetry.TimelineDump {
+			d := tl.Dump()
+			d.Label = point
+			return d
+		},
+		encode: (*telemetry.TimelineDump).Write,
 	}
 }

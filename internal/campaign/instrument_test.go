@@ -20,14 +20,16 @@ import (
 	"odbscale/internal/qstats"
 	"odbscale/internal/sim"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
 // Attached handles of the built-in instruments, as a fake run sees them.
 type (
-	profileRun = storedRun[profile.Profile, *profile.Collector]
-	spansRun   = storedRun[txtrace.Dump, *txtrace.Tracer]
-	qstatsRun  = storedRun[qstats.Report, *qstats.Collector]
+	profileRun  = storedRun[profile.Profile, *profile.Collector]
+	spansRun    = storedRun[txtrace.Dump, *txtrace.Tracer]
+	qstatsRun   = storedRun[qstats.Report, *qstats.Collector]
+	timelineRun = storedRun[telemetry.TimelineDump, *telemetry.Timeline]
 )
 
 // fakeObserved emulates an instrumented measurement run: it feeds each
@@ -97,6 +99,11 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 			}
 			in.Servers[qstats.Disk] = 4
 			a.col.Publish(qstats.Build(in))
+		case *timelineRun:
+			a.col.EndPhase(0.05, 20)
+			a.col.Push(telemetry.Sample{SimSeconds: 0.1, Measuring: true, TPS: float64(w) * 10.5,
+				CPUUtil: []float64{0.75}, Txns: uint64(w)})
+			a.col.EndPhase(0.25, 20+uint64(cfg.MeasureTxns))
 		}
 	}
 	return system.Metrics{
@@ -105,7 +112,7 @@ func (f *fakeObserved) run(ctx context.Context, cfg system.Config, att []Attache
 	}, nil
 }
 
-// refCount is an instrument defined outside the built-in three, from
+// refCount is an instrument defined outside the built-in four, from
 // nothing but the package's exported contract: it counts the memory
 // references each measurement run traces (system.WithTrace) and
 // checkpoints the count.
@@ -162,7 +169,7 @@ func payloads[T any](t *testing.T, a, c *Result, kind string) map[string]*T {
 }
 
 // instrumentCases are the instruments under the kill/resume test, the
-// built-in three and refCount: how to build each, and what each point's
+// built-in four and refCount: how to build each, and what each point's
 // payload in an uninterrupted campaign's Result must hold, given that a
 // killed-and-resumed campaign's Result hands out the same payloads.
 var instrumentCases = []struct {
@@ -205,6 +212,18 @@ var instrumentCases = []struct {
 				}
 				if r.Bottleneck != "disk" {
 					t.Errorf("report %q bottleneck %q, want disk", k, r.Bottleneck)
+				}
+			}
+		},
+	},
+	{
+		kind:  "timeline",
+		build: func() Instrument { return Timeline(20) },
+		check: func(t *testing.T, ref, resumed *Result) {
+			for k, d := range payloads[telemetry.TimelineDump](t, ref, resumed, "timeline") {
+				if d.Label != k || len(d.Phases) != 2 || d.Phases[1].Name != "measure" || len(d.Samples) != 1 {
+					t.Errorf("timeline %q labeled %q with phases %+v and %d samples, want the point name, [warmup measure] and 1",
+						k, d.Label, d.Phases, len(d.Samples))
 				}
 			}
 		},
@@ -393,7 +412,8 @@ func decodeAs[T any](t *testing.T, raw json.RawMessage) *T {
 // TestWriteMatchesCollectorEncoding holds each built-in instrument's
 // writer to its collector's own encoder: the file written from a
 // point's checkpointed payload must be byte-equal to what Profile.Encode,
-// Dump.Write or Report.WriteJSON writes for the same run. Copying the raw
+// Dump.Write, Report.WriteJSON or TimelineDump.Write writes for the same
+// run. Copying the raw
 // payload through, even re-indented, would not do: profile.Encode sorts
 // frames, and the collector emits them in another order.
 func TestWriteMatchesCollectorEncoding(t *testing.T) {
@@ -402,7 +422,7 @@ func TestWriteMatchesCollectorEncoding(t *testing.T) {
 	spec.Clients = 8
 	spec.Warehouses, spec.Processors = []int{25}, []int{2}
 	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
-	spec.Instruments = []Instrument{Profiles(), Spans(txtrace.Config{HeadEvery: 2, TailK: 2}), QueueStats()}
+	spec.Instruments = []Instrument{Profiles(), Spans(txtrace.Config{HeadEvery: 2, TailK: 2}), QueueStats(), Timeline(20)}
 	if _, err := (&Runner{Spec: spec, RunFunc: (&fakeObserved{}).run}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +456,11 @@ func TestWriteMatchesCollectorEncoding(t *testing.T) {
 			r := att[2].(*qstatsRun).col.Report()
 			r.Meta.Label = name
 			return r.WriteJSON(w)
+		},
+		"timeline": func(w io.Writer) error {
+			d := att[3].(*timelineRun).col.Dump()
+			d.Label = name
+			return d.Write(w)
 		},
 	}
 

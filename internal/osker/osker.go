@@ -376,8 +376,8 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 func (s *Scheduler) ReadyLen() int { return len(s.ready) }
 
 // PerCPUBusyCycles returns each CPU's busy cycles since the last
-// ResetStats. The flight recorder's sampler differences successive
-// readings to derive per-CPU utilization.
+// ResetStats. The timeline sampler differences successive readings to
+// derive per-CPU utilization.
 func (s *Scheduler) PerCPUBusyCycles() []float64 {
 	out := make([]float64, len(s.cpus))
 	for i := range s.cpus {

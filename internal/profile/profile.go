@@ -1,7 +1,7 @@
 // Package profile is the deterministic cycle-attribution profiler: it
 // tags every simulated cycle and cache/TLB/branch event with a
 // (transaction type, engine phase, user/OS mode) frame and accumulates
-// them into a hierarchical profile alongside the flight recorder.
+// them into a hierarchical profile.
 //
 // Attribution is observational: the system layer synthesizes and prices
 // each executed chunk exactly as it would without profiling, then hands

@@ -13,7 +13,7 @@ import (
 type counters struct {
 	scale        uint64
 	instructions uint64
-	osInstr      uint64 // OS-mode share of instructions (the recorder's user/OS IPX split)
+	osInstr      uint64 // OS-mode share of instructions (the timeline's user/OS IPX split)
 	cycles       uint64
 	ev           cpu.Events
 }

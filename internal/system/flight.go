@@ -165,11 +165,13 @@ func (m *machine) flightSample(last, cur flightSnap) telemetry.Sample {
 }
 
 // startFlight arms the timeline sampler: a self-rescheduling event that
-// fires every recorder interval of simulated time, differences the
+// fires every timeline interval of simulated time, differences the
 // cumulative counters and pushes one sample. Entirely driven by the
-// discrete-event engine — no wall clock is involved.
+// discrete-event engine — no wall clock is involved. WithTimeline bounds
+// the interval to at least a millisecond; the clamp covers a machine
+// clocked below 1 kHz, where that is under one cycle.
 func (m *machine) startFlight() {
-	interval := sim.Time(m.rec.Interval() * m.cyclesPerMS)
+	interval := sim.Time(m.tl.Interval() * m.cyclesPerMS)
 	if interval < 1 {
 		interval = 1
 	}
@@ -177,7 +179,7 @@ func (m *machine) startFlight() {
 	var tick func()
 	tick = func() {
 		cur := m.snapFlight()
-		m.rec.PushSample(m.flightSample(last, cur))
+		m.tl.Push(m.flightSample(last, cur))
 		last = cur
 		m.eng.After(interval, tick)
 	}

@@ -2,6 +2,8 @@ package system
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,50 +19,52 @@ func flightCfg() Config {
 	return cfg
 }
 
-// TestRunRecordedDoesNotPerturb is the flight recorder's core
-// guarantee: recording must not change the simulation. The same seed
-// with and without the recorder must produce identical metrics.
+// TestRunRecordedDoesNotPerturb is the timeline's core guarantee:
+// recording must not change the simulation. The same seed with and
+// without the timeline must produce identical metrics.
 func TestRunRecordedDoesNotPerturb(t *testing.T) {
 	cfg := flightCfg()
 	plain, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.NewRecorder(0)
-	recorded, err := Run(context.Background(), cfg, WithRecorder(rec))
+	recorded, err := Run(context.Background(), cfg, WithTimeline(telemetry.NewTimeline(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain != recorded {
-		t.Errorf("recorder perturbed the simulation:\nplain    %+v\nrecorded %+v", plain, recorded)
+		t.Errorf("timeline perturbed the simulation:\nplain    %+v\nrecorded %+v", plain, recorded)
 	}
-	// A nil recorder degrades to a plain run.
-	viaNil, err := Run(context.Background(), cfg, WithRecorder(nil))
+	// A nil timeline degrades to a plain run.
+	viaNil, err := Run(context.Background(), cfg, WithTimeline(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != plain {
-		t.Error("Run with WithRecorder(nil) differs from a plain Run")
+		t.Error("Run with WithTimeline(nil) differs from a plain Run")
 	}
 }
 
 // TestRunRecordedDeterministic re-runs the same seed and checks the
 // timeline is bit-identical.
 func TestRunRecordedDeterministic(t *testing.T) {
-	run := func() (*telemetry.Recorder, Metrics) {
-		rec := telemetry.NewRecorder(20)
-		m, err := Run(context.Background(), flightCfg(), WithRecorder(rec))
+	run := func() (*telemetry.TimelineDump, Metrics) {
+		tl := telemetry.NewTimeline(20)
+		m, err := Run(context.Background(), flightCfg(), WithTimeline(tl))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec, m
+		return tl.Dump(), m
 	}
-	recA, mA := run()
-	recB, mB := run()
+	dA, mA := run()
+	dB, mB := run()
 	if mA != mB {
 		t.Fatalf("metrics differ across reruns:\n%+v\n%+v", mA, mB)
 	}
-	tlA, tlB := recA.Timeline(), recB.Timeline()
+	if !reflect.DeepEqual(dA.Phases, dB.Phases) {
+		t.Fatalf("phases differ across reruns:\n%+v\n%+v", dA.Phases, dB.Phases)
+	}
+	tlA, tlB := dA.Samples, dB.Samples
 	if len(tlA) == 0 || len(tlA) != len(tlB) {
 		t.Fatalf("timeline lengths %d vs %d", len(tlA), len(tlB))
 	}
@@ -71,18 +75,19 @@ func TestRunRecordedDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunRecordedFlightData checks the recorder's contents after a run:
+// TestRunRecordedFlightData checks the timeline's dump after a run:
 // phases and their commit counts, monotonic samples and plausible
 // interval rates.
 func TestRunRecordedFlightData(t *testing.T) {
 	cfg := flightCfg()
-	rec := telemetry.NewRecorder(20)
-	m, err := Run(context.Background(), cfg, WithRecorder(rec))
+	tl := telemetry.NewTimeline(20)
+	m, err := Run(context.Background(), cfg, WithTimeline(tl))
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := tl.Dump()
 
-	phases := rec.Phases()
+	phases := d.Phases
 	if len(phases) != 2 || phases[0].Name != "warmup" || phases[1].Name != "measure" {
 		t.Fatalf("phases = %+v, want [warmup measure]", phases)
 	}
@@ -96,7 +101,7 @@ func TestRunRecordedFlightData(t *testing.T) {
 			phases[0].Txns, phases[1].Txns, m.Txns, cfg.WarmupTxns, cfg.MeasureTxns)
 	}
 
-	samples := rec.Timeline()
+	samples := d.Samples
 	if len(samples) < 5 {
 		t.Fatalf("only %d samples; want several at 20ms over %0.2fs",
 			len(samples), phases[0].SimSeconds+phases[1].SimSeconds)
@@ -143,6 +148,35 @@ func TestRunRecordedFlightData(t *testing.T) {
 		mean := sum / float64(n)
 		if mean < m.TPS*0.5 || mean > m.TPS*1.5 {
 			t.Errorf("mean sampled TPS %f far from final %f", mean, m.TPS)
+		}
+	}
+}
+
+// TestTimelineIntervalBounds holds WithTimeline to its interval bounds:
+// an interval that is not finite or lies outside [1 ms, 3.6e6 ms] fails
+// the run with ErrBadConfig before prefill (a 1e-9 ms interval once
+// meant a tick every cycle and a run that would not finish; NaN, ±Inf
+// and 1e30 one tick that never fired), 0 means 100 ms, and in-bound
+// intervals sample at their spacing.
+func TestTimelineIntervalBounds(t *testing.T) {
+	cfg := flightCfg()
+	for _, ms := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e30, 1e-9, 0.5, -20, 3.6e6 + 1} {
+		_, err := Run(context.Background(), cfg, WithTimeline(telemetry.NewTimeline(ms)))
+		if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("interval %v ms: Run = %v, want ErrBadConfig", ms, err)
+		}
+	}
+	for _, tc := range []struct{ in, want float64 }{{0, 100}, {1, 1}, {20, 20}} {
+		tl := telemetry.NewTimeline(tc.in)
+		if _, err := Run(context.Background(), cfg, WithTimeline(tl)); err != nil {
+			t.Fatalf("interval %v ms: %v", tc.in, err)
+		}
+		s := tl.Dump().Samples
+		if len(s) < 2 {
+			t.Fatalf("interval %v ms: %d samples, want several", tc.in, len(s))
+		}
+		if got := (s[1].SimSeconds - s[0].SimSeconds) * 1e3; math.Abs(got-tc.want) > 1e-6 {
+			t.Errorf("interval %v ms: samples %v ms apart, want %v", tc.in, got, tc.want)
 		}
 	}
 }

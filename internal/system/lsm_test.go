@@ -145,17 +145,16 @@ func TestLSMProfiledExactSum(t *testing.T) {
 	}
 }
 
-// TestLSMFlightSamplesCarryAmplification checks the flight recorder's
-// timeline exposes the engine's amplification: an LSM run's samples
+// TestLSMFlightSamplesCarryAmplification checks the timeline exposes the engine's amplification: an LSM run's samples
 // must show interval write-amp once compaction traffic flows and a
 // space-amp at or above one throughout.
 func TestLSMFlightSamplesCarryAmplification(t *testing.T) {
 	cfg := lsmCfg(10, 1)
-	rec := telemetry.NewRecorder(20)
-	if _, err := Run(context.Background(), cfg, WithRecorder(rec)); err != nil {
+	tl := telemetry.NewTimeline(20)
+	if _, err := Run(context.Background(), cfg, WithTimeline(tl)); err != nil {
 		t.Fatal(err)
 	}
-	samples := rec.Timeline()
+	samples := tl.Dump().Samples
 	if len(samples) == 0 {
 		t.Fatal("no timeline samples")
 	}

@@ -24,11 +24,11 @@ type observer struct {
 // schedules events (WithEMON does both).
 var observers = []observer{
 	{"timeline", func(t *testing.T) (Option, func() []byte) {
-		rec := telemetry.NewRecorder(20)
-		return WithRecorder(rec), func() []byte {
+		tl := telemetry.NewTimeline(20)
+		return WithTimeline(tl), func() []byte {
 			// With WithQueueStats attached the samples also carry station
 			// readings, by design; every other column must not move.
-			samples := rec.Timeline()
+			samples := tl.Dump().Samples
 			for i := range samples {
 				samples[i].Stations = nil
 			}
@@ -146,7 +146,7 @@ func BenchmarkRunObservers(b *testing.B) {
 		attach func() []Option
 	}{
 		{"bare", func() []Option { return nil }},
-		{"recorder", func() []Option { return []Option{WithRecorder(telemetry.NewRecorder(0))} }},
+		{"timeline", func() []Option { return []Option{WithTimeline(telemetry.NewTimeline(0))} }},
 		{"profiler", func() []Option { return []Option{WithProfiler(profile.NewCollector())} }},
 		{"spans", func() []Option { return []Option{WithSpans(txtrace.NewTracer(txtrace.Config{}))} }},
 		{"qstats", func() []Option { return []Option{WithQueueStats(qstats.NewCollector())} }},

@@ -15,7 +15,7 @@ import (
 
 // TestRunProfiledDoesNotPerturb pins the profiler's core invariant:
 // metrics are bit-identical with profiling on. Same seed, with and
-// without the collector (and with and without the flight recorder
+// without the collector (and with and without the timeline
 // alongside), must produce identical Metrics.
 func TestRunProfiledDoesNotPerturb(t *testing.T) {
 	cfg := flightCfg()
@@ -32,14 +32,12 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 		t.Errorf("profiler perturbed the simulation:\nplain    %+v\nprofiled %+v", plain, profiled)
 	}
 
-	// Profiling alongside the flight recorder must match a recorded run.
-	rec := telemetry.NewRecorder(0)
-	recorded, err := Run(context.Background(), cfg, WithRecorder(rec))
+	// Profiling alongside the timeline must match a recorded run.
+	recorded, err := Run(context.Background(), cfg, WithTimeline(telemetry.NewTimeline(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := telemetry.NewRecorder(0)
-	both, err := Run(context.Background(), cfg, WithRecorder(rec2), WithProfiler(profile.NewCollector()))
+	both, err := Run(context.Background(), cfg, WithTimeline(telemetry.NewTimeline(0)), WithProfiler(profile.NewCollector()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +45,13 @@ func TestRunProfiledDoesNotPerturb(t *testing.T) {
 		t.Errorf("profiler perturbed a recorded run:\nrecorded %+v\nboth     %+v", recorded, both)
 	}
 
-	// A nil collector and recorder degrade to a plain run.
-	viaNil, err := Run(context.Background(), cfg, WithRecorder(nil), WithProfiler(nil))
+	// A nil collector and timeline degrade to a plain run.
+	viaNil, err := Run(context.Background(), cfg, WithTimeline(nil), WithProfiler(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != plain {
-		t.Error("Run with nil recorder and profiler differs from a plain Run")
+		t.Error("Run with nil timeline and profiler differs from a plain Run")
 	}
 }
 

@@ -96,17 +96,17 @@ func TestRunQueueStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunQueueStatsTimelineStations checks the flight recorder carries
-// one per-interval sample row per station when the observatory rides
+// TestRunQueueStatsTimelineStations checks the timeline carries one
+// per-interval sample row per station when the observatory rides
 // along, with sane bounded values.
 func TestRunQueueStatsTimelineStations(t *testing.T) {
 	cfg := spanCfg(10, 2)
-	rec := telemetry.NewRecorder(20)
+	tl := telemetry.NewTimeline(20)
 	col := qstats.NewCollector()
-	if _, err := Run(context.Background(), cfg, WithRecorder(rec), WithQueueStats(col)); err != nil {
+	if _, err := Run(context.Background(), cfg, WithTimeline(tl), WithQueueStats(col)); err != nil {
 		t.Fatal(err)
 	}
-	samples := rec.Timeline()
+	samples := tl.Dump().Samples
 	if len(samples) == 0 {
 		t.Fatal("no samples")
 	}
@@ -124,11 +124,11 @@ func TestRunQueueStatsTimelineStations(t *testing.T) {
 		}
 	}
 	// Without the observatory the samples carry no station rows.
-	rec2 := telemetry.NewRecorder(20)
-	if _, err := Run(context.Background(), cfg, WithRecorder(rec2)); err != nil {
+	tl2 := telemetry.NewTimeline(20)
+	if _, err := Run(context.Background(), cfg, WithTimeline(tl2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range rec2.Timeline() {
+	for _, s := range tl2.Dump().Samples {
 		if len(s.Stations) != 0 {
 			t.Fatal("plain run samples carry station rows")
 		}
@@ -148,11 +148,11 @@ func TestAmpGaugesResetSafe(t *testing.T) {
 		// straddle the reset.
 		cfg.WarmupTxns = 300
 		cfg.MeasureTxns = 300
-		rec := telemetry.NewRecorder(5)
-		if _, err := Run(context.Background(), cfg, WithRecorder(rec)); err != nil {
+		tl := telemetry.NewTimeline(5)
+		if _, err := Run(context.Background(), cfg, WithTimeline(tl)); err != nil {
 			t.Fatal(err)
 		}
-		samples := rec.Timeline()
+		samples := tl.Dump().Samples
 		if len(samples) < 4 {
 			t.Fatalf("engine %q: only %d samples", engine, len(samples))
 		}

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"odbscale/internal/cache"
@@ -16,9 +17,9 @@ import (
 // Option attaches an optional observer to a Run. It is applied to the
 // built machine before prefill, in argument order: it sets the
 // machine's concrete hot-path field and registers its own
-// measurement-start and run-end hooks. WithTrace, WithRecorder,
+// measurement-start and run-end hooks. WithTrace, WithTimeline,
 // WithProfiler, WithSpans and WithQueueStats only read simulated state:
-// none draws randomness, and the recorder's timeline ticks are the only
+// none draws randomness, and the timeline's sample ticks are the only
 // events any of them schedules. Metrics are bit-identical with any
 // combination of these five attached, in any order. WithEMON is the
 // exception: its sampler schedules events and the run continues until
@@ -62,21 +63,30 @@ func WithTrace(w io.Writer, count *uint64) Option {
 	}
 }
 
-// WithRecorder feeds the flight recorder: phase marks at the warm-up
-// reset and at run end, and timeline samples every recorder interval of
-// simulated time. Transaction latency is WithSpans' record. A nil
-// recorder is ignored.
-func WithRecorder(rec *telemetry.Recorder) Option {
+// WithTimeline feeds the run's timeline: the warm-up and measure phase
+// spans, closed at the warm-up reset and at run end, and one sample
+// every timeline interval of simulated time. An interval that is not
+// finite or lies outside [1 ms, 3.6·10^6 ms] fails the run with
+// ErrBadConfig before prefill: below a millisecond the sampler's ticks
+// outnumber the workload's events (at one tick per cycle a default run
+// never finishes), a simulated hour is already far past the run cap,
+// and a non-finite interval has no cycle count. A nil timeline is
+// ignored.
+func WithTimeline(tl *telemetry.Timeline) Option {
 	return func(m *machine) error {
-		if rec == nil {
+		if tl == nil {
 			return nil
 		}
-		m.rec = rec
+		if ms := tl.Interval(); !(ms >= 1 && ms <= 3.6e6) {
+			return fmt.Errorf("system: %w: timeline interval %v ms outside [1, 3.6e6]", ErrBadConfig, ms)
+		}
+		m.tl = tl
+		freq := m.cfg.Machine.FreqHz
 		m.atReset = append(m.atReset, func() {
-			rec.MarkPhase(telemetry.PhaseMeasure, float64(m.resetAt)/m.cfg.Machine.FreqHz, m.totalTxns)
+			tl.EndPhase(float64(m.resetAt)/freq, m.totalTxns)
 		})
 		m.atEnd = append(m.atEnd, func(Metrics) error {
-			rec.MarkPhase(telemetry.PhaseDone, float64(m.eng.Now())/m.cfg.Machine.FreqHz, m.totalTxns)
+			tl.EndPhase(float64(m.eng.Now())/freq, m.totalTxns)
 			return nil
 		})
 		return nil
@@ -205,8 +215,8 @@ func WithQueueStats(c *qstats.Collector) Option {
 
 // Run executes one configuration and returns its metrics. It is the
 // single entry point for all simulations: options attach the trace
-// capture, flight recorder, EMON sampler, cycle profiler, span tracer
-// and queueing collector.
+// capture, timeline, EMON sampler, cycle profiler, span tracer and
+// queueing collector.
 //
 // When ctx is cancelled mid-simulation the drive loop stops and the
 // context's error is returned instead of metrics. A nil ctx is treated

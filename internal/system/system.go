@@ -78,9 +78,8 @@ type machine struct {
 	atEnd     []func(Metrics) error
 	extraDone func() bool
 
-	// Flight recorder: timeline samples and phase marks (nil unless
-	// WithRecorder).
-	rec *telemetry.Recorder
+	// Timeline: samples and phase spans (nil unless WithTimeline).
+	tl *telemetry.Timeline
 
 	// Cycle-attribution profiler (nil unless WithProfiler). runChunk
 	// appends its per-frame instruction shares to the scratch lists and
@@ -94,7 +93,7 @@ type machine struct {
 	osShares   []profile.Share
 
 	// Span tracer (nil unless WithSpans). Purely observational, like the
-	// recorder and profiler: no randomness, no scheduling.
+	// profiler: no randomness, no scheduling.
 	spans *txtrace.Tracer
 
 	// Queueing observatory (nil unless WithQueueStats). Purely
@@ -551,7 +550,7 @@ func (m *machine) start() {
 	m.eng.After(interval, tick)
 	// The timeline sampler's first tick is queued after the DB writer's,
 	// so coinciding ticks keep that order.
-	if m.rec != nil {
+	if m.tl != nil {
 		m.startFlight()
 	}
 }

@@ -29,8 +29,8 @@ type Provenance struct {
 
 // Manifest is the machine-readable record written next to every
 // checkpoint and emitted by odbrun -json: the full configuration and
-// seeds that produced a result, build provenance, and per-phase
-// durations — enough to reproduce or audit the run without the binary.
+// seeds that produced a result and build provenance — enough to
+// reproduce or audit the run without the binary.
 type Manifest struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool"`
@@ -44,7 +44,6 @@ type Manifest struct {
 	Engine      string          `json:"engine,omitempty"`
 	Config      json.RawMessage `json:"config,omitempty"` // full system/campaign configuration
 	Provenance  Provenance      `json:"provenance"`
-	Phases      []PhaseSpan     `json:"phases,omitempty"`       // per-phase sim durations
 	WallSeconds float64         `json:"wall_seconds,omitempty"` // total wall time, caller-stamped
 	Checkpoint  string          `json:"checkpoint,omitempty"`   // sibling checkpoint path
 	Notes       string          `json:"notes,omitempty"`

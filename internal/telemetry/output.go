@@ -8,26 +8,35 @@ import (
 	"strings"
 )
 
-// timelineDump is the JSON form of a timeline dump.
-type timelineDump struct {
-	Dropped uint64   `json:"dropped"`
-	Samples []Sample `json:"samples"`
+// TimelineDump is a timeline's file form: the run's label and phase
+// spans, how many samples the ring evicted, and the retained samples
+// oldest-first.
+type TimelineDump struct {
+	Label   string      `json:"label"`
+	Phases  []PhaseSpan `json:"phases"`
+	Dropped uint64      `json:"dropped"`
+	Samples []Sample    `json:"samples"`
 }
 
-// WriteTimeline renders the retained samples as a JSON document.
-func (r *Recorder) WriteTimeline(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(timelineDump{Dropped: r.TimelineDropped(), Samples: r.Timeline()})
+// Write renders the dump as one JSON document.
+func (d *TimelineDump) Write(w io.Writer) error { return json.NewEncoder(w).Encode(d) }
+
+// ReadTimeline parses a Write result.
+func ReadTimeline(r io.Reader) (*TimelineDump, error) {
+	var d TimelineDump
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return nil, fmt.Errorf("telemetry: decoding timeline: %w", err)
+	}
+	return &d, nil
 }
 
-// WriteTimelineCSV renders the retained samples as a CSV table, one row
-// per sample. The column set is derived from the first sample: the
-// scalar fields, one cpu<N>_util column per CPU, and — when the run
-// attached the queueing observatory — four columns per station. Every
-// retained sample of one run has the same shape, so the header is
-// stable across the dump.
-func (r *Recorder) WriteTimelineCSV(w io.Writer) error {
-	samples := r.Timeline()
+// WriteCSV renders the samples as a CSV table, one row per sample. The
+// column set is derived from the first sample: the scalar fields, one
+// cpu<N>_util column per CPU, and — when the run attached the queueing
+// observatory — four columns per station. Every retained sample of one
+// run has the same shape, so the header is stable across the dump.
+func (d *TimelineDump) WriteCSV(w io.Writer) error {
+	samples := d.Samples
 	var b strings.Builder
 	b.WriteString("t,measuring,tps,cpi,user_ipx,os_ipx,l2_mpi,l3_mpi,buffer_hit,write_amp,read_amp,bus_util,run_queue,io_in_flight,space_amp,txns")
 	if len(samples) > 0 {

@@ -11,8 +11,8 @@ import (
 // along), and %g keeps values round-trippable. Downstream spreadsheet
 // and plotting pipelines key on these exact column names.
 func TestWriteTimelineCSVGolden(t *testing.T) {
-	rec := NewRecorder(100)
-	rec.PushSample(Sample{
+	tl := NewTimeline(100)
+	tl.Push(Sample{
 		SimSeconds: 0.1, Measuring: false,
 		TPS: 480, CPI: 2.5, UserIPX: 1.5e6, OSIPX: 2e5,
 		L2MPI: 0.01, L3MPI: 0.0025, BufferHit: 0.96,
@@ -24,7 +24,7 @@ func TestWriteTimelineCSVGolden(t *testing.T) {
 			{Name: "disk", Util: 0.25, QueueLen: 0.5, WaitMS: 4.5, Xps: 120},
 		},
 	})
-	rec.PushSample(Sample{
+	tl.Push(Sample{
 		SimSeconds: 0.2, Measuring: true,
 		TPS: 500, CPI: 2.25, UserIPX: 1.25e6, OSIPX: 1.5e5,
 		L2MPI: 0.0125, L3MPI: 0.003125, BufferHit: 0.975,
@@ -45,7 +45,7 @@ func TestWriteTimelineCSVGolden(t *testing.T) {
 		"0.2,1,500,2.25,1.25e+06,150000,0.0125,0.003125,0.975,1.25,0.5,0.25,1,0,1.25,98,1,0.875,1,3.5,2.5,1000,0.125,0.25,3.75,60\n"
 
 	var b strings.Builder
-	if err := rec.WriteTimelineCSV(&b); err != nil {
+	if err := tl.Dump().WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != want {
@@ -56,9 +56,9 @@ func TestWriteTimelineCSVGolden(t *testing.T) {
 // TestWriteTimelineCSVEmpty keeps the zero-sample dump parseable: just
 // the scalar header, no per-CPU or station columns to derive.
 func TestWriteTimelineCSVEmpty(t *testing.T) {
-	rec := NewRecorder(0)
+	tl := NewTimeline(0)
 	var b strings.Builder
-	if err := rec.WriteTimelineCSV(&b); err != nil {
+	if err := tl.Dump().WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := "t,measuring,tps,cpi,user_ipx,os_ipx,l2_mpi,l3_mpi,buffer_hit,write_amp,read_amp,bus_util,run_queue,io_in_flight,space_amp,txns\n"

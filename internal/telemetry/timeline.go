@@ -1,6 +1,23 @@
+// Package telemetry holds the timeline of a simulator run — samples of
+// the simulated machine taken on simulated time, plus the run's warm-up
+// and measure phase spans — with its JSON and CSV file forms, and the
+// run manifest written next to campaign checkpoints and by odbrun -json.
+//
+// The package is under the odblint determinism rule: nothing here may
+// read the wall clock. Sample timestamps are simulated seconds supplied
+// by the system layer, and manifest wall-time fields are stamped by
+// callers (cmd/ binaries, or the campaign runner through its injected
+// clock). A Timeline is written by the simulation and read by the run's
+// caller once the run is over.
 package telemetry
 
-import "sync"
+// defaultIntervalMS is the timeline's sample interval, in simulated
+// milliseconds, when NewTimeline is given 0.
+const defaultIntervalMS = 100
+
+// timelineCap bounds the retained timeline samples: one minute of
+// simulated time at the default interval.
+const timelineCap = 600
 
 // Sample is one timeline observation: the state of the simulated
 // machine over one sampler interval (rates) or at its closing instant
@@ -48,29 +65,49 @@ type StationSample struct {
 	Xps      float64 `json:"xps"`
 }
 
-// Timeline is a bounded ring of samples: pushes beyond the capacity
-// overwrite the oldest entries, and Dropped counts how many were lost.
-// Its mutex keeps a read consistent with the writer's pushes.
+// PhaseSpan records one completed lifecycle phase of a run.
+type PhaseSpan struct {
+	Name       string  `json:"name"`
+	SimSeconds float64 `json:"sim_seconds"`
+	Txns       uint64  `json:"txns"`
+}
+
+// phaseNames names a run's phases in the order they close.
+var phaseNames = [...]string{"warmup", "measure"}
+
+// Timeline is one run's timeline: a bounded ring of samples taken every
+// Interval of simulated time — pushes beyond the capacity overwrite the
+// oldest entries, and the dump counts how many were lost — and the
+// run's phase spans.
 type Timeline struct {
-	mu      sync.Mutex
+	intervalMS float64
+
 	buf     []Sample
 	head    int // next write position
 	n       int // live entries
 	dropped uint64
+
+	phases   []PhaseSpan
+	phaseAt  float64 // sim seconds when the phase in progress began
+	phaseTxn uint64  // total txns when the phase in progress began
 }
 
-// NewTimeline returns a ring holding at most capacity samples.
-func NewTimeline(capacity int) *Timeline {
-	if capacity < 1 {
-		capacity = 1
+// NewTimeline returns a timeline sampling every intervalMS simulated
+// milliseconds, 0 meaning 100 ms. system.WithTimeline rejects any other
+// interval outside its bounds.
+func NewTimeline(intervalMS float64) *Timeline {
+	//lint:ignore floateq zero is the unset sentinel, not a computed value
+	if intervalMS == 0 {
+		intervalMS = defaultIntervalMS
 	}
-	return &Timeline{buf: make([]Sample, capacity)}
+	return &Timeline{intervalMS: intervalMS, buf: make([]Sample, timelineCap)}
 }
+
+// Interval returns the sampling interval in simulated milliseconds.
+func (tl *Timeline) Interval() float64 { return tl.intervalMS }
 
 // Push appends a sample, evicting the oldest when full.
 func (tl *Timeline) Push(s Sample) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	tl.buf[tl.head] = s
 	tl.head = (tl.head + 1) % len(tl.buf)
 	if tl.n < len(tl.buf) {
@@ -80,24 +117,33 @@ func (tl *Timeline) Push(s Sample) {
 	}
 }
 
-// Snapshot returns the retained samples oldest-first.
-func (tl *Timeline) Snapshot() []Sample {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	out := make([]Sample, 0, tl.n)
+// EndPhase closes the phase in progress at the given simulated time,
+// after totalTxns commits since simulation start. The system layer calls
+// it at the warm-up reset, closing "warmup", and at run end, closing
+// "measure"; a run that ends before its reset closes "warmup" only.
+func (tl *Timeline) EndPhase(simSeconds float64, totalTxns uint64) {
+	tl.phases = append(tl.phases, PhaseSpan{
+		Name:       phaseNames[len(tl.phases)],
+		SimSeconds: simSeconds - tl.phaseAt,
+		Txns:       totalTxns - tl.phaseTxn,
+	})
+	tl.phaseAt, tl.phaseTxn = simSeconds, totalTxns
+}
+
+// Dump returns the timeline's document: the closed phases and the
+// retained samples oldest-first.
+func (tl *Timeline) Dump() *TimelineDump {
+	d := &TimelineDump{
+		Phases:  tl.phases,
+		Dropped: tl.dropped,
+		Samples: make([]Sample, 0, tl.n),
+	}
 	start := tl.head - tl.n
 	if start < 0 {
 		start += len(tl.buf)
 	}
 	for i := 0; i < tl.n; i++ {
-		out = append(out, tl.buf[(start+i)%len(tl.buf)])
+		d.Samples = append(d.Samples, tl.buf[(start+i)%len(tl.buf)])
 	}
-	return out
-}
-
-// Dropped returns how many samples the ring has evicted.
-func (tl *Timeline) Dropped() uint64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return tl.dropped
+	return d
 }

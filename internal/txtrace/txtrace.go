@@ -32,7 +32,6 @@ import (
 
 	"odbscale/internal/odb"
 	"odbscale/internal/sim"
-	"odbscale/internal/telemetry"
 )
 
 // Kind classifies one span segment.
@@ -238,7 +237,7 @@ type Meta struct {
 // transaction (not just the sampled ones) plus the tail reservoir.
 type typeAgg struct {
 	count      uint64
-	hist       telemetry.Histogram // latency in cycles
+	hist       histogram // latency in cycles
 	sum        Breakdown
 	sumLatency sim.Time
 	tail       []*Trace
@@ -269,10 +268,9 @@ type ProcState struct {
 }
 
 // Begin starts a new transaction window at the current chunk's start
-// time (latency endpoints are chunk start times, matching the flight
-// recorder). The segment scratch from any earlier transaction in the
-// same chunk is discarded: its share of the chunk's cycles lands in the
-// unattributed remainder.
+// time (latency endpoints are chunk start times). The segment scratch
+// from any earlier transaction in the same chunk is discarded: its share
+// of the chunk's cycles lands in the unattributed remainder.
 func (ts *ProcState) Begin(typ odb.TxnType, now sim.Time) {
 	ts.active = true
 	ts.typ = typ
