@@ -1,7 +1,7 @@
 // Package runflags holds the run flags the simulator's commands share:
-// the -machine platform switch (odbrun, odbsweep) and the campaign
-// block -checkpoint/-resume/-events/-quiet with its progress and
-// event-log observers (odbsweep, paperrepro).
+// the spec block -seed/-machine/-engine/-txns (odbrun, odbsweep) and
+// the campaign block -checkpoint/-resume/-events/-quiet with its
+// progress and event-log observers (odbsweep, paperrepro).
 package runflags
 
 import (
@@ -12,10 +12,26 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 
 	"odbscale/internal/campaign"
+	"odbscale/internal/engine"
 	"odbscale/internal/system"
 )
+
+// RegisterSpec declares the spec block on fs, bound to spec, whose
+// values are the defaults: -seed, -machine (resolved by Machine as it
+// is parsed), -engine and -txns.
+func RegisterSpec(fs *flag.FlagSet, spec *campaign.Spec) {
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "random seed")
+	fs.Func("machine", "platform: xeon or itanium2 (default xeon)", func(name string) (err error) {
+		spec.Machine, err = Machine(name)
+		return err
+	})
+	fs.StringVar(&spec.Engine, "engine", engine.DefaultName,
+		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
+	fs.IntVar(&spec.MeasureTxns, "txns", spec.MeasureTxns, "measured transactions per point")
+}
 
 // Machine resolves a -machine name: "xeon" (the paper's quad Xeon) or
 // "itanium2" (the validation platform of Figure 19).

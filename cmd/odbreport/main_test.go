@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"odbscale/internal/campaign"
+	"odbscale/internal/experiment"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
@@ -19,11 +22,14 @@ import (
 // goldenProfile is the committed W=10, P=1 profile.
 var goldenProfile = filepath.Join("..", "..", "testdata", "golden", "profile-w10-p1.json")
 
-// capture runs W=10 for 100 measured transactions with the span
-// tracer, the queueing collector, the timeline and the reference trace
-// attached, and returns the paths of the files they write, by kind.
-// Next to the timeline's JSON file it writes timeline.csv, the run's
-// timeline as its CSV writer renders it before any JSON round trip.
+// capture runs W=10 for 100 measured transactions as odbrun runs a
+// configuration, a one-point campaign, with the span tracer, the
+// queueing collector and the timeline as its instruments and the
+// reference trace streamed alongside, and returns the paths of the
+// files they write, by kind. It then runs the same configuration once
+// more with the queueing collector and an in-memory timeline, and
+// writes timeline.csv next to the timeline's JSON file: that timeline
+// as its CSV writer renders it, before any JSON round trip.
 func capture(t *testing.T) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
@@ -34,40 +40,51 @@ func capture(t *testing.T) map[string]string {
 		"timeline": filepath.Join(dir, "timeline.json"),
 		"trace":    filepath.Join(dir, "odb.trace"),
 	}
-	cfg := system.DefaultConfig(10, 8, 1)
-	cfg.WarmupTxns, cfg.MeasureTxns = 50, 100
 	tf, err := os.Create(files["trace"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	spans := txtrace.NewTracer(txtrace.Config{})
-	qc := qstats.NewCollector()
+	spec := experiment.DefaultSpec([]int{10}, []int{1})
+	spec.AutoTune, spec.Clients = false, 8
+	spec.WarmupTxns, spec.MeasureTxns = 50, 100
+	spec.Instruments = []campaign.Instrument{campaign.Spans(txtrace.Config{}), campaign.QueueStats(), campaign.Timeline(5)}
+	var cfg system.Config
+	res, err := (&campaign.Runner{Spec: spec, RunFunc: func(ctx context.Context, c system.Config, att []campaign.Attached) (system.Metrics, error) {
+		cfg = c
+		return campaign.DefaultRun(ctx, c, append(att, attach{system.WithTrace(tf, nil)}))
+	}}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _ := res.Point(10, 1)
+	for _, in := range spec.Instruments {
+		var b bytes.Buffer
+		if err := in.Write(&b, pt.Flight[in.Kind()]); err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, files[in.Kind()], b.Bytes())
+	}
 	tl := telemetry.NewTimeline(5)
-	if _, err := system.Run(context.Background(), cfg,
-		system.WithSpans(spans), system.WithQueueStats(qc), system.WithTimeline(tl),
-		system.WithTrace(tf, nil)); err != nil {
+	if _, err := campaign.DefaultRun(context.Background(), cfg, []campaign.Attached{
+		attach{system.WithQueueStats(qstats.NewCollector())}, attach{system.WithTimeline(tl)},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	var sb, qb, tb, cb bytes.Buffer
-	if err := spans.Dump().Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := qc.Report().WriteJSON(&qb); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Dump().Write(&tb); err != nil {
-		t.Fatal(err)
-	}
+	var cb bytes.Buffer
 	if err := tl.Dump().WriteCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	writeFile(t, files["spans"], sb.Bytes())
-	writeFile(t, files["qstats"], qb.Bytes())
-	writeFile(t, files["timeline"], tb.Bytes())
 	writeFile(t, filepath.Join(dir, "timeline.csv"), cb.Bytes())
 	return files
 }
+
+// attach hands a run one option and leaves no payload.
+type attach struct{ opt system.Option }
+
+func (a attach) Option() system.Option { return a.opt }
+
+func (attach) Finish(bool) (json.RawMessage, error) { return nil, nil }
 
 func writeFile(t *testing.T, path string, b []byte) {
 	t.Helper()

@@ -1,46 +1,37 @@
 // Command odbrun executes one OLTP configuration on the simulated
 // platform and prints its metrics, iron-law decomposition and CPI
-// breakdown. It is the one capture path for a single run: each
-// observer rides along on demand and writes a file for cmd/odbreport,
-// which tells the kinds apart by their contents.
+// breakdown. It runs a one-point campaign: the point (W, P) with its
+// client count pinned to -c goes through campaign.Run, as every point
+// of odbsweep and paperrepro does. Each observer rides along on demand
+// as a campaign instrument and its file, labelled "W=..,C=..,P=..", is
+// written from the point's payload by the instrument's writer, for
+// cmd/odbreport, which tells the kinds apart by their contents:
 //
-// -json replaces the text report with a machine-readable document
-// bundling the run manifest (config, seed, provenance), the final
-// metrics and the per-type latency aggregates.
+//   - -profile: the cycle-attribution profiler's per-phase CPI.
+//   - -spans: the span tracer's dump, its per-type aggregates (count,
+//     p50/p95/p99 and latency sum over every measured transaction) plus
+//     a deterministic sample of span trees. The tracer rides along on
+//     every run: its aggregates are the report's latency lines.
+//   - -qstats: the queueing observatory's per-resource service-center
+//     report (arrivals, utilization, wait demand, operational laws).
+//   - -timeline: the warm-up and measure phases and a sample of the
+//     machine every -sample simulated milliseconds (1 to 3.6e6; an
+//     interval outside that fails the run).
 //
-// The cycle-attribution profiler: -profile writes the run's per-phase
-// CPI attribution as JSON.
+// -trace streams every measured memory reference to a file in the trace
+// format, for odbreport replay; a run that fails leaves no file.
 //
-// The span tracer rides along on every run: its per-type aggregates
-// (count, p50/p95/p99 and latency sum over every measured transaction)
-// are the report's latency lines and the -json "latency" array. -spans
-// writes its dump as JSON: those aggregates plus a deterministic sample
-// of per-transaction span trees (head sampling plus the slowest per
-// type).
-//
-// The queueing observatory: -qstats collects per-resource
-// service-center metrics (arrivals, utilization, wait demand,
-// operational-law audit) and writes the report as JSON (odbreport
-// report prints it as text).
-//
-// The timeline: -timeline writes the run's warm-up and measure phase
-// spans and a sample of the simulated machine every -sample simulated
-// milliseconds (1 to 3.6e6; an interval outside that fails the run) as
-// JSON (odbreport report prints the samples as a CSV table).
-//
-// The reference trace: -trace writes every measured memory reference
-// in the trace format, for odbreport replay.
-//
-// The profile, span, queueing and timeline observers attach through
-// the campaign instruments, the first three of which odbsweep runs at
-// every point, and their files come from the instruments' writers; each
-// is labelled "W=..,C=..,P=..".
+// -json replaces the text report with the run document: the run
+// manifest (the campaign's config, seed and provenance) and the point
+// as a campaign checkpoint stores it, with keys w, p, c, metrics and
+// flight (the payloads by kind; flight.spans.types is the latency
+// record).
 //
 // Usage:
 //
 //	odbrun [-w warehouses] [-c clients] [-p processors] [-seed n]
 //	       [-machine xeon|itanium2] [-engine btree|lsm] [-lsmmem mb]
-//	       [-txns n] [-warmup n] [-nocoherence] [-json]
+//	       [-txns n] [-warmup n] [-json]
 //	       [-timeline file] [-sample ms] [-profile file]
 //	       [-spans file] [-spanhead n] [-qstats file] [-trace file]
 package main
@@ -54,23 +45,15 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/campaign"
-	"odbscale/internal/engine"
+	"odbscale/internal/experiment"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
-
-// report is the -json output document.
-type report struct {
-	Manifest *telemetry.Manifest `json:"manifest"`
-	Metrics  system.Metrics      `json:"metrics"`
-	Latency  []txtrace.TypeStat  `json:"latency"`
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -80,20 +63,17 @@ func main() {
 
 // run executes one command line, writing the report to stdout.
 func run(args []string, stdout io.Writer) error {
+	spec := experiment.DefaultSpec(nil, nil)
+	spec.AutoTune = false
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 16, "concurrent clients")
+	fs.IntVar(&spec.Clients, "c", 16, "concurrent clients")
 	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	engineName := fs.String("engine", engine.DefaultName,
-		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
-	lsmMem := fs.Int("lsmmem", engine.DefaultLSMTuning().MemtableMB,
+	runflags.RegisterSpec(fs, &spec)
+	fs.IntVar(&spec.Tuning.LSM.MemtableMB, "lsmmem", spec.Tuning.LSM.MemtableMB,
 		"LSM memtable size in MB (ignored by btree)")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", system.DefaultConfig(1, 1, 1).WarmupTxns, "warm-up transactions")
-	nocoh := fs.Bool("nocoherence", false, "disable MESI coherence")
-	jsonOut := fs.Bool("json", false, "emit the run manifest, metrics and per-type latency as JSON")
+	fs.IntVar(&spec.WarmupTxns, "warmup", spec.WarmupTxns, "warm-up transactions")
+	jsonOut := fs.Bool("json", false, "emit the run manifest and the point as a campaign checkpoint stores it, as JSON")
 	timelineOut := fs.String("timeline", "", "sample the run's timeline and write it as JSON to this file")
 	sampleMS := fs.Float64("sample", 100, "timeline sample interval in simulated milliseconds")
 	profileOut := fs.String("profile", "", "profile cycle attribution and write the profile as JSON to this file")
@@ -104,81 +84,66 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := system.DefaultConfig(*w, *c, *p)
-	cfg.Seed = *seed
-	cfg.MeasureTxns = *txns
-	cfg.WarmupTxns = *warmup
-	cfg.Coherent = !*nocoh
-	cfg.Engine = *engineName
-	cfg.Tuning.LSM.MemtableMB = *lsmMem
-	mc, err := runflags.Machine(*machine)
-	if err != nil {
-		return err
+	// A campaign hands a point with no pinned count to the client
+	// heuristic, so a count below one is refused here.
+	if spec.Clients < 1 {
+		return fmt.Errorf("odbrun: %w: C=%d", system.ErrBadConfig, spec.Clients)
 	}
-	cfg.Machine = mc
-	label := fmt.Sprintf("W=%d,C=%d,P=%d", *w, *c, *p)
+	spec.Warehouses, spec.Processors = []int{*w}, []int{*p}
 
-	var opts []system.Option
-	// Each observer attaches through its campaign instrument; its payload
-	// goes to its file after the run, if one was named. The span tracer
-	// always attaches: its per-type aggregates are the latency record.
-	type observer struct {
+	// The span tracer always rides along: its per-type aggregates are
+	// the latency record. Every other instrument rides along when its
+	// file is named.
+	outputs := []struct {
 		path string
 		in   campaign.Instrument
-		att  campaign.Attached
+	}{
+		{*profileOut, campaign.Profiles()},
+		{*spansOut, campaign.Spans(txtrace.Config{HeadEvery: *spanHead})},
+		{*qstatsOut, campaign.QueueStats()},
+		{*timelineOut, campaign.Timeline(*sampleMS)},
 	}
-	spans := &observer{path: *spansOut, in: campaign.Spans(txtrace.Config{HeadEvery: *spanHead})}
-	var observers []*observer
-	for _, o := range []*observer{
-		{path: *profileOut, in: campaign.Profiles()},
-		spans,
-		{path: *qstatsOut, in: campaign.QueueStats()},
-		{path: *timelineOut, in: campaign.Timeline(*sampleMS)},
-	} {
-		if o.path != "" || o == spans {
-			o.att = o.in.Start(label, cfg)
-			opts = append(opts, o.att.Option())
-			observers = append(observers, o)
+	for _, o := range outputs {
+		if o.path != "" || o.in.Kind() == "spans" {
+			spec.Instruments = append(spec.Instruments, o.in)
 		}
 	}
-	var traceFile *os.File
+	runner := &campaign.Runner{Spec: spec}
 	var refs uint64
 	if *traceOut != "" {
-		if traceFile, err = os.Create(*traceOut); err != nil {
-			return err
+		runner.RunFunc = func(ctx context.Context, cfg system.Config, att []campaign.Attached) (system.Metrics, error) {
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				return system.Metrics{}, err
+			}
+			m, err := campaign.DefaultRun(ctx, cfg, append(att, traceRun{f, &refs}))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				os.Remove(*traceOut)
+			}
+			return m, err
 		}
-		opts = append(opts, system.WithTrace(traceFile, &refs))
 	}
 	started := time.Now()
-	m, err := system.Run(context.Background(), cfg, opts...)
+	res, err := runner.Run(context.Background())
 	if err != nil {
 		return err
 	}
 	wall := time.Since(started)
-
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			return err
-		}
+	if *traceOut != "" {
 		log.Printf("captured %d memory references to %s", refs, *traceOut)
 	}
-	var dump txtrace.Dump
-	for _, o := range observers {
-		raw, err := o.att.Finish(true)
-		if err != nil {
-			return err
-		}
-		if raw == nil {
-			return fmt.Errorf("%s: run finished without a payload", o.in.Kind())
-		}
-		if o == spans {
-			if err := json.Unmarshal(raw, &dump); err != nil {
-				return err
-			}
-		}
+
+	pt, _ := res.Point(*w, *p)
+	for _, o := range outputs {
 		if o.path == "" {
 			continue
+		}
+		raw := pt.Flight[o.in.Kind()]
+		if raw == nil {
+			return fmt.Errorf("%s: run finished without a payload", o.in.Kind())
 		}
 		var b bytes.Buffer
 		if err := o.in.Write(&b, raw); err != nil {
@@ -190,40 +155,55 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *jsonOut {
-		man := telemetry.NewManifest("odbrun", *seed)
-		man.Engine = m.Engine
+		man, err := spec.Manifest("odbrun")
+		if err != nil {
+			return err
+		}
 		man.CreatedAt = started.UTC().Format(time.RFC3339)
 		man.WallSeconds = wall.Seconds()
-		if err := man.SetConfig(cfg); err != nil {
-			return err
-		}
-		rep := report{Manifest: man, Metrics: m, Latency: dump.Types}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(rep); err != nil {
-			return err
+		return enc.Encode(struct {
+			Manifest *telemetry.Manifest `json:"manifest"`
+			campaign.CheckpointPoint
+		}{man, pt})
+	}
+
+	var dump txtrace.Dump
+	if err := json.Unmarshal(pt.Flight["spans"], &dump); err != nil {
+		return err
+	}
+	m := pt.Metrics
+	fmt.Fprintln(stdout, m)
+	fmt.Fprintf(stdout, "  user: IPX=%.2fM CPI=%.2f MPI=%.4f\n", m.UserIPX/1e6, m.UserCPI, m.UserMPI)
+	fmt.Fprintf(stdout, "  os:   IPX=%.2fM CPI=%.2f MPI=%.4f share=%.2f\n", m.OSIPX/1e6, m.OSCPI, m.OSMPI, m.OSShare)
+	fmt.Fprintf(stdout, "  io:   read=%.1fKB write=%.1fKB log=%.1fKB hit=%.3f diskUtil=%.2f lat=%.1fms\n",
+		m.ReadKBPerTxn, m.WriteKBPerTxn, m.LogKBPerTxn, m.BufferHitRatio, m.DiskUtil, m.ReadLatencyMS)
+	fmt.Fprintf(stdout, "  bus:  time=%.0f util=%.2f coherShare=%.4f\n", m.BusTime, m.BusUtil, m.CoherenceShare)
+	fmt.Fprintf(stdout, "  engine: %s wamp=%.2f ramp=%.2f samp=%.3f stalls=%.3f/txn\n",
+		m.Engine, m.WriteAmp, m.ReadAmp, m.SpaceAmp, m.WriteStallsPerTxn)
+	fmt.Fprintf(stdout, "  cpi breakdown: %s\n", m.Breakdown)
+	fmt.Fprintf(stdout, "  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
+		float64(m.Processors)*spec.Machine.FreqHz/(m.IPX*m.CPI)*m.CPUUtil, m.TPS)
+	ms := 1e3 / dump.Meta.FreqHz
+	for _, ts := range dump.Types {
+		if ts.Count == 0 {
+			fmt.Fprintf(stdout, "  latency %-12s n=0     (no measured commits)\n", ts.Type)
+			continue
 		}
-	} else {
-		fmt.Fprintln(stdout, m)
-		fmt.Fprintf(stdout, "  user: IPX=%.2fM CPI=%.2f MPI=%.4f\n", m.UserIPX/1e6, m.UserCPI, m.UserMPI)
-		fmt.Fprintf(stdout, "  os:   IPX=%.2fM CPI=%.2f MPI=%.4f share=%.2f\n", m.OSIPX/1e6, m.OSCPI, m.OSMPI, m.OSShare)
-		fmt.Fprintf(stdout, "  io:   read=%.1fKB write=%.1fKB log=%.1fKB hit=%.3f diskUtil=%.2f lat=%.1fms\n",
-			m.ReadKBPerTxn, m.WriteKBPerTxn, m.LogKBPerTxn, m.BufferHitRatio, m.DiskUtil, m.ReadLatencyMS)
-		fmt.Fprintf(stdout, "  bus:  time=%.0f util=%.2f coherShare=%.4f\n", m.BusTime, m.BusUtil, m.CoherenceShare)
-		fmt.Fprintf(stdout, "  engine: %s wamp=%.2f ramp=%.2f samp=%.3f stalls=%.3f/txn\n",
-			m.Engine, m.WriteAmp, m.ReadAmp, m.SpaceAmp, m.WriteStallsPerTxn)
-		fmt.Fprintf(stdout, "  cpi breakdown: %s\n", m.Breakdown)
-		fmt.Fprintf(stdout, "  iron law check: P*F/(IPX*CPI)*util = %.0f TPS (measured %.0f)\n",
-			float64(m.Processors)*cfg.Machine.FreqHz/(m.IPX*m.CPI)*m.CPUUtil, m.TPS)
-		ms := 1e3 / dump.Meta.FreqHz
-		for _, ts := range dump.Types {
-			if ts.Count == 0 {
-				fmt.Fprintf(stdout, "  latency %-12s n=0     (no measured commits)\n", ts.Type)
-				continue
-			}
-			fmt.Fprintf(stdout, "  latency %-12s n=%-5d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms\n",
-				ts.Type, ts.Count, float64(ts.SumLatency)/float64(ts.Count)*ms, ts.P50*ms, ts.P95*ms, ts.P99*ms)
-		}
+		fmt.Fprintf(stdout, "  latency %-12s n=%-5d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms\n",
+			ts.Type, ts.Count, float64(ts.SumLatency)/float64(ts.Count)*ms, ts.P50*ms, ts.P95*ms, ts.P99*ms)
 	}
 	return nil
 }
+
+// traceRun is the reference trace's handle on the run: a stream of
+// references to w, counted in refs, that leaves no payload.
+type traceRun struct {
+	w    io.Writer
+	refs *uint64
+}
+
+func (t traceRun) Option() system.Option { return system.WithTrace(t.w, t.refs) }
+
+func (traceRun) Finish(bool) (json.RawMessage, error) { return nil, nil }

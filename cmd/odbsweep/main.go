@@ -54,7 +54,6 @@ import (
 
 	"odbscale/cmd/internal/runflags"
 	"odbscale/internal/campaign"
-	"odbscale/internal/engine"
 	"odbscale/internal/experiment"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
@@ -74,17 +73,14 @@ func parseInts(s string) []int {
 }
 
 func main() {
+	spec := experiment.DefaultSpec(nil, nil)
 	ws := flag.String("w", "10,25,50,100,200,300,500,800", "warehouse counts")
 	ps := flag.String("p", "4", "processor counts")
-	clients := flag.Int("c", 0, "fixed client count (0 = auto-tune each point to the ≥90% utilization target via the campaign runner)")
+	flag.IntVar(&spec.Clients, "c", 0, "fixed client count (0 = auto-tune each point to the ≥90% utilization target via the campaign runner)")
 	heuristic := flag.Bool("heuristic", false, "with -c 0, use the static client heuristic instead of the tuner")
-	txns := flag.Int("txns", 2400, "measured transactions per point")
-	tuneTxns := flag.Int("tunetxns", 1200, "measured transactions per tuner probe")
-	seed := flag.Int64("seed", 1, "random seed")
-	machine := flag.String("machine", "xeon", "platform: xeon or itanium2")
-	engineName := flag.String("engine", engine.DefaultName,
-		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
-	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	runflags.RegisterSpec(flag.CommandLine, &spec)
+	flag.IntVar(&spec.TuneTxns, "tunetxns", spec.TuneTxns, "measured transactions per tuner probe")
+	flag.IntVar(&spec.Parallelism, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	profileDir := flag.String("profile", "", "run every point under the cycle-attribution profiler, write each point's profile JSON into this directory and print the attribution shift across the cached-to-scaled pivot")
 	spanDir := flag.String("spans", "", "run every point under the span tracer, write each point's trace dump JSON into this directory and print the wait-state shift across the pivot")
 	qstatsDir := flag.String("qstats", "", "run every point under the queueing observatory, write each point's station report JSON into this directory and print the bottleneck-shift table across the sweep")
@@ -93,20 +89,8 @@ func main() {
 	camp := runflags.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
-	mc, err := runflags.Machine(*machine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warehouses, processors := parseInts(*ws), parseInts(*ps)
-	spec := experiment.DefaultSpec(warehouses, processors)
-	spec.Machine = mc
-	spec.Seed = *seed
-	spec.Engine = *engineName
-	spec.MeasureTxns = *txns
-	spec.TuneTxns = *tuneTxns
-	spec.AutoTune = *clients == 0 && !*heuristic
-	spec.Clients = *clients
-	spec.Parallelism = *par
+	spec.Warehouses, spec.Processors = parseInts(*ws), parseInts(*ps)
+	spec.AutoTune = spec.Clients == 0 && !*heuristic
 
 	// Each requested observer: its instrument, its output directory, and
 	// the pivot table printed from its payloads after the campaign.
@@ -139,7 +123,7 @@ func main() {
 		fmt.Println("w,p,c,engine,tps,ipx,useripx,osipx,cpi,usercpi,oscpi,mpi,usermpi,osmpi,util,osshare,readkb,writekb,logkb,ctxsw,bustime,busutil,cohershare,bufferhit,diskutil,writeamp,readamp,spaceamp,writestalls")
 	}
 	enc := json.NewEncoder(os.Stdout)
-	for _, p := range processors {
+	for _, p := range spec.Processors {
 		for _, m := range res.Series(p) {
 			switch {
 			case *jsonOut:
@@ -175,7 +159,8 @@ func writeEach(res *campaign.Result, in campaign.Instrument, dir, noun string) {
 	n := 0
 	for _, p := range res.Processors {
 		for _, w := range res.Warehouses {
-			raw := res.Payload(w, p, in.Kind())
+			pt, _ := res.Point(w, p)
+			raw := pt.Flight[in.Kind()]
 			if raw == nil {
 				continue
 			}
@@ -199,7 +184,8 @@ func writeEach(res *campaign.Result, in campaign.Instrument, dir, noun string) {
 // payload decodes one point's payload of the given kind, or returns nil
 // when the point has none.
 func payload[T any](res *campaign.Result, w, p int, kind string) *T {
-	raw := res.Payload(w, p, kind)
+	pt, _ := res.Point(w, p)
+	raw := pt.Flight[kind]
 	if raw == nil {
 		return nil
 	}

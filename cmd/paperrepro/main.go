@@ -115,9 +115,11 @@ func main() {
 	fmt.Println(experiment.RenderSeries("Figure 19: CPI scaling on the Itanium2 platform (4P)", []stats.Series{cpi}, 3))
 	fmt.Printf("Itanium2 CPI pivot: %.0f warehouses (Xeon: %.0f)\n", itChar.CPI.Pivot(), char.CPI.Pivot())
 
-	if err := verifyIronLaw(res); err != nil {
-		fmt.Fprintf(os.Stderr, "iron law verification failed: %v\n", err)
-		os.Exit(1)
+	for _, err := range []error{verifyIronLaw(res, xeon.Machine), verifyIronLaw(itRes, itanium.Machine)} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "iron law verification failed: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	fmt.Println("\niron law verified on every measured configuration")
 }
@@ -152,19 +154,20 @@ func printFit(title string, fit core.ScalingFit) {
 	fmt.Printf("  pivot point:   %.0f warehouses\n\n", fit.Pivot())
 }
 
-// verifyIronLaw checks TPS = util*P*F/(IPX*CPI) on every measured point.
-func verifyIronLaw(res *campaign.Result) error {
+// verifyIronLaw checks TPS = util*P*F/(IPX*CPI) to within 1e-3 on every
+// point of a campaign run on mc.
+func verifyIronLaw(res *campaign.Result, mc system.MachineConfig) error {
 	for _, p := range res.Processors {
 		for _, m := range res.Series(p) {
 			law := core.IronLaw{
 				Processors:  m.Processors,
-				FrequencyHz: system.XeonQuad().FreqHz,
+				FrequencyHz: mc.FreqHz,
 				IPX:         m.IPX,
 				CPI:         m.CPI,
 				Utilization: m.CPUUtil,
 			}
-			if err := law.Verify(m.TPS, 0.02); err != nil {
-				return fmt.Errorf("W=%d P=%d: %w", m.Warehouses, p, err)
+			if err := law.Verify(m.TPS, 1e-3); err != nil {
+				return fmt.Errorf("%s W=%d P=%d: %w", mc.Name, m.Warehouses, p, err)
 			}
 		}
 	}

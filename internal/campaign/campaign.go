@@ -125,7 +125,7 @@ func (s *Spec) validate() error {
 	// with the errors system.Run would return for it.
 	for _, w := range s.Warehouses {
 		for _, p := range s.Processors {
-			if err := system.Validate(s.config(w, 1, p, s.MeasureTxns)); err != nil {
+			if err := system.Validate(s.config(w, max(s.Clients, 1), p, s.MeasureTxns)); err != nil {
 				return fmt.Errorf("campaign: W=%d P=%d: %w", w, p, err)
 			}
 		}
@@ -149,9 +149,9 @@ func (s *Spec) config(w, c, p, txns int) system.Config {
 	}
 }
 
-// pointName renders the canonical name of a measurement point
-// ("W=10,P=1"), which labels its instrument payloads.
-func pointName(w, p int) string { return fmt.Sprintf("W=%d,P=%d", w, p) }
+// pointName renders the canonical name of a measurement point run with
+// c clients ("W=10,C=8,P=1"), which labels its instrument payloads.
+func pointName(w, c, p int) string { return fmt.Sprintf("W=%d,C=%d,P=%d", w, c, p) }
 
 // PointKey addresses one (warehouses, processors) measurement point.
 type PointKey struct {
@@ -165,10 +165,9 @@ type Result struct {
 	Points     map[PointKey]system.Metrics
 	Summary    Summary
 
-	// flight holds each point's instrument payloads, kind → raw JSON:
-	// the map its checkpoint point persists, for fresh and resumed
-	// points alike.
-	flight map[PointKey]map[string]json.RawMessage
+	// points is the runner's checkpoint store: each point as its
+	// checkpoint persists it, for fresh and resumed points alike.
+	points map[PointKey]CheckpointPoint
 }
 
 // Metrics returns one point's measurement.
@@ -177,11 +176,12 @@ func (r *Result) Metrics(w, p int) (system.Metrics, bool) {
 	return m, ok
 }
 
-// Payload returns one point's raw payload of an instrument kind, as its
-// checkpoint point holds it, or nil when the point has none. The kind's
-// Instrument.Write turns it into the kind's file.
-func (r *Result) Payload(w, p int, kind string) json.RawMessage {
-	return r.flight[PointKey{W: w, P: p}][kind]
+// Point returns one point as its checkpoint holds it: its client count,
+// metrics and instrument payloads by kind (Flight), which the kind's
+// Instrument.Write turns into the kind's file.
+func (r *Result) Point(w, p int) (CheckpointPoint, bool) {
+	pt, ok := r.points[PointKey{W: w, P: p}]
+	return pt, ok
 }
 
 // Series returns the metrics of one processor configuration in
@@ -200,8 +200,10 @@ func (r *Result) Series(p int) []system.Metrics {
 // run's instrument handles; tuner probes pass none.
 type RunFunc func(ctx context.Context, cfg system.Config, att []Attached) (system.Metrics, error)
 
-// defaultRun calls system.Run with each handle's option.
-func defaultRun(ctx context.Context, cfg system.Config, att []Attached) (system.Metrics, error) {
+// DefaultRun is the RunFunc a Runner uses unless given another: it calls
+// system.Run with each handle's option. A RunFunc that interposes on
+// runs can hand it more handles.
+func DefaultRun(ctx context.Context, cfg system.Config, att []Attached) (system.Metrics, error) {
 	opts := make([]system.Option, len(att))
 	for i, a := range att {
 		opts[i] = a.Option()
@@ -214,7 +216,7 @@ func defaultRun(ctx context.Context, cfg system.Config, att []Attached) (system.
 // caching layers).
 type Runner struct {
 	Spec    Spec
-	RunFunc RunFunc // nil means system.Run with each handle's option
+	RunFunc RunFunc // nil means DefaultRun
 
 	// Clock supplies the wall time behind the Elapsed fields of
 	// progress events; nil means the real clock. Simulated results
@@ -330,7 +332,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 	runFn := r.RunFunc
 	if runFn == nil {
-		runFn = defaultRun
+		runFn = DefaultRun
 	}
 	obs := spec.Observer
 	if obs == nil {
@@ -357,7 +359,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		Warehouses: append([]int(nil), spec.Warehouses...),
 		Processors: append([]int(nil), spec.Processors...),
 		Points:     make(map[PointKey]system.Metrics),
-		flight:     make(map[PointKey]map[string]json.RawMessage),
 	}
 
 	var (
@@ -373,12 +374,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		failMu.Unlock()
 	}
 	var resMu sync.Mutex
-	record := func(k PointKey, m system.Metrics, flight map[string]json.RawMessage) {
+	record := func(k PointKey, m system.Metrics) {
 		resMu.Lock()
 		res.Points[k] = m
-		if len(flight) > 0 {
-			res.flight[k] = flight
-		}
 		resMu.Unlock()
 	}
 
@@ -404,6 +402,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, firstErr
 	}
 	res.Summary = sum
+	res.points = ck.points // every lane has finished writing it
 	return res, nil
 }
 
@@ -419,7 +418,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // of a full exponential climb from MinClients. A lane's first point, and
 // any point after a larger warehouse count, climbs from MinClients.
 func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emitter,
-	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics, map[string]json.RawMessage)) {
+	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics)) {
 	spec := &r.Spec
 	clk := r.clock()
 	prevW, floor := -1, spec.MinClients
@@ -447,7 +446,7 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				Metrics: pt.Metrics,
 				Resumed: true,
 			})
-			record(key, pt.Metrics, pt.Flight)
+			record(key, pt.Metrics)
 			if w >= prevW && pt.C > floor {
 				floor = pt.C
 			}
@@ -483,13 +482,12 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			point := Point{Warehouses: w, Processors: p, Clients: c}
 			em.pointStarted(point)
 			t0 := clk.Now()
-			cfg := spec.config(w, c, p, spec.MeasureTxns)
-			name := pointName(w, p)
+			name := pointName(w, c, p)
 			att := make([]Attached, len(spec.Instruments))
 			for i, in := range spec.Instruments {
-				att[i] = in.Start(name, cfg)
+				att[i] = in.Start(name)
 			}
-			m, err := pl.run(ctx, runFn, cfg, att)
+			m, err := pl.run(ctx, runFn, spec.config(w, c, p, spec.MeasureTxns), att)
 			// Persist the point's observability payload alongside its
 			// metrics so a resumed campaign hands it out rather than
 			// losing it.
@@ -511,8 +509,8 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				return
 			}
 			em.pointFinished(PointResult{Point: point, Metrics: m, Elapsed: elapsed})
-			record(PointKey{W: w, P: p}, m, payload)
-			if err := ck.addPoint(w, p, c, m, payload); err != nil {
+			record(PointKey{W: w, P: p}, m)
+			if err := ck.addPoint(CheckpointPoint{W: w, P: p, C: c, Metrics: m, Flight: payload}); err != nil {
 				fail(fmt.Errorf("campaign: checkpointing W=%d P=%d: %w", w, p, err))
 			}
 		}(w, p, c)

@@ -586,6 +586,38 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestManifestRecordsEngine checks that the manifest written next to a
+// checkpoint names the campaign's storage engine, at the top level and
+// in its config, and that an empty Spec.Engine is recorded as the
+// default B-tree.
+func TestManifestRecordsEngine(t *testing.T) {
+	for engine, want := range map[string]string{"lsm": "lsm", "": "btree"} {
+		spec := testSpec()
+		spec.Engine = engine
+		spec.Warehouses, spec.Processors = []int{10}, []int{1}
+		spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+		if _, err := (&Runner{Spec: spec, RunFunc: (&runLog{}).run}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(telemetry.ManifestPath(spec.CheckpointPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man struct {
+			Engine string `json:"engine"`
+			Config struct {
+				Engine string `json:"engine"`
+			} `json:"config"`
+		}
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
+		}
+		if man.Engine != want || man.Config.Engine != want {
+			t.Errorf("Engine %q: manifest engine %q, config engine %q; want %q", engine, man.Engine, man.Config.Engine, want)
+		}
+	}
+}
+
 func TestObserversFanOut(t *testing.T) {
 	spec := testSpec()
 	spec.Warehouses = []int{10, 40}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odbscale/internal/clock"
+	"odbscale/internal/engine"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 )
@@ -176,11 +177,10 @@ func (s *ckStore) probe(w, p, c int) (float64, bool) {
 	return u, ok
 }
 
-func (s *ckStore) addPoint(w, p, c int, m system.Metrics, fl map[string]json.RawMessage) error {
+func (s *ckStore) addPoint(pt CheckpointPoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pt := CheckpointPoint{W: w, P: p, C: c, Metrics: m, Flight: fl}
-	s.points[PointKey{W: w, P: p}] = pt
+	s.points[PointKey{W: pt.W, P: pt.P}] = pt
 	s.cp.Points = append(s.cp.Points, pt)
 	return s.persistLocked()
 }
@@ -200,11 +200,19 @@ func (s *ckStore) persistLocked() error {
 	return s.cp.Save(s.path)
 }
 
-// manifestConfig is the JSON-serializable projection of a Spec — every
-// run-defining knob, none of the plumbing (observers, instruments).
-func (s *Spec) manifestConfig() any {
-	return struct {
+// Manifest builds the run manifest of the spec for tool: its seed, its
+// storage engine (empty means engine.DefaultName) and, as its config,
+// every run-defining knob, none of the plumbing (observers,
+// instruments). The caller stamps the wall-clock fields.
+func (s *Spec) Manifest(tool string) (*telemetry.Manifest, error) {
+	man := telemetry.NewManifest(tool, s.Seed)
+	man.Engine = s.Engine
+	if man.Engine == "" {
+		man.Engine = engine.DefaultName
+	}
+	err := man.SetConfig(struct {
 		Machine     any     `json:"machine"`
+		Engine      string  `json:"engine"`
 		Tuning      any     `json:"tuning"`
 		Seed        int64   `json:"seed"`
 		WarmupTxns  int     `json:"warmup_txns"`
@@ -219,12 +227,13 @@ func (s *Spec) manifestConfig() any {
 		Warehouses  []int   `json:"warehouses"`
 		Processors  []int   `json:"processors"`
 	}{
-		Machine: s.Machine, Tuning: s.Tuning, Seed: s.Seed,
+		Machine: s.Machine, Engine: man.Engine, Tuning: s.Tuning, Seed: s.Seed,
 		WarmupTxns: s.WarmupTxns, MeasureTxns: s.MeasureTxns, TuneTxns: s.TuneTxns,
 		TargetUtil: s.TargetUtil, MinClients: s.MinClients, MaxClients: s.MaxClients,
 		AutoTune: s.AutoTune, Clients: s.Clients,
 		Parallelism: s.Parallelism, Warehouses: s.Warehouses, Processors: s.Processors,
-	}
+	})
+	return man, err
 }
 
 // writeManifest emits the run manifest next to the checkpoint. Wall
@@ -232,13 +241,13 @@ func (s *Spec) manifestConfig() any {
 // inside the determinism rule.
 func (r *Runner) writeManifest(clk clock.Clock, started time.Time, notes string) error {
 	spec := &r.Spec
-	man := telemetry.NewManifest("odbscale-campaign", spec.Seed)
+	man, err := spec.Manifest("odbscale-campaign")
+	if err != nil {
+		return err
+	}
 	man.CreatedAt = started.UTC().Format(time.RFC3339)
 	man.Checkpoint = spec.CheckpointPath
 	man.WallSeconds = clk.Since(started).Seconds()
 	man.Notes = notes
-	if err := man.SetConfig(spec.manifestConfig()); err != nil {
-		return err
-	}
 	return man.Save(telemetry.ManifestPath(spec.CheckpointPath))
 }

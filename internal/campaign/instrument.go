@@ -21,7 +21,7 @@ type Instrument interface {
 	Kind() string
 	// Start attaches the instrument to the measurement run of the named
 	// point; the name labels the payload.
-	Start(point string, cfg system.Config) Attached
+	Start(point string) Attached
 	// Write decodes one payload of the kind and writes it in the kind's
 	// own file format. The runner also decodes every resumed payload
 	// through it, so a checkpoint that does not decode fails the
@@ -54,7 +54,7 @@ type stored[S, C any] struct {
 
 func (s *stored[S, C]) Kind() string { return s.kind }
 
-func (s *stored[S, C]) Start(point string, _ system.Config) Attached {
+func (s *stored[S, C]) Start(point string) Attached {
 	return &storedRun[S, C]{in: s, point: point, col: s.collect()}
 }
 

@@ -120,7 +120,7 @@ type refCount struct{}
 
 func (refCount) Kind() string { return "refs" }
 
-func (refCount) Start(string, system.Config) Attached { return &refRun{} }
+func (refCount) Start(string) Attached { return &refRun{} }
 
 func (refCount) Write(w io.Writer, raw json.RawMessage) error {
 	var n uint64
@@ -151,12 +151,14 @@ func payloads[T any](t *testing.T, a, c *Result, kind string) map[string]*T {
 	out := map[string]*T{}
 	for _, p := range a.Processors {
 		for _, w := range a.Warehouses {
-			name := pointName(w, p)
+			pa, _ := a.Point(w, p)
+			pc, _ := c.Point(w, p)
+			name := pointName(w, pa.C, p)
 			var ra, rc bytes.Buffer
-			if err := json.Compact(&ra, a.Payload(w, p, kind)); err != nil {
+			if err := json.Compact(&ra, pa.Flight[kind]); err != nil {
 				t.Fatalf("%s %s: %v", name, kind, err)
 			}
-			if err := json.Compact(&rc, c.Payload(w, p, kind)); err != nil {
+			if err := json.Compact(&rc, pc.Flight[kind]); err != nil {
 				t.Fatalf("%s %s: %v", name, kind, err)
 			}
 			if !bytes.Equal(ra.Bytes(), rc.Bytes()) {
@@ -360,14 +362,17 @@ func TestResumeV1Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range cp.Points {
-		key := pointName(pt.W, pt.P)
+		// The file predates the client count in point names, so its
+		// payloads keep the labels it stored.
+		key := fmt.Sprintf("W=%d,P=%d", pt.W, pt.P)
 		// The resume above succeeded with this unclaimed payload present.
 		if len(pt.Flight["hists"]) == 0 {
 			t.Errorf("%s: checkpoint holds no hists payload for the resume to ignore", key)
 		}
-		p := decodeAs[profile.Profile](t, res.Payload(pt.W, pt.P, "profile"))
-		d := decodeAs[txtrace.Dump](t, res.Payload(pt.W, pt.P, "spans"))
-		r := decodeAs[qstats.Report](t, res.Payload(pt.W, pt.P, "qstats"))
+		got, _ := res.Point(pt.W, pt.P)
+		p := decodeAs[profile.Profile](t, got.Flight["profile"])
+		d := decodeAs[txtrace.Dump](t, got.Flight["spans"])
+		r := decodeAs[qstats.Report](t, got.Flight["qstats"])
 		for kind, got := range map[string]any{"profile": p, "spans": d, "qstats": r} {
 			// The resumed payload decodes and re-encodes to exactly what
 			// was saved.
@@ -432,11 +437,11 @@ func TestWriteMatchesCollectorEncoding(t *testing.T) {
 	}
 
 	// The same run again, attached by hand, for the collectors' output.
-	name := pointName(25, 2)
+	name := pointName(25, 8, 2)
 	cfg := spec.config(25, 8, 2, spec.MeasureTxns)
 	att := make([]Attached, len(spec.Instruments))
 	for i, in := range spec.Instruments {
-		att[i] = in.Start(name, cfg)
+		att[i] = in.Start(name)
 	}
 	if _, err := (&fakeObserved{}).run(context.Background(), cfg, att); err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ func Validate(cfg Config) error {
 	// covers the LSM engine's knobs.
 	m, t, sy := cfg.Machine, cfg.Tuning, cfg.Tuning.Synth
 	switch {
-	case !(m.FreqHz > 0) || math.IsInf(m.FreqHz, 1):
+	case !(m.FreqHz >= minFreqHz) || m.FreqHz > maxFreqHz:
 		return badField("Machine.FreqHz", m.FreqHz)
 	case m.BufferCacheMB < 1 || m.BufferCacheMB > maxBufferCacheMB:
 		return badField("Machine.BufferCacheMB", m.BufferCacheMB)
@@ -424,6 +424,17 @@ const maxStockLevelScan = 200
 // so there is no L0 run to probe). 221 × 34 = 7,514, and 2^19 × 7,514
 // < 2^32. 2^19 is 43 times the default sample.
 const maxPrefillSampleTxns = 1 << 19
+
+// minFreqHz and maxFreqHz bound the clock around the paper's 1.5–1.6
+// GHz machines. At 1 MHz the 300 s cap of capSimCycles can end a small
+// run (W=20, one client) before its first measured commit; at 100 MHz
+// that run takes 7 s. Simulated time counts int64 cycles: 300·FreqHz
+// passes 2^63 above 3·10^16 Hz, while at 1 THz the cap plus the longest
+// timeline interval (3,600 s) stay under 2^52 cycles.
+const (
+	minFreqHz = 1e8
+	maxFreqHz = 1e12
+)
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound
 // configurations that cannot reach the transaction target still finish.

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -80,17 +79,6 @@ func (m *Manifest) SetConfig(cfg any) error {
 	}
 	m.Config = data
 	return nil
-}
-
-// WriteJSON renders the manifest with stable indentation.
-func (m *Manifest) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // Save writes the manifest atomically (temp file + rename), matching
