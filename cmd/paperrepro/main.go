@@ -1,8 +1,10 @@
 // Command paperrepro regenerates every table and figure of the paper's
 // evaluation: Table 1 (tuned clients), Figures 2-16 (scaling behaviour),
 // Figures 17/18 and Table 5 (piecewise fits and pivot points), and
-// Figure 19 (the Itanium2 validation platform). Output is paper-style
-// aligned text; -quick trades precision for speed.
+// Figure 19 (the Itanium2 validation platform), then the claim table
+// (experiment.Claims). Output is paper-style aligned text; -quick trades
+// precision for speed. It exits 1 when the iron law fails at any point
+// or a claim's outcome differs from its expected one.
 package main
 
 import (
@@ -115,6 +117,9 @@ func main() {
 	fmt.Println(experiment.RenderSeries("Figure 19: CPI scaling on the Itanium2 platform (4P)", []stats.Series{cpi}, 3))
 	fmt.Printf("Itanium2 CPI pivot: %.0f warehouses (Xeon: %.0f)\n", itChar.CPI.Pivot(), char.CPI.Pivot())
 
+	claims := experiment.Claims(res, itRes)
+	fmt.Printf("\n%s", experiment.ClaimTable(claims))
+
 	for _, err := range []error{verifyIronLaw(res, xeon.Machine), verifyIronLaw(itRes, itanium.Machine)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "iron law verification failed: %v\n", err)
@@ -122,6 +127,14 @@ func main() {
 		}
 	}
 	fmt.Println("\niron law verified on every measured configuration")
+	exit := 0
+	for _, c := range claims {
+		if c.Holds != c.Expect {
+			fmt.Fprintf(os.Stderr, "claim %s: holds=%v, expected %v (%s)\n", c.ID, c.Holds, c.Expect, c.Ours)
+			exit = 1
+		}
+	}
+	os.Exit(exit)
 }
 
 // printTables23 prints the static Tables 2 and 3 from their definitions.

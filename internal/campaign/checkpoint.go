@@ -1,11 +1,12 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -92,26 +93,13 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// Save writes the checkpoint atomically (temp file + rename).
+// Save writes the checkpoint atomically (telemetry.WriteFileAtomic).
 func (cp *Checkpoint) Save(path string) error {
 	data, err := json.MarshalIndent(cp, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".campaign-ck-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return telemetry.WriteFileAtomic(path, data)
 }
 
 type probeKey struct{ w, p, c int }
@@ -193,10 +181,19 @@ func (s *ckStore) addProbe(w, p, c int, util float64) error {
 	return s.persistLocked()
 }
 
+// persistLocked saves the checkpoint with its points sorted by (W, P)
+// and its probes by (W, P, C), so the file does not depend on the order
+// in which the pool finished its runs.
 func (s *ckStore) persistLocked() error {
 	if s.path == "" {
 		return nil
 	}
+	slices.SortStableFunc(s.cp.Points, func(a, b CheckpointPoint) int {
+		return cmp.Or(cmp.Compare(a.W, b.W), cmp.Compare(a.P, b.P))
+	})
+	slices.SortStableFunc(s.cp.Probes, func(a, b CheckpointProbe) int {
+		return cmp.Or(cmp.Compare(a.W, b.W), cmp.Compare(a.P, b.P), cmp.Compare(a.C, b.C))
+	})
 	return s.cp.Save(s.path)
 }
 

@@ -200,14 +200,9 @@ func Table5(res *campaign.Result) (stats.Table, error) {
 // configuration p of the Itanium2 validation campaign (Section 6.3):
 // a DefaultSpec sweep with Machine set to system.Itanium2Quad().
 func Figure19(res *campaign.Result, p int) (stats.Series, core.Characterization, error) {
-	ms := balanced(res.Series(p))
-	cpi := series(fmt.Sprintf("Itanium2 CPI %dP", p), ms, func(m system.Metrics) float64 { return m.CPI })
-	mpi := series("MPI", ms, func(m system.Metrics) float64 { return m.MPI })
-	c, err := core.Characterize(p, cpi, mpi)
-	if err != nil {
-		return cpi, core.Characterization{}, err
-	}
-	return cpi, c, nil
+	cpi := series(fmt.Sprintf("Itanium2 CPI %dP", p), balanced(res.Series(p)), func(m system.Metrics) float64 { return m.CPI })
+	c, err := Characterize(res, p)
+	return cpi, c, err
 }
 
 // RenderSeries formats figure series as an aligned table keyed by

@@ -81,15 +81,21 @@ func (m *Manifest) SetConfig(cfg any) error {
 	return nil
 }
 
-// Save writes the manifest atomically (temp file + rename), matching
-// the checkpoint writer's crash discipline.
+// Save writes the manifest atomically (WriteFileAtomic), with a
+// trailing newline.
 func (m *Manifest) Save(path string) error {
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
+	return WriteFileAtomic(path, append(data, '\n'))
+}
+
+// WriteFileAtomic writes data to path through a temporary file in the
+// same directory and a rename, so a reader or a crash sees either the
+// old file or the new one, never a partial write.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
